@@ -1,13 +1,14 @@
 """Command-line surface: every major operation behind one subcommand.
 
-Exit codes follow a three-way contract: 0 means the command succeeded
-and every asserted property held; 1 means a verified property violation
-(a validator rejected, a witness was not found, or a result failed
-re-certification); 2 means an input or usage error.  Reports are JSON
-documents written to standard output or, with ``--out``, atomically to a
-file.  Randomized subcommands take a ``--seed`` (default 0) and echo it;
-wall time stays null unless ``--timing`` is passed, so re-runs with
-identical inputs produce byte-identical reports.
+Exit codes: 0 means the command succeeded and every asserted property
+held; 1 means a verified property violation (a validator rejected, a
+witness was not found, or a result failed re-certification); 2 means an
+input or usage error; 3 means an internal guarantee of the algorithms
+failed to hold, which is a defect, not a property of the input.  Reports
+are JSON documents written to standard output or, with ``--out``,
+atomically to a file.  Randomized subcommands take a ``--seed``
+(default 0) and echo it; wall time stays null unless ``--timing`` is
+passed, so re-runs with identical inputs produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .covering import (
     is_k_configuration,
     is_tau_satellite_configuration,
 )
-from .errors import BallcoverError, InputError
+from .errors import BallcoverError, InputError, InternalError
 from .geometry import Ball, Point, Space, ball_volume, distance
 from .sceneio import (
     ball_doc,
@@ -171,10 +172,24 @@ def _emit(report: dict, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
         return
-    tmp = out + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, out)
+    import tempfile  # here, not at module level: start-up imports stay unchanged
+
+    # a fresh temp file next to the target, so concurrent runs never share one
+    target = os.path.abspath(out)
+    fd, tmp = tempfile.mkstemp(
+        prefix=os.path.basename(target) + ".", suffix=".tmp", dir=os.path.dirname(target)
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            # mkstemp creates mode 0600; give the report the mode open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            fh.write(text)
+        os.replace(tmp, out)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _tolkw(args) -> dict:
@@ -227,7 +242,7 @@ def _cmd_select(args):
         "selected": [ball_doc(b) for b in result.selected],
         "bands": list(result.bands),
         "max_overlap": result.overlap.max_overlap,
-        "covered_centers": len(result.covered_centers),
+        "covered_centers": sum(result.covered_centers),
     }
     return payload, digest, None, 0
 
@@ -407,6 +422,9 @@ def run_command(argv) -> int:
     started = time.perf_counter()
     try:
         payload, digest, seed, code = _HANDLERS[args.subcommand](args)
+    except InternalError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return 3
     except BallcoverError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

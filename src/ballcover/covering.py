@@ -8,6 +8,11 @@ point must be certified, a cyclic-projection feasibility search is used;
 if it can neither certify a point nor converge to a stationary refutation
 within its iteration cap, the verdict is ``indeterminate`` rather than a
 guess.
+
+Overlap profiles and greedy nets measure one point against every ball
+center (or every kept point) per call of the row form of
+:func:`~ballcover.geometry.distance`, whose entries equal the scalar
+distances, so their counts and choices are those of a pairwise loop.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .geometry import (
     Point,
     Space,
     Tangent,
+    _coord_rows,
     distance,
     exp_map,
     log_map,
@@ -152,11 +158,6 @@ def _project_once(space: Space, p: Point, ball: Ball) -> tuple:
     if d <= ball.radius:
         return p, 0.0
     move = d - ball.radius
-    if space.kind == "euclidean" and space.pnorm == 2.0:
-        t = ball.radius / d
-        c = ball.center.coords
-        q = Point(tuple(cc + t * (pc - cc) for pc, cc in zip(p.coords, c)))
-        return q, move
     if space.kind == "euclidean":
         # straight-line retraction toward the center (exact for p = 2)
         t = ball.radius / d
@@ -456,14 +457,13 @@ def overlap_profile(
     if len(family) == 0 or len(probes) == 0:
         return OverlapProfile(0, None, {})
     space = family.space
+    centers = _coord_rows(family.centers, space.ambient_dim)
+    reach = np.array([b.radius + tol * (1.0 + b.radius) for b in family])
     best_depth = -1
     best_probe = None
     histogram: dict = {}
     for p in probes:
-        depth = 0
-        for b in family:
-            if distance(space, p, b.center) <= b.radius + tol * (1.0 + b.radius):
-                depth += 1
+        depth = int(np.count_nonzero(distance(space, p, centers) <= reach))
         histogram[depth] = histogram.get(depth, 0) + 1
         if depth > best_depth:
             best_depth, best_probe = depth, p
@@ -491,14 +491,11 @@ def epsilon_net_greedy(
         raise InputError(f"eps must be > 0, got {eps}")
     kept: list = []
     indices: list = []
+    rows = np.empty((len(points), space.ambient_dim))
     for i, p in enumerate(points):
-        ok = True
-        for q in kept:
-            d = distance(space, p, q)
-            if d < eps or (strict and d == eps):
-                ok = False
-                break
-        if ok:
+        d = distance(space, p, rows[: len(kept)])
+        if not np.any(d <= eps if strict else d < eps):
+            rows[len(kept)] = p.coords
             kept.append(p)
             indices.append(i)
     return EpsilonNet(kept, indices)

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-Three failure categories are distinguished so callers (and the CLI) can
+Four failure categories are distinguished so callers (and the CLI) can
 map them to exit codes: bad input data, mathematically undefined requests,
-and features that are deliberately out of scope.
+features that are deliberately out of scope, and internal guarantees that
+failed to hold.
 """
 
 
@@ -24,3 +25,11 @@ class DomainError(BallcoverError, ValueError):
 
 class UnsupportedFeatureError(BallcoverError, NotImplementedError):
     """Requested combination is recognized but intentionally unsupported."""
+
+
+class InternalError(BallcoverError):
+    """A guarantee of the package's own algorithms failed to hold.
+
+    This is a defect in ballcover, not in the input; the command-line
+    surface reports it with its own exit code.
+    """

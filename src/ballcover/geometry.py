@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DomainError, InputError
 
 # Absolute/relative slack used by geometric predicates unless overridden.
@@ -120,24 +122,6 @@ class Space:
             return Point((0.0,) * self.dim + (self.radius,))
         return Point((0.0,) * self.dim + (1.0,))
 
-    def from_spatial(self, spatial) -> "Point":
-        """Embed dim spatial coordinates into the space.
-
-        Euclidean: identity.  Hyperbolic: lift onto the hyperboloid.
-        Sphere: inverse gnomonic-style lift is ambiguous, so it is not
-        offered; construct sphere points via :meth:`point` or the
-        exponential map instead.
-        """
-        s = tuple(float(v) for v in spatial)
-        if len(s) != self.dim:
-            raise InputError(f"expected {self.dim} spatial coordinates, got {len(s)}")
-        if self.kind == "euclidean":
-            return Point(s)
-        if self.kind == "hyperbolic":
-            lift = math.sqrt(1.0 + sum(v * v for v in s))
-            return Point(s + (lift,))
-        raise InputError("from_spatial is not defined for spheres")
-
 
 @dataclass(frozen=True)
 class Point:
@@ -212,9 +196,18 @@ def injectivity_radius(space: Space) -> float:
     return math.inf
 
 
-def distance(space: Space, p: Point, q: Point) -> float:
-    """Geodesic distance between two points."""
+def distance(space: Space, p: Point, q):
+    """Geodesic distance between two points.
+
+    ``q`` is a :class:`Point`, giving a float, or an ``(n, ambient_dim)``
+    array of point coordinates, giving the ``(n,)`` array of distances
+    from ``p`` to each row.  Both forms evaluate the same formulas in the
+    same order, so every array entry equals the float that the scalar
+    form returns for that row, bit for bit.
+    """
     _check_point(space, p, "p")
+    if isinstance(q, np.ndarray):
+        return _distance_rows(space, p, q)
     _check_point(space, q, "q")
     a, b = p.coords, q.coords
     if space.kind == "euclidean":
@@ -233,6 +226,69 @@ def distance(space: Space, p: Point, q: Point) -> float:
     m = max(0.0, _mdot(d, d))
     half = 0.5 * m
     return math.log1p(half + math.sqrt(m + half * half))
+
+
+# The row form of ``distance`` keeps the scalar form's floats: column sums
+# run left to right from 0.0 as ``sum`` does on floats up to Python 3.11
+# (3.12 made ``sum`` compensated), ``min``/``max`` clamps keep their tie
+# rules, and ``**``, ``asin``, ``acos`` and ``log1p`` are applied per
+# element through Python, because numpy's versions differ in the last bit
+# on some inputs.  IEEE +, -, *, / and sqrt are exact either way.
+
+
+def _sum_columns(m: np.ndarray) -> np.ndarray:
+    s = np.zeros(m.shape[0])
+    for k in range(m.shape[1]):
+        s += m[:, k]
+    return s
+
+
+def _pow_each(a: np.ndarray, e) -> np.ndarray:
+    return np.array([x ** e for x in a.ravel().tolist()]).reshape(a.shape)
+
+
+def _map_each(f, a: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(f, a.tolist()), float, len(a))
+
+
+def _distance_rows(space: Space, p: Point, rows: np.ndarray) -> np.ndarray:
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != space.ambient_dim:
+        raise InputError(
+            f"q has shape {rows.shape}, expected (n, {space.ambient_dim})"
+        )
+    a = np.array(p.coords, dtype=float)
+    if space.kind == "euclidean":
+        d = np.abs(a - rows)
+        pn = space.pnorm
+        if pn == 2.0:
+            return np.sqrt(_sum_columns(d * d))
+        if pn == 1.0:
+            return _sum_columns(d)
+        if math.isinf(pn):
+            return d.max(axis=1)
+        return _pow_each(_sum_columns(_pow_each(d, pn)), 1.0 / pn)
+    if space.kind == "sphere":
+        R = space.radius
+        cos_t = _sum_columns(a * rows) / (R * R)
+        out = np.empty(len(rows))
+        near = cos_t > 0.5
+        chord = np.sqrt(_sum_columns(_pow_each(a - rows[near], 2)))
+        x = chord / (2.0 * R)
+        out[near] = 2.0 * R * _map_each(math.asin, np.where(x < 1.0, x, 1.0))
+        c = np.where(cos_t[~near] < 1.0, cos_t[~near], 1.0)
+        out[~near] = R * _map_each(math.acos, np.where(c > -1.0, c, -1.0))
+        return out
+    d = a - rows
+    m = _sum_columns(d[:, :-1] * d[:, :-1]) - d[:, -1] * d[:, -1]
+    m = np.where(m > 0.0, m, 0.0)
+    half = 0.5 * m
+    return _map_each(math.log1p, half + np.sqrt(m + half * half))
+
+
+def _coord_rows(points, width: int) -> np.ndarray:
+    """The ``(len(points), width)`` array of the points' coordinates."""
+    return np.array([p.coords for p in points], dtype=float).reshape(len(points), width)
 
 
 def tangent_norm(space: Space, t: Tangent) -> float:

@@ -21,6 +21,12 @@ when its distance to a selected ball's center is <= that ball's radius,
 evaluated exactly on the given floats.  Greedy tie-breaking is always
 "larger radius first, then lexicographically smallest center", which
 makes every procedure deterministic.
+
+The greedy loops test one ball against every ball already chosen with
+one call of the row form of :func:`~ballcover.geometry.distance`, whose
+entries equal the scalar distances, so each decision is the one a
+pairwise loop would make.  Violated internal guarantees raise
+:class:`~ballcover.errors.InternalError`, never a bare ``assert``.
 """
 
 from __future__ import annotations
@@ -31,9 +37,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .covering import BallFamily, OverlapProfile, overlap_profile, strict_net_bound
-from .errors import DomainError, InputError, UnsupportedFeatureError
-from .geometry import Ball, Point, Space, distance, injectivity_radius
+from .errors import DomainError, InputError, InternalError, UnsupportedFeatureError
+from .geometry import Ball, Point, Space, _coord_rows, distance, injectivity_radius
 
 __all__ = [
     "SubcoverResult",
@@ -67,16 +75,13 @@ class ChainState:
     """Left-to-right record of the two-family interval structure.
 
     ``tags[k]`` is the family tag (0 or 1) of the k-th kept interval in
-    left-to-right order, ``chain_ids[k]`` the index of the maximal run of
-    pairwise-touching intervals it belongs to, and ``chain_bounds[c]``
-    the (leftmost, rightmost) coordinates of chain ``c``.  Within a
-    chain, consecutive intervals intersect and therefore must alternate
-    tags.
+    left-to-right order and ``chain_ids[k]`` the index of the maximal run
+    of pairwise-touching intervals it belongs to.  Within a chain,
+    consecutive intervals intersect and therefore must alternate tags.
     """
 
     tags: tuple
     chain_ids: tuple
-    chain_bounds: tuple
 
 
 @dataclass(frozen=True)
@@ -105,10 +110,6 @@ class DisjointPartition:
 def _check_ratio(name: str, value: float) -> None:
     if not 0.0 < value < 1.0:
         raise InputError(f"{name} must lie in (0, 1), got {value!r}")
-
-
-def _balls_disjoint(space: Space, a: Ball, b: Ball) -> bool:
-    return distance(space, a.center, b.center) > a.radius + b.radius
 
 
 def _covers(space: Space, ball: Ball, p: Point) -> bool:
@@ -193,6 +194,9 @@ def select_bounded_overlap_subcover(
     for band, _r, i in banded:
         by_band.setdefault(band, []).append(i)
 
+    # the current round's balls, as rows
+    round_rows = np.empty((len(family), space.ambient_dim))
+    round_radii = np.empty(len(family))
     selected_idx = []
     selected_bands = []
     for band in sorted(by_band):
@@ -200,16 +204,18 @@ def select_bounded_overlap_subcover(
             pool = [i for i in by_band[band] if not covered[ball_to_center[i]]]
             if not pool:
                 break
-            round_sel = []
+            k = 0
             for i in pool:
-                if all(_balls_disjoint(space, family[i], family[j]) for j in round_sel):
-                    round_sel.append(i)
-            for i in round_sel:
-                selected_idx.append(i)
-                selected_bands.append(band)
+                b = family[i]
+                d = distance(space, b.center, round_rows[:k])
+                if np.all(d > b.radius + round_radii[:k]):
+                    round_rows[k], round_radii[k] = b.center.coords, b.radius
+                    selected_idx.append(i)
+                    selected_bands.append(band)
+                    k += 1
             for ci, p in enumerate(center_list):
-                if not covered[ci] and any(
-                    _covers(space, family[i], p) for i in round_sel
+                if not covered[ci] and np.any(
+                    distance(space, p, round_rows[:k]) <= round_radii[:k]
                 ):
                     covered[ci] = True
 
@@ -226,6 +232,33 @@ def select_bounded_overlap_subcover(
 # ---------------------------------------------------------------------------
 # disjoint-family partition
 # ---------------------------------------------------------------------------
+
+
+def _first_fit(space: Space, balls, order) -> tuple:
+    """Greedy colouring of ``balls`` visited in ``order``.
+
+    Each ball takes the lowest colour that no already coloured ball
+    meeting it carries (closed balls meet when the center distance is at
+    most the radius sum).  A colour's balls are its family, so this is
+    the rule "the lowest family where the ball is disjoint from every
+    member, else a new family".  Returns the families, as input indices
+    in colouring order, and the input-indexed colour assignment.
+    """
+    rows = _coord_rows([balls[i].center for i in order], space.ambient_dim)
+    radii = np.array([balls[i].radius for i in order], dtype=float)
+    colours = np.empty(len(order), dtype=np.intp)
+    families: list[list[int]] = []
+    assignment = [-1] * len(balls)
+    for t, i in enumerate(order):
+        d = distance(space, balls[i].center, rows[:t])
+        used = np.zeros(len(families) + 1, dtype=bool)
+        used[colours[:t][~(d > radii[t] + radii[:t])]] = True
+        f = int(np.argmin(used))
+        if f == len(families):
+            families.append([])
+        families[f].append(i)
+        assignment[i] = colours[t] = f
+    return families, assignment
 
 
 def partition_into_disjoint_families(
@@ -251,19 +284,7 @@ def partition_into_disjoint_families(
     order = sorted(
         range(n), key=lambda i: (-family[i].radius, family[i].center.coords, i)
     )
-    families: list[list[int]] = []
-    assignment = [-1] * n
-    for i in order:
-        placed = False
-        for f, members in enumerate(families):
-            if all(_balls_disjoint(space, family[i], family[j]) for j in members):
-                members.append(i)
-                assignment[i] = f
-                placed = True
-                break
-        if not placed:
-            assignment[i] = len(families)
-            families.append([i])
+    families, assignment = _first_fit(space, family.balls, order)
 
     if n:
         profile = _profile_for(family, [b.center for b in family])
@@ -338,7 +359,8 @@ class _Chains:
     def flip_smaller(self, a: int, b: int) -> None:
         """Toggle every tag in the smaller of the two distinct chains."""
         ra, rb = self.find(a), self.find(b)
-        assert ra != rb, "conflicting constraints inside a single chain"
+        if ra == rb:
+            raise InternalError("conflicting constraints inside a single chain")
         smaller = rb if self.size[rb] <= self.size[ra] else ra
         for rec in self.members[smaller]:
             rec.tag ^= 1
@@ -409,8 +431,8 @@ def _phase_b_two_color(chosen):
             for t in (pos - 1, pos - 2):
                 if t >= 0 and kept[t].right >= x and kept[t] not in hits:
                     hits.append(kept[t])
-            if pos - 3 >= 0:
-                assert kept[pos - 3].right < x, "more than two hits at one endpoint"
+            if pos - 3 >= 0 and not kept[pos - 3].right < x:
+                raise InternalError("more than two kept intervals hit one endpoint")
             hits = [h for h in hits if h not in survivors]
             if len(hits) == 2:
                 # hits[0] has the larger left (found at pos-1).  At the
@@ -471,7 +493,7 @@ def _staircase_two_color(cands, cs):
         while heap and -heap[0][0] < x:
             heapq.heappop(heap)
         if not heap:
-            raise RuntimeError(f"internal: no candidate interval contains {x!r}")
+            raise InternalError(f"no candidate interval contains {x!r}")
         negright, left, idx = heapq.heappop(heap)
         chosen.append((left, -negright, idx))
         k = bisect_right(cs, -negright)
@@ -524,7 +546,7 @@ def besicovitch_cover_1d(
             families=(),
             assignment=tuple([-1] * n),
             family_count_bound=2,
-            chain_state=ChainState((), (), ()),
+            chain_state=ChainState((), ()),
         )
 
     max_r = max(r for r, _ in items.values())
@@ -564,7 +586,8 @@ def besicovitch_cover_1d(
                     if al <= right and ar >= left:
                         home = t
                         break
-            assert home is not None, "greedy anchors must meet every interval"
+            if home is None:
+                raise InternalError("greedy anchors must meet every interval")
             groups[home].append((left, right, idx))
         cands = []
         seen = set()
@@ -595,15 +618,12 @@ def besicovitch_cover_1d(
         assignment[idx] = fam_index[t]
 
     chain_ids = []
-    chain_bounds = []
+    chain = -1
     prev_right = None
     for left, right, _idx, _t in final:
         if prev_right is None or left > prev_right:
-            chain_bounds.append((left, right))
-        else:
-            lo, hi = chain_bounds[-1]
-            chain_bounds[-1] = (lo, max(hi, right))
-        chain_ids.append(len(chain_bounds) - 1)
+            chain += 1
+        chain_ids.append(chain)
         prev_right = max(prev_right, right) if prev_right is not None else right
 
     return DisjointPartition(
@@ -616,7 +636,6 @@ def besicovitch_cover_1d(
         chain_state=ChainState(
             tuple(t for _l, _r, _i, t in final),
             tuple(chain_ids),
-            tuple(chain_bounds),
         ),
     )
 
@@ -624,6 +643,17 @@ def besicovitch_cover_1d(
 # ---------------------------------------------------------------------------
 # threshold selection with exact separation
 # ---------------------------------------------------------------------------
+
+
+def _check_separation(selected: BallFamily, s: float) -> None:
+    """Raise unless ``distance(x_t, x_j) > s * max(r_t, r_j)`` on all pairs."""
+    space = selected.space
+    rows = _coord_rows(selected.centers, space.ambient_dim)
+    radii = np.array(selected.radii, dtype=float)
+    for t, b in enumerate(selected.balls[:-1]):
+        d = distance(space, b.center, rows[t + 1:])
+        if not np.all(d > s * np.maximum(b.radius, radii[t + 1:])):
+            raise InternalError("selection lost its separation guarantee")
 
 
 def cip_subcover(
@@ -673,14 +703,8 @@ def cip_subcover(
                 if not covered[i] and _covers(space, chosen, family[i].center):
                     covered[i] = True
 
-    for a in range(len(selected_idx)):
-        for b in range(a + 1, len(selected_idx)):
-            ba, bb = family[selected_idx[a]], family[selected_idx[b]]
-            d = distance(space, ba.center, bb.center)
-            top = max(ba.radius, bb.radius)
-            assert d > s * top, "selection lost its separation guarantee"
-
     selected = BallFamily(space, tuple(family[i] for i in selected_idx))
+    _check_separation(selected, s)
     profile = _profile_for(selected, [b.center for b in family])
     return SubcoverResult(
         selected=selected,
@@ -743,19 +767,7 @@ def morse_partition(
         range(len(sets)),
         key=lambda k: (-sets[k].diameter, sets[k].anchor.coords, k),
     )
-    families: list[list[int]] = []
-    assignment = [-1] * len(sets)
-    for k in order:
-        placed = False
-        for f, ms in enumerate(families):
-            if all(_balls_disjoint(space, outer[k], outer[j]) for j in ms):
-                ms.append(k)
-                assignment[k] = f
-                placed = True
-                break
-        if not placed:
-            assignment[k] = len(families)
-            families.append([k])
+    families, assignment = _first_fit(space, outer, order)
 
     dim = space.dim
     bound = math.ceil((4.0 * lam * tau + 1.0) ** dim) + math.ceil(

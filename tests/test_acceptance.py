@@ -67,13 +67,19 @@ def assert_disjoint_by_sweep(family):
 
 
 def assert_centers_covered(families, centers):
-    kept = [
+    """Sort-and-sweep: a center is covered iff some interval starting at or
+    before it reaches it, i.e. the largest right end among those does."""
+    kept = sorted(
         (b.center.coords[0] - b.radius, b.center.coords[0] + b.radius)
         for fam in families
         for b in fam
-    ]
-    for c in centers:
-        assert any(l <= c <= r for l, r in kept), f"center {c} uncovered"
+    )
+    k, reach = 0, -math.inf
+    for c in sorted(centers):
+        while k < len(kept) and kept[k][0] <= c:
+            reach = max(reach, kept[k][1])
+            k += 1
+        assert c <= reach, f"center {c} uncovered"
 
 
 def exact_max_overlap(family) -> int:

@@ -4,11 +4,15 @@ Each subcommand is exercised with a passing input, a violating input
 where the concept exists, and a malformed input.
 """
 
+import dataclasses
 import json
 import math
+import os
+import stat
 
 import pytest
 
+from ballcover import InternalError, cli
 from ballcover.cli import run_command
 
 
@@ -359,3 +363,58 @@ class TestReportContract:
         assert run_command(["oned", scenes["bands"]]) == 0
         rep = json.loads(capsys.readouterr().out)
         assert rep["payload"]["family_count"] <= 2
+
+
+class TestInternalError:
+    def test_exit_code_three_with_one_line_message(self, monkeypatch, capsys):
+        def broken(args):
+            raise InternalError("an invariant broke")
+
+        monkeypatch.setitem(cli._HANDLERS, "volume", broken)
+        assert run_command(["volume", "--space", "sphere", "--dim", "2", "--r", "1.0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: an invariant broke\n"
+        assert captured.out == ""
+
+
+class TestSelectCoverage:
+    def test_covered_centers_counts_only_covered(self, scenes, tmp_path, monkeypatch):
+        real = cli.select_bounded_overlap_subcover
+
+        def one_uncovered(family, centers, beta):
+            res = real(family, centers, beta)
+            flags = (True,) * (len(centers) - 1) + (False,)
+            return dataclasses.replace(res, covered_centers=flags)
+
+        monkeypatch.setattr(cli, "select_bounded_overlap_subcover", one_uncovered)
+        out = str(tmp_path / "r.json")
+        assert run_command(["select", scenes["bands"], "--out", out]) == 0
+        assert read(out)["payload"]["covered_centers"] == 4
+
+
+class TestAtomicOut:
+    def test_foreign_tmp_file_is_left_alone(self, scenes, tmp_path):
+        stale = tmp_path / "r.json.tmp"
+        stale.write_text("another run's file")
+        out = tmp_path / "r.json"
+        assert run_command(["oned", scenes["bands"], "--out", str(out)]) == 0
+        assert stale.read_text() == "another run's file"
+        assert read(str(out))["payload"]["family_count"] <= 2
+        left = sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("r.json"))
+        assert left == ["r.json", "r.json.tmp"]
+
+    def test_report_gets_the_default_file_mode(self, scenes, tmp_path):
+        umask = os.umask(0)
+        os.umask(umask)
+        out = tmp_path / "r.json"
+        assert run_command(["oned", scenes["bands"], "--out", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+
+    def test_failed_write_removes_the_temp_file(self, scenes, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("no space left")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        with pytest.raises(OSError):
+            run_command(["oned", scenes["bands"], "--out", str(tmp_path / "r.json")])
+        assert not [p for p in tmp_path.iterdir() if p.name.startswith("r.json")]

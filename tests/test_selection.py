@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,12 +11,14 @@ from ballcover import (
     BallFamily,
     DomainError,
     InputError,
+    InternalError,
     Point,
     QuasiRoundSet,
     Space,
     UnsupportedFeatureError,
     distance,
 )
+from ballcover import selection
 from ballcover.selection import (
     besicovitch_cover_1d,
     cip_subcover,
@@ -515,3 +520,63 @@ def test_morse_sphere_caps():
     too_wide = QuasiRoundSet(s2.point([1.0, 0.0, 0.0]), cap / 9.0, 1.0, cap / 4.5)
     with pytest.raises(DomainError):
         morse_partition(s2, [too_wide], tau=1.5, lam=1.0)
+
+
+# ---------------------------------------------------------------------------
+# internal guards: explicit raises that survive python -O
+# ---------------------------------------------------------------------------
+
+
+def test_flip_smaller_on_one_chain_raises():
+    chains = selection._Chains()
+    node = chains.make(selection._Iv(0.0, 1.0, 0))
+    with pytest.raises(InternalError, match="single chain"):
+        chains.flip_smaller(node, node)
+
+
+def test_phase_b_more_than_two_hits_raises():
+    # (-5, 20) and (-3, 30) touch no endpoint of the intervals kept before
+    # them, so three kept intervals contain the left end of (5, 6)
+    chosen = [(0.0, 10.0, 0), (-5.0, 20.0, 1), (-3.0, 30.0, 2), (5.0, 6.0, 3)]
+    with pytest.raises(InternalError, match="more than two"):
+        selection._phase_b_two_color(chosen)
+
+
+def test_staircase_uncovered_coordinate_raises():
+    with pytest.raises(InternalError, match="no candidate"):
+        selection._staircase_two_color([(0.0, 1.0, 0)], [5.0])
+
+
+def test_scattered_interval_without_anchor_raises(monkeypatch):
+    # an anchor lookup that never finds a neighbour leaves intervals homeless
+    monkeypatch.setattr(selection, "bisect_right", lambda a, x: len(a) + 2)
+    fam = interval_family([(0.0, 1.0), (5e6, 1.0)])
+    with pytest.raises(InternalError, match="anchors"):
+        besicovitch_cover_1d(fam, [0.0, 5e6], mode="scattered")
+
+
+def test_separation_check_raises_on_close_pair():
+    selection._check_separation(interval_family([(0.0, 1.0), (0.95, 1.0)]), 0.9)
+    with pytest.raises(InternalError, match="separation"):
+        selection._check_separation(interval_family([(0.0, 1.0), (0.9, 1.0)]), 0.9)
+    with pytest.raises(InternalError, match="separation"):
+        selection._check_separation(
+            BallFamily(E2, (Ball(Point((0.0, 0.0)), 0.5), Ball(Point((0.3, 0.4)), 1.0))), 0.5
+        )
+
+
+def test_guards_survive_optimized_mode():
+    code = (
+        "from ballcover import InternalError, selection\n"
+        "c = selection._Chains()\n"
+        "n = c.make(selection._Iv(0.0, 1.0, 0))\n"
+        "try:\n"
+        "    c.flip_smaller(n, n)\n"
+        "except InternalError:\n"
+        "    print('raised')\n"
+    )
+    src = os.path.dirname(os.path.dirname(selection.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout == "raised\n", out.stderr
