@@ -3,12 +3,13 @@
 Exit codes: 0 means the command succeeded and every asserted property
 held; 1 means a verified property violation (a validator rejected, a
 witness was not found, or a result failed re-certification); 2 means an
-input or usage error; 3 means an internal guarantee of the algorithms
-failed to hold, which is a defect, not a property of the input.  Reports
-are JSON documents written to standard output or, with ``--out``,
-atomically to a file.  Randomized subcommands take a ``--seed``
-(default 0) and echo it; wall time stays null unless ``--timing`` is
-passed, so re-runs with identical inputs produce byte-identical reports.
+input or usage error, including a report that cannot be written; 3
+means an internal guarantee of the algorithms failed to hold, which is
+a defect, not a property of the input.  Reports are JSON documents
+written to standard output or, with ``--out``, atomically to a file.
+Randomized subcommands take a ``--seed`` (default 0) and echo it; wall
+time stays null unless ``--timing`` is passed, so re-runs with
+identical inputs produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -436,7 +437,12 @@ def run_command(argv) -> int:
         seed=seed,
         wall_time_s=wall,
     )
-    _emit(report, args.out)
+    try:
+        _emit(report, args.out)
+    except OSError as exc:
+        where = "standard output" if args.out is None else repr(args.out)
+        sys.stderr.write(f"error: cannot write the report to {where}: {exc.strerror or exc}\n")
+        return 2
     return code
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -152,26 +153,107 @@ class EpsilonNet(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _project_once(space: Space, p: Point, ball: Ball) -> tuple:
-    """Move p onto the ball if outside; returns (new point, movement)."""
+def _project_once(space: Space, p: Point, ball: Ball) -> Point:
+    """Move p along the geodesic onto a curved-space ball if outside."""
     d = distance(space, p, ball.center)
     if d <= ball.radius:
-        return p, 0.0
-    move = d - ball.radius
-    if space.kind == "euclidean":
-        # straight-line retraction toward the center (exact for p = 2)
-        t = ball.radius / d
-        c = ball.center.coords
-        q = Point(tuple(cc + t * (pc - cc) for pc, cc in zip(p.coords, c)))
-        return q, move
+        return p
     v = log_map(space, p, ball.center)
-    scale = move / d
-    q = exp_map(space, Tangent(p, tuple(scale * x for x in v.vector)))
-    return q, move
+    scale = (d - ball.radius) / d
+    return exp_map(space, Tangent(p, tuple(scale * x for x in v.vector)))
 
 
-def _max_violation(space: Space, p: Point, family: BallFamily) -> float:
-    return max(distance(space, p, b.center) - b.radius for b in family)
+# One cyclic-projection descent per start: ``sweep(x)`` runs at most
+# ``sweeps`` sweeps from the coordinate tuple ``x`` and returns the final
+# coordinates and whether a sweep moved the point less than ``stop``.  A
+# Euclidean step retracts the point along the straight line toward the
+# center (the metric projection for p = 2), evaluated on plain floats; a
+# curved step follows the geodesic through ``log_map``/``exp_map``.
+
+
+def _sweep_plane(balls, start, sweeps, stop):
+    """l2, dimension 2: the step and ``_l2_2`` fused and unrolled."""
+    x, y = start
+    sqrt = math.sqrt
+    for _ in range(sweeps):
+        sx, sy = x, y
+        for cx, cy, r in balls:
+            dx = x - cx
+            dy = y - cy
+            d = sqrt(dx * dx + dy * dy)
+            if d <= r:
+                continue
+            t = r / d
+            x = cx + t * dx
+            y = cy + t * dy
+        dx = sx - x
+        dy = sy - y
+        if sqrt(dx * dx + dy * dy) < stop:
+            return (x, y), True
+    return (x, y), False
+
+
+def _sweep_space(balls, start, sweeps, stop):
+    """l2, dimension 3: the step and ``_l2_3`` fused and unrolled."""
+    x, y, z = start
+    sqrt = math.sqrt
+    for _ in range(sweeps):
+        sx, sy, sz = x, y, z
+        for cx, cy, cz, r in balls:
+            dx = x - cx
+            dy = y - cy
+            dz = z - cz
+            d = sqrt(dx * dx + dy * dy + dz * dz)
+            if d <= r:
+                continue
+            t = r / d
+            x = cx + t * dx
+            y = cy + t * dy
+            z = cz + t * dz
+        dx = sx - x
+        dy = sy - y
+        dz = sz - z
+        if sqrt(dx * dx + dy * dy + dz * dz) < stop:
+            return (x, y, z), True
+    return (x, y, z), False
+
+
+def _sweep_tuples(kernel, balls, x, sweeps, stop):
+    """Any Euclidean space: the step on tuples, distances from ``kernel``."""
+    for _ in range(sweeps):
+        before = x
+        for c, r in balls:
+            d = kernel(x, c)
+            if d <= r:
+                continue
+            t = r / d
+            x = tuple([cc + t * (pc - cc) for pc, cc in zip(x, c)])
+        if kernel(before, x) < stop:
+            return x, True
+    return x, False
+
+
+def _sweep_curved(space, family, start, sweeps, stop):
+    p = Point(start)
+    for _ in range(sweeps):
+        before = p
+        for b in family:
+            p = _project_once(space, p, b)
+        if space._kernel(before.coords, p.coords) < stop:
+            return p.coords, True
+    return p.coords, False
+
+
+def _sweeper(family: BallFamily, balls: list):
+    """``sweep(x, sweeps, stop)`` for the family, whose ``(center coords,
+    radius)`` pairs are ``balls`` (see above)."""
+    space = family.space
+    if space.kind != "euclidean":
+        return partial(_sweep_curved, space, family)
+    if space.pnorm == 2.0 and space.dim in (2, 3):
+        flat = [c + (r,) for c, r in balls]
+        return partial(_sweep_plane if space.dim == 2 else _sweep_space, flat)
+    return partial(_sweep_tuples, space._kernel, balls)
 
 
 def find_common_point(
@@ -186,6 +268,12 @@ def find_common_point(
     ``converged`` reports whether some start reached a stationary sweep;
     a stationary point that still violates a constraint is evidence (at
     tolerance) that the intersection is empty.
+
+    Distances come from the space's cached scalar kernel, the one that
+    :func:`~ballcover.geometry.distance` calls, and Euclidean sweeps run
+    on plain coordinate tuples (fused and unrolled for l2 in dimensions 2
+    and 3) with the same arithmetic in the same order, so every float
+    equals that of a loop over ``distance`` and ``Point`` steps.
     """
     space = family.space
     if len(family) == 0:
@@ -199,30 +287,27 @@ def find_common_point(
         )
         starts.append(centroid)
     starts.extend(b.center for b in family[:6])
-    best: Optional[Point] = None
+    kernel = space._kernel
+    balls = [(b.center.coords, b.radius) for b in family]
+    sweep = _sweeper(family, balls)
+    best: Optional[tuple] = None
     best_v = math.inf
     any_converged = False
     sweeps = max(2, max_iter // max(1, len(family)))
     for start in starts:
-        p = start
-        converged = False
-        for _ in range(sweeps):
-            sweep_start = p
-            for b in family:
-                p, _ = _project_once(space, p, b)
-            # the composed sweep map converges to a fixed point even when
-            # the intersection is empty, so stationarity of the *sweep*
-            # (not of each projection) is the right stopping test
-            if distance(space, sweep_start, p) < threshold * scale:
-                converged = True
-                break
-        v = _max_violation(space, p, family)
+        # the composed sweep map converges to a fixed point even when
+        # the intersection is empty, so stationarity of the *sweep*
+        # (not of each projection) is the right stopping test
+        x, converged = sweep(start.coords, sweeps, threshold * scale)
+        v = max(kernel(x, c) - r for c, r in balls)
         any_converged = any_converged or converged
         if v < best_v:
-            best_v, best = v, p
+            best_v, best = v, x
         if v <= tol * scale:
-            return FeasibilityResult(p, v, True)
-    return FeasibilityResult(None if best_v > tol * scale else best, best_v, any_converged)
+            return FeasibilityResult(Point(x), v, True)
+    return FeasibilityResult(
+        None if best_v > tol * scale else Point(best), best_v, any_converged
+    )
 
 
 # ---------------------------------------------------------------------------

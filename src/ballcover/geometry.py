@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -82,6 +83,17 @@ class Space:
     @property
     def ambient_dim(self) -> int:
         return self.dim if self.kind == "euclidean" else self.dim + 1
+
+    # Built on first use and kept on the instance (a cached_property writes
+    # the instance dict directly, so it works on the frozen dataclass).
+    @cached_property
+    def _width(self) -> int:
+        return self.ambient_dim
+
+    @cached_property
+    def _kernel(self):
+        """The scalar distance of this space on raw coordinate tuples."""
+        return _scalar_kernel(self)
 
     def point(self, coords, tol: float = 1e-6) -> "Point":
         """Validate raw coordinates and return a :class:`Point`.
@@ -201,39 +213,125 @@ def distance(space: Space, p: Point, q):
 
     ``q`` is a :class:`Point`, giving a float, or an ``(n, ambient_dim)``
     array of point coordinates, giving the ``(n,)`` array of distances
-    from ``p`` to each row.  Both forms evaluate the same formulas in the
-    same order, so every array entry equals the float that the scalar
-    form returns for that row, bit for bit.
+    from ``p`` to each row.  The scalar form calls the space's one cached
+    kernel on the coordinate tuples (see :func:`_scalar_kernel`).  Both
+    forms evaluate the same formulas in the same order, with every sum
+    written out left to right, so every array entry equals the float that
+    the scalar form returns for that row, bit for bit.
     """
-    _check_point(space, p, "p")
+    a = p.coords
+    width = space._width
+    if len(a) != width:
+        _check_point(space, p, "p")  # raises
     if isinstance(q, np.ndarray):
         return _distance_rows(space, p, q)
-    _check_point(space, q, "q")
-    a, b = p.coords, q.coords
-    if space.kind == "euclidean":
-        return _lp_norm(tuple(x - y for x, y in zip(a, b)), space.pnorm)
-    if space.kind == "sphere":
-        R = space.radius
-        cos_t = _dot(a, b) / (R * R)
-        if cos_t > 0.5:
-            # Near-zero separation: the chord formula is numerically stable.
-            chord = math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
-            return 2.0 * R * math.asin(min(1.0, chord / (2.0 * R)))
-        return R * math.acos(max(-1.0, min(1.0, cos_t)))
-    # Hyperboloid: arccosh(1 + m/2) with m the Minkowski squared chord,
-    # computed from coordinate differences to avoid cancellation.
-    d = tuple(x - y for x, y in zip(a, b))
-    m = max(0.0, _mdot(d, d))
+    b = q.coords
+    if len(b) != width:
+        _check_point(space, q, "q")  # raises
+    return space._kernel(a, b)
+
+
+# Scalar kernels on coordinate tuples.  Sums are written out as ``+``, left
+# to right from the int 0 as ``sum()`` starts (the Minkowski form from 0.0,
+# as ``_mdot`` does), instead of calling ``sum()``: the floats are those of
+# ``sum()`` up to Python 3.11, whose float sum is a plain left-to-right
+# loop, and they stay equal to the row form below on 3.12+, where ``sum()``
+# of floats is compensated.  The unrolled l2 kernels drop the leading
+# ``0 +``, which cannot change a square.
+
+
+def _l2_2(a, b):
+    x = a[0] - b[0]
+    y = a[1] - b[1]
+    return math.sqrt(x * x + y * y)
+
+
+def _l2_3(a, b):
+    x = a[0] - b[0]
+    y = a[1] - b[1]
+    z = a[2] - b[2]
+    return math.sqrt(x * x + y * y + z * z)
+
+
+def _l2(a, b):
+    s = 0
+    for x, y in zip(a, b):
+        d = x - y
+        s += d * d
+    return math.sqrt(s)
+
+
+def _l1(a, b):
+    s = 0
+    for x, y in zip(a, b):
+        s += abs(x - y)
+    return s
+
+
+def _linf(a, b):
+    return max([abs(x - y) for x, y in zip(a, b)])
+
+
+def _lp(p, inv_p, a, b):
+    s = 0
+    for x, y in zip(a, b):
+        s += abs(x - y) ** p
+    return s ** inv_p
+
+
+def _sphere(R, a, b):
+    s = 0
+    for x, y in zip(a, b):
+        s += x * y
+    cos_t = s / (R * R)
+    if cos_t > 0.5:
+        # Near-zero separation: the chord formula is numerically stable.
+        s = 0
+        for x, y in zip(a, b):
+            s += (x - y) ** 2
+        return 2.0 * R * math.asin(min(1.0, math.sqrt(s) / (2.0 * R)))
+    return R * math.acos(max(-1.0, min(1.0, cos_t)))
+
+
+def _hyperboloid(a, b):
+    # arccosh(1 + m/2) with m the Minkowski squared chord, computed from
+    # coordinate differences to avoid cancellation.
+    s = 0.0
+    for i in range(len(a) - 1):
+        d = a[i] - b[i]
+        s += d * d
+    d = a[-1] - b[-1]
+    m = max(0.0, s - d * d)
     half = 0.5 * m
     return math.log1p(half + math.sqrt(m + half * half))
 
 
+def _scalar_kernel(space: Space):
+    """``kernel(a, b)``: the distance of ``space`` between coordinate tuples.
+
+    Kernels are module-level functions, with parameters bound by
+    ``partial``, so a space that carries one still pickles.
+    """
+    if space.kind == "euclidean":
+        p = space.pnorm
+        if p == 2.0:
+            return {2: _l2_2, 3: _l2_3}.get(space.dim, _l2)
+        if p == 1.0:
+            return _l1
+        if math.isinf(p):
+            return _linf
+        return partial(_lp, p, 1.0 / p)
+    if space.kind == "sphere":
+        return partial(_sphere, space.radius)
+    return _hyperboloid
+
+
 # The row form of ``distance`` keeps the scalar form's floats: column sums
-# run left to right from 0.0 as ``sum`` does on floats up to Python 3.11
-# (3.12 made ``sum`` compensated), ``min``/``max`` clamps keep their tie
-# rules, and ``**``, ``asin``, ``acos`` and ``log1p`` are applied per
-# element through Python, because numpy's versions differ in the last bit
-# on some inputs.  IEEE +, -, *, / and sqrt are exact either way.
+# run left to right from 0.0 as the scalar kernels do, ``min``/``max``
+# clamps keep their tie rules, and ``**``, ``asin``, ``acos`` and ``log1p``
+# are applied per element through Python, because numpy's versions differ
+# in the last bit on some inputs.  IEEE +, -, *, / and sqrt are exact
+# either way.
 
 
 def _sum_columns(m: np.ndarray) -> np.ndarray:
@@ -448,19 +546,30 @@ def ball_volume(space: Space, r: float) -> float:
     """Riemannian volume of a metric ball of radius ``r``.
 
     Euclidean volumes use the closed-form l^p unit-ball volume; curved
-    volumes integrate the area element in closed form.
+    volumes integrate the area element in closed form.  A volume, or a
+    term of its formula, beyond the float range raises
+    :class:`DomainError` (large hyperbolic radii reach it quickly).
     """
     if not (math.isfinite(r) and r >= 0.0):
         raise InputError(f"radius must be finite and >= 0, got {r!r}")
     n = space.dim
-    if space.kind == "euclidean":
-        return unit_ball_volume(n, space.pnorm) * r ** n
-    if space.kind == "sphere":
-        R = space.radius
-        if r > math.pi * R * (1.0 + 1e-12):
-            raise DomainError(f"radius {r} exceeds the sphere diameter {math.pi * R}")
-        return _unit_sphere_area(n) * R ** n * _sin_power_integral(n - 1, min(r / R, math.pi))
-    return _unit_sphere_area(n) * _sinh_power_integral(n - 1, r)
+    R = space.radius
+    if space.kind == "sphere" and r > math.pi * R * (1.0 + 1e-12):
+        raise DomainError(f"radius {r} exceeds the sphere diameter {math.pi * R}")
+    try:
+        if space.kind == "euclidean":
+            v = unit_ball_volume(n, space.pnorm) * r ** n
+        elif space.kind == "sphere":
+            v = _unit_sphere_area(n) * R ** n * _sin_power_integral(n - 1, min(r / R, math.pi))
+        else:
+            v = _unit_sphere_area(n) * _sinh_power_integral(n - 1, r)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise DomainError(
+            f"the volume of a radius-{r} ball in dimension {n} is beyond the float range"
+        )
+    return v
 
 
 # ---------------------------------------------------------------------------

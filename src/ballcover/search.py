@@ -31,7 +31,7 @@ from .covering import (
     is_tau_satellite_configuration,
 )
 from .covering import QuasiRoundSet
-from .errors import DomainError, InputError, UnsupportedFeatureError
+from .errors import DomainError, InputError, InternalError, UnsupportedFeatureError
 from .geometry import (
     Ball,
     Point,
@@ -357,14 +357,12 @@ def construct_strict_hadwiger(dim: int) -> BallFamily:
     for i, b in enumerate(balls):
         d = math.sqrt(sum(x * x for x in b.center.coords))
         if abs(d - 2.0) >= 1e-12:
-            raise RuntimeError(f"internal: ball {i} lost tangency ({d})")
+            raise InternalError(f"tangent ball {i} lost tangency ({d})")
     for i in range(len(balls)):
         for j in range(i + 1, len(balls)):
             d = distance(space, balls[i].center, balls[j].center)
             if not d > 2.0:
-                raise RuntimeError(
-                    f"internal: balls {i} and {j} are not strictly disjoint"
-                )
+                raise InternalError(f"tangent balls {i} and {j} are not strictly disjoint")
     return BallFamily(space, balls)
 
 
@@ -402,7 +400,8 @@ def _pack_warm_start(dim: int):
         if float(np.sum(v * v)) <= 16.0 + 1e-12:
             pts.append(_clamp_to_radius(v))
     pts.sort(key=lambda v: (float(np.sum(v * v)), tuple(v)))
-    assert np.all(pts[0] == 0.0)
+    if not np.all(pts[0] == 0.0):
+        raise InternalError("packing warm start does not begin at the origin")
     return pts
 
 
@@ -418,7 +417,7 @@ def pack_unit_balls_radius5(dim: int, config: Optional[SearchConfig] = None) -> 
     center lies within distance 4 of the origin.  The line is solved
     exactly; higher dimensions start from known layouts (hexagonal rings
     in the plane, a cubic-lattice slice beyond) and anneal insertions
-    plus center jiggles.  The score is asserted against the 5**dim
+    plus center jiggles.  The score is checked against the 5**dim
     volume cap.
     """
     if dim < 1:
@@ -474,8 +473,10 @@ def pack_unit_balls_radius5(dim: int, config: Optional[SearchConfig] = None) -> 
             best = pts
         trace.append(len(pts))
 
-    assert best is not None
-    assert len(best) <= 5 ** dim, "packing exceeded the volume cap"
+    if best is None:
+        raise InternalError("packing search ran no restart")
+    if len(best) > 5 ** dim:
+        raise InternalError(f"packing of {len(best)} balls exceeds the volume cap {5 ** dim}")
     fam = BallFamily(
         space, tuple(Ball(Point(tuple(float(x) for x in p)), 1.0) for p in best)
     )
@@ -700,7 +701,8 @@ def satellite_max_search(
             best_sets = sets
         trace.append(len(sets))
 
-    assert best_sets is not None
+    if best_sets is None:
+        raise InternalError("satellite search ran no restart")
     verdict = is_tau_satellite_configuration(
         space, best_sets, [qs.anchor for qs in best_sets], tau
     )
@@ -739,8 +741,9 @@ def constants_report(dims: Sequence[int], config: Optional[SearchConfig] = None)
     valid family is also a pairwise-intersecting center-excluded
     configuration, and the covering constant dominates it in the known
     chain); the radius-5 packing gives ``beta``.  The chain
-    w <= K <= alpha <= beta <= 5**dim is asserted on the classical
-    values and on the achieved values of every emitted dimension.
+    w <= K <= alpha <= beta <= 5**dim is checked on the classical
+    values and on the achieved values of every emitted dimension; a
+    failed check raises :class:`~ballcover.errors.InternalError`.
     """
     dims = list(dims)
     if any(d not in (1, 2, 3, 4) for d in dims):
@@ -750,14 +753,16 @@ def constants_report(dims: Sequence[int], config: Optional[SearchConfig] = None)
     for dim in dims:
         space = Space.euclidean(dim)
         w_res = search_max_besicovitch_family(space, (0.5, 1.5), config)
-        assert w_res.feasible
+        if not w_res.feasible:
+            raise InternalError(f"the w family for dim {dim} failed re-certification")
         w_ach = w_res.score
         if is_k_configuration(w_res.best).is_valid:
             k_ach = w_ach
         else:  # pragma: no cover - a valid family always qualifies
             k_ach = 0
         beta_res = pack_unit_balls_radius5(dim, config)
-        assert beta_res.feasible
+        if not beta_res.feasible:
+            raise InternalError(f"the radius-5 packing for dim {dim} failed re-certification")
         beta_ach = beta_res.score
 
         rows.append(
@@ -803,10 +808,12 @@ def constants_report(dims: Sequence[int], config: Optional[SearchConfig] = None)
         ]
         filtered = [c for c in chain if c is not None]
         for (lo1, hi1), (lo2, hi2) in zip(filtered, filtered[1:]):
-            assert lo1 <= lo2 and hi1 <= hi2, f"classical chain broken at dim {dim}"
+            if not (lo1 <= lo2 and hi1 <= hi2):
+                raise InternalError(f"classical chain broken at dim {dim}")
         achieved = [w_ach, k_ach, k_ach, beta_ach, 5 ** dim]
         for a, b in zip(achieved, achieved[1:]):
-            assert a <= b, f"achieved chain broken at dim {dim}"
+            if not a <= b:
+                raise InternalError(f"achieved chain broken at dim {dim}")
     return rows
 
 

@@ -9,6 +9,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 
 import pytest
 
@@ -415,6 +417,36 @@ class TestAtomicOut:
             raise OSError("no space left")
 
         monkeypatch.setattr(cli.os, "replace", refuse)
-        with pytest.raises(OSError):
-            run_command(["oned", scenes["bands"], "--out", str(tmp_path / "r.json")])
+        assert run_command(["oned", scenes["bands"], "--out", str(tmp_path / "r.json")]) == 2
         assert not [p for p in tmp_path.iterdir() if p.name.startswith("r.json")]
+
+    def test_missing_directory_is_an_input_error(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "x.json")
+        argv = ["volume", "--space", "sphere", "--dim", "2", "--r", "1.0", "--out", out]
+        assert run_command(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: cannot write the report to {out!r}: No such file or directory\n"
+        )
+        assert captured.out == ""
+        assert not (tmp_path / "missing").exists()
+
+
+class TestVolumeOverflow:
+    @pytest.mark.parametrize("dim,r", [(3, "800"), (40, "30")])
+    def test_hyperbolic_overflow_exits_two(self, dim, r, capsys):
+        argv = ["volume", "--space", "hyperbolic", "--dim", str(dim), "--r", r]
+        assert run_command(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: the volume of a radius-")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_overflow_exits_two_in_a_fresh_process(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = ["volume", "--space", "hyperbolic", "--dim", "3", "--r", "800"]
+        out = subprocess.run([sys.executable, "-m", "ballcover.cli", *argv], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr

@@ -315,6 +315,26 @@ def test_ball_volume_hyperbolic_closed_form():
         assert ball_volume(h2, r) == pytest.approx(2.0 * math.pi * (math.cosh(r) - 1.0), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "space,r",
+    [
+        (Space.hyperbolic(3), 800.0),  # cosh overflows
+        (Space.hyperbolic(40), 30.0),  # sinh(30) ** 39 overflows
+        (Space.hyperbolic(2), 709.0),  # finite terms, infinite product
+        (Space.euclidean(3), 1e200),  # r ** 3 overflows
+    ],
+    ids=str,
+)
+def test_ball_volume_beyond_float_range_is_a_domain_error(space, r):
+    with pytest.raises(DomainError, match="beyond the float range"):
+        ball_volume(space, r)
+
+
+def test_ball_volume_just_inside_float_range():
+    assert math.isfinite(ball_volume(Space.hyperbolic(3), 300.0))
+    assert math.isfinite(ball_volume(Space.hyperbolic(40), 15.0))
+
+
 def test_ball_volume_against_quadrature():
     # Independent oracle: numerically integrate the area element.
     for space, density in [

@@ -1,17 +1,21 @@
 """Tests for randomized searches, explicit constructions, and the report."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from ballcover import search
 from ballcover.covering import (
     BallFamily,
     QuasiRoundSet,
     is_besicovitch_family,
     is_tau_satellite_configuration,
 )
-from ballcover.errors import InputError, UnsupportedFeatureError
+from ballcover.errors import InputError, InternalError, UnsupportedFeatureError
 from ballcover.geometry import Ball, Point, Space, distance
 from ballcover.search import (
     CipResult,
@@ -377,3 +381,98 @@ class TestConstantsReport:
     def test_deterministic(self):
         cfg = SearchConfig(seed=1, budget=600, restarts=1)
         assert constants_report([1, 2], cfg) == constants_report([1, 2], cfg)
+
+
+# ---------------------------------------------------------------------------
+# internal guards: explicit raises that survive python -O
+# ---------------------------------------------------------------------------
+
+TINY = SearchConfig(seed=0, budget=20, restarts=1)
+
+
+def _no_loops(*args):
+    return iter(())
+
+
+class TestInternalGuards:
+    def test_pack_warm_start_off_origin(self, monkeypatch):
+        monkeypatch.setattr(search, "_clamp_to_radius", lambda v: np.asarray(v, float) + 0.5)
+        with pytest.raises(InternalError, match="origin"):
+            pack_unit_balls_radius5(3, TINY)
+
+    def test_pack_volume_cap(self, monkeypatch):
+        crowd = [np.zeros(2) for _ in range(26)]
+        monkeypatch.setattr(search, "_pack_warm_start", lambda dim: crowd)
+        with pytest.raises(InternalError, match="volume cap 25"):
+            pack_unit_balls_radius5(2, TINY)
+
+    def test_pack_without_restarts(self, monkeypatch):
+        monkeypatch.setattr(search, "range", _no_loops, raising=False)
+        with pytest.raises(InternalError, match="no restart"):
+            pack_unit_balls_radius5(2, TINY)
+
+    def test_satellite_without_restarts(self, monkeypatch):
+        monkeypatch.setattr(search, "range", _no_loops, raising=False)
+        with pytest.raises(InternalError, match="no restart"):
+            satellite_max_search(Space.euclidean(2), 1.5, 1.0, TINY)
+
+    def test_hadwiger_lost_tangency(self, monkeypatch):
+        monkeypatch.setattr(search, "_icosahedron_directions", lambda: [(0.5, 0.0, 0.0)] * 12)
+        with pytest.raises(InternalError, match="lost tangency"):
+            construct_strict_hadwiger(3)
+
+    def test_hadwiger_overlap(self, monkeypatch):
+        monkeypatch.setattr(search, "_icosahedron_directions", lambda: [(1.0, 0.0, 0.0)] * 12)
+        with pytest.raises(InternalError, match="not strictly disjoint"):
+            construct_strict_hadwiger(3)
+
+    def test_constants_w_family_infeasible(self, monkeypatch):
+        real = search.search_max_besicovitch_family
+
+        def infeasible(*args):
+            res = real(*args)
+            return SearchResult(res.best, res.score, False, res.trace)
+
+        monkeypatch.setattr(search, "search_max_besicovitch_family", infeasible)
+        with pytest.raises(InternalError, match="w family for dim 1"):
+            constants_report([1], TINY)
+
+    def test_constants_packing_infeasible(self, monkeypatch):
+        real = search.pack_unit_balls_radius5
+
+        def infeasible(*args):
+            res = real(*args)
+            return SearchResult(res.best, res.score, False, res.trace)
+
+        monkeypatch.setattr(search, "pack_unit_balls_radius5", infeasible)
+        with pytest.raises(InternalError, match="radius-5 packing for dim 1"):
+            constants_report([1], TINY)
+
+    def test_constants_classical_chain(self, monkeypatch):
+        # alpha(1) = 10 > beta(1) = 5 breaks w <= K <= alpha <= beta
+        monkeypatch.setitem(search._PAPER_ALPHA, 1, 10)
+        with pytest.raises(InternalError, match="classical chain broken at dim 1"):
+            constants_report([1], TINY)
+
+    def test_constants_achieved_chain(self, monkeypatch):
+        # a one-ball packing certifies beta(1) >= 1, below the w bound of 2
+        one = BallFamily(Space.euclidean(1), (Ball(Point((0.0,)), 1.0),))
+        monkeypatch.setattr(search, "pack_unit_balls_radius5",
+                            lambda dim, config: SearchResult(one, 1, True, (1,)))
+        with pytest.raises(InternalError, match="achieved chain broken at dim 1"):
+            constants_report([1], TINY)
+
+    def test_guards_survive_optimized_mode(self):
+        code = (
+            "from ballcover import InternalError, SearchConfig, search\n"
+            "search._PAPER_ALPHA[1] = 10\n"
+            "try:\n"
+            "    search.constants_report([1], SearchConfig(budget=20, restarts=1))\n"
+            "except InternalError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(search.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.stdout == "raised: classical chain broken at dim 1\n", out.stderr
