@@ -7,9 +7,11 @@ input or usage error, including a report that cannot be written; 3
 means a defect, not a property of the input: an internal guarantee of
 the algorithms failed, or any other exception was raised.  Reports are
 JSON documents written to standard output or, with ``--out``,
-atomically to a file.  Randomized subcommands take a ``--seed``
-(default 0) and echo it; wall time stays null unless ``--timing`` is
-passed, so re-runs with identical inputs produce byte-identical reports.
+atomically to a file; a device or pipe is written in place.  Randomized
+subcommands take a ``--seed`` (default 0) and echo it; wall time stays
+null unless ``--timing`` is passed, so re-runs with identical inputs
+produce byte-identical reports.  Only the subcommands that build arrays
+or draw random numbers import numpy.
 """
 
 from __future__ import annotations
@@ -17,11 +19,10 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import stat
 import sys
 import time
 from typing import Optional
-
-import numpy as np
 
 from .covering import (
     BallFamily,
@@ -166,6 +167,16 @@ def _emit(report: dict, out: Optional[str]) -> None:
     text = render_report(report)
     if out is None:
         sys.stdout.write(text)
+        return
+    try:
+        special = not stat.S_ISREG(os.stat(out).st_mode)
+    except FileNotFoundError:
+        special = False
+    if special:
+        # a device or pipe is written in place: replacing it would turn it
+        # into a regular file
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
         return
     import tempfile  # here, not at module level: start-up imports stay unchanged
 
@@ -325,6 +336,8 @@ def _random_cip_family(rng, m):
 
 
 def _cmd_cip(args):
+    import numpy as np
+
     if args.trials is not None:
         if args.trials < 1:
             raise InputError(f"trials must be >= 1, got {args.trials}")

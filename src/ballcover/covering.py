@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from .errors import InputError, UnsupportedFeatureError
 from .geometry import (
     DEFAULT_TOL,
@@ -410,6 +408,8 @@ def overlap_profile(
     histogram tabulates depths at interval endpoints.  Otherwise depths
     are measured at the given probe points.
     """
+    import numpy as np
+
     if exact_1d:
         if not family.space.is_line:
             raise UnsupportedFeatureError(
@@ -471,6 +471,8 @@ def epsilon_net_greedy(
     and every input point lies within eps of some kept point, so the
     result is maximal.  Deterministic for a given input order.
     """
+    import numpy as np
+
     if not eps > 0.0:
         raise InputError(f"eps must be > 0, got {eps}")
     kept: list = []
@@ -503,6 +505,8 @@ def covering_number(
     target's from below as the budget grows.  Deterministic given
     ``seed``, ``budget`` and ``restarts``.
     """
+    import numpy as np
+
     if not eps > 0.0:
         raise InputError(f"eps must be > 0, got {eps}")
     if budget < space.dim + 1:

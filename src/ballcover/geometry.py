@@ -14,6 +14,10 @@ validated (and re-projected onto the constraint surface) on construction.
 Each :class:`Space` has one model, cached on it (:class:`_Flat`,
 :class:`_Sphere` or :class:`_Hyperboloid`), that owns every formula that
 depends on the kind of space; the public functions delegate to it.
+
+numpy is imported by the functions that build arrays (the row form of
+:func:`distance`) and nowhere at module level, so scalar work never
+loads it.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-
-import numpy as np
 
 from .errors import DomainError, InputError
 
@@ -253,19 +255,25 @@ def _hyperboloid(a, b):
 # and sqrt are exact either way.
 
 
-def _sum_columns(m: np.ndarray) -> np.ndarray:
+def _sum_columns(m):
+    import numpy as np
+
     s = np.zeros(m.shape[0])
     for k in range(m.shape[1]):
         s += m[:, k]
     return s
 
 
-def _map_each(f, a: np.ndarray) -> np.ndarray:
+def _map_each(f, a):
+    import numpy as np
+
     return np.fromiter(map(f, a.ravel().tolist()), float, a.size).reshape(a.shape)
 
 
-def _coord_rows(points, width: int) -> np.ndarray:
+def _coord_rows(points, width: int):
     """The ``(len(points), width)`` array of the points' coordinates."""
+    import numpy as np
+
     return np.array([p.coords for p in points], dtype=float).reshape(len(points), width)
 
 
@@ -312,8 +320,10 @@ class _Model:
     ``random`` and ``uniform`` serve the functions of those purposes.
     """
 
-    def rows(self, a, rows: np.ndarray) -> np.ndarray:
+    def rows(self, a, rows):
         """The kernel from ``a`` to each row of a float array."""
+        import numpy as np
+
         kernel = self.kernel
         return np.fromiter((kernel(a, r) for r in rows.tolist()), float, len(rows))
 
@@ -343,6 +353,8 @@ class _Flat(_Model):
             self.kernel = partial(_lp, p, 1.0 / p)
 
     def rows(self, a, rows):
+        import numpy as np
+
         if self.p not in (1.0, 2.0, math.inf):
             return super().rows(a, rows)
         d = np.abs(np.array(a, dtype=float) - rows)
@@ -452,6 +464,8 @@ class _Sphere(_Curved):
         self.kernel = partial(_sphere, R)
 
     def rows(self, a, rows):
+        import numpy as np
+
         R = self.R
         a = np.array(a, dtype=float)
         cos_t = _sum_columns(a * rows) / (R * R)
@@ -582,11 +596,14 @@ def distance(space: Space, p: Point, q):
     a = p.coords
     if len(a) != model.width:
         _check_point(space, p, "p")  # raises
-    if isinstance(q, np.ndarray):
-        rows = np.asarray(q, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != model.width:
-            raise InputError(f"q has shape {rows.shape}, expected (n, {model.width})")
-        return model.rows(a, rows)
+    if not isinstance(q, Point):
+        import numpy as np
+
+        if isinstance(q, np.ndarray):
+            rows = np.asarray(q, dtype=float)
+            if rows.ndim != 2 or rows.shape[1] != model.width:
+                raise InputError(f"q has shape {rows.shape}, expected (n, {model.width})")
+            return model.rows(a, rows)
     b = q.coords
     if len(b) != model.width:
         _check_point(space, q, "q")  # raises

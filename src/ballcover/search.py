@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .covering import (
     BallFamily,
     find_common_point,
@@ -128,7 +126,9 @@ class ConstantsRow:
             )
 
 
-def _restart_rng(config: SearchConfig, restart: int) -> np.random.Generator:
+def _restart_rng(config: SearchConfig, restart: int):
+    import numpy as np
+
     return np.random.default_rng([config.seed & 0xFFFFFFFF, restart])
 
 
@@ -355,6 +355,8 @@ _PACK_TOL = 1e-9
 
 
 def _clamp_to_radius(vec, limit=4.0):
+    import numpy as np
+
     v = np.asarray(vec, dtype=float)
     norm = float(np.sqrt(np.sum(v * v)))
     while norm > limit:
@@ -364,6 +366,8 @@ def _clamp_to_radius(vec, limit=4.0):
 
 
 def _pack_warm_start(dim: int):
+    import numpy as np
+
     if dim == 2:
         pts = [np.zeros(2)]
         for k in range(6):
@@ -387,6 +391,8 @@ def _pack_warm_start(dim: int):
 
 
 def _pack_valid_add(pts, cand):
+    import numpy as np
+
     return all(float(np.sqrt(np.sum((cand - p) ** 2))) >= 2.0 - _PACK_TOL for p in pts)
 
 
@@ -401,6 +407,8 @@ def pack_unit_balls_radius5(dim: int, config: Optional[SearchConfig] = None) -> 
     plus center jiggles.  The score is checked against the 5**dim
     volume cap.
     """
+    import numpy as np
+
     if dim < 1:
         raise InputError(f"dimension must be >= 1, got {dim}")
     config = config or SearchConfig()

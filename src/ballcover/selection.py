@@ -37,8 +37,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .covering import BallFamily, OverlapProfile, overlap_profile, strict_net_bound
 from .errors import DomainError, InputError, InternalError, UnsupportedFeatureError
 from .geometry import Ball, Point, Space, _coord_rows, distance, injectivity_radius
@@ -165,6 +163,8 @@ def select_bounded_overlap_subcover(
     Only balls centered exactly (by coordinates) at a listed center are
     eligible; every listed center must have at least one such ball.
     """
+    import numpy as np
+
     _check_ratio("beta", beta)
     space = family.space
     center_list = list(centers)
@@ -236,6 +236,8 @@ def _first_fit(space: Space, balls, order) -> tuple:
     member, else a new family".  Returns the families, as input indices
     in colouring order, and the input-indexed colour assignment.
     """
+    import numpy as np
+
     rows = _coord_rows([balls[i].center for i in order], space.ambient_dim)
     radii = np.array([balls[i].radius for i in order], dtype=float)
     colours = np.empty(len(order), dtype=np.intp)
@@ -639,6 +641,8 @@ def besicovitch_cover_1d(
 
 def _check_separation(selected: BallFamily, s: float) -> None:
     """Raise unless ``distance(x_t, x_j) > s * max(r_t, r_j)`` on all pairs."""
+    import numpy as np
+
     space = selected.space
     rows = _coord_rows(selected.centers, space.ambient_dim)
     radii = np.array(selected.radii, dtype=float)

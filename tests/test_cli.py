@@ -11,6 +11,7 @@ import os
 import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -419,6 +420,33 @@ class TestAtomicOut:
         monkeypatch.setattr(cli.os, "replace", refuse)
         assert run_command(["oned", scenes["bands"], "--out", str(tmp_path / "r.json")]) == 2
         assert not [p for p in tmp_path.iterdir() if p.name.startswith("r.json")]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_special_file_is_written_in_place(self, tmp_path, capsys):
+        fifo = tmp_path / "report.pipe"
+        os.mkfifo(fifo)
+        got = []
+
+        def drain():
+            with open(fifo, "rb") as fh:
+                got.append(fh.read())
+
+        reader = threading.Thread(target=drain, daemon=True)
+        reader.start()
+        argv = ["volume", "--space", "euclidean", "--dim", "2", "--r", "1.0"]
+        try:
+            code = run_command([*argv, "--out", str(fifo)])
+        finally:
+            reader.join(timeout=30)
+        assert code == 0
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.pipe"]
+        assert run_command(argv) == 0
+        expected = json.loads(capsys.readouterr().out)
+        assert len(got) == 1 and got[0].endswith(b"\n")
+        doc = json.loads(got[0].decode("utf-8"))
+        assert doc["command"] == [*argv, "--out", str(fifo)]
+        assert {**doc, "command": argv} == expected
 
     def test_missing_directory_is_an_input_error(self, tmp_path, capsys):
         out = str(tmp_path / "missing" / "x.json")

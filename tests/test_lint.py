@@ -5,6 +5,8 @@
 * The choice of geometry lives in the per-space models of ``geometry``:
   the whole package compares ``kind`` at most nine times, and the
   covering, selection and CLI modules never do.
+* numpy is imported only inside the functions that build arrays or draw
+  from its RNG, never in a module body, so start-up does not load it.
 """
 
 import ast
@@ -56,6 +58,27 @@ def used_names(tree):
     return used
 
 
+def module_level_numpy_imports(tree):
+    """Lines of the numpy imports that run when the module is imported:
+    every statement outside a function body."""
+    out = []
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            names = []
+        if any(n == "numpy" or n.startswith("numpy.") for n in names):
+            out.append(node.lineno)
+        todo.extend(n for n in ast.iter_child_nodes(node) if isinstance(n, ast.stmt))
+    return sorted(out)
+
+
 def is_kind(node):
     return (isinstance(node, ast.Attribute) and node.attr == "kind") or (
         isinstance(node, ast.Name) and node.id == "kind"
@@ -84,6 +107,12 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_numpy_is_not_imported_at_module_level(path):
+    lines = module_level_numpy_imports(parse(path))
+    assert not lines, f"{path.name} imports numpy at module level (lines {lines})"
+
+
 def test_kind_comparisons_stay_in_the_geometry_models():
     found = {p.name: kind_comparisons(parse(p)) for p in MODULES}
     total = sum(len(lines) for lines in found.values())
@@ -99,3 +128,9 @@ def test_the_checks_see_what_they_look_for():
     )
     assert {n for n, _ in imported_names(tree)} - used_names(tree) == {"os", "pi", "z"}
     assert len(kind_comparisons(tree)) == 3
+    tree = ast.parse(
+        "import numpy as np\nif True:\n    from numpy import linalg\n"
+        "class C:\n    import numpy.random\n    def m(self):\n        import numpy\n"
+        "def f():\n    import numpy as np\n    from numpy import zeros\n"
+    )
+    assert module_level_numpy_imports(tree) == [1, 3, 5]

@@ -1,0 +1,137 @@
+"""Start-up cost: the scalar commands never import numpy.
+
+The validators and ``volume`` work on coordinate tuples and ``math``, so a
+fresh interpreter that imports the CLI, or runs one of them, must end
+with ``numpy`` absent from ``sys.modules``.  Each case runs in its own
+``sys.executable`` process; a planar ``partition``, which builds arrays,
+shows that the check sees numpy when it is loaded.
+"""
+
+import json
+import math
+import os
+import subprocess
+import sys
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+CHILD = """
+import contextlib, io, json, sys
+from ballcover.cli import run_command
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in json.loads(sys.argv[1]):
+        codes.append(run_command(argv))
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def run_fresh(commands):
+    """Exit codes of the commands, and whether numpy got imported, in a
+    fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", CHILD, json.dumps(commands)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout)
+    return result["codes"], result["numpy"]
+
+
+def point_at(space, t, theta):
+    """The point at distance ``t`` from the space's origin, in the
+    direction ``theta`` (textbook formulas, so the scenes do not depend on
+    the package)."""
+    c, s = math.cos(theta), math.sin(theta)
+    if space["kind"] == "sphere":
+        return [math.sin(t) * c, math.sin(t) * s, math.cos(t)]
+    if space["kind"] == "hyperbolic":
+        return [math.sinh(t) * c, math.sinh(t) * s, math.cosh(t)]
+    p = space.get("pnorm", 2.0)
+    return [t * c / (abs(c) ** p + abs(s) ** p) ** (1.0 / p),
+            t * s / (abs(c) ** p + abs(s) ** p) ** (1.0 / p)]
+
+
+def planted(space, n, slack):
+    """n balls around the origin, each of radius (1 + slack) times its
+    center's distance to the origin: the origin is a common point for
+    slack >= 0, and for negative slack the centers surround it, so the
+    balls share no point."""
+    balls = []
+    for k in range(n):
+        t = 0.6 + 0.1 * k
+        balls.append({"center": point_at(space, t, 2.0 * math.pi * k / n + 0.3),
+                      "radius": (1.0 + slack) * t})
+    return {"version": 1, "space": space, "balls": balls}
+
+
+SPACES = {
+    "l2": {"kind": "euclidean", "dim": 2},
+    "l3": {"kind": "euclidean", "dim": 2, "pnorm": 3.0},
+    "sphere": {"kind": "sphere", "dim": 2},
+    "hyperbolic": {"kind": "hyperbolic", "dim": 2},
+}
+
+
+def test_importing_the_cli_leaves_numpy_out():
+    assert run_fresh([]) == ([], False)
+
+
+@pytest.mark.parametrize("what", ["besicovitch", "k-config"])
+@pytest.mark.parametrize("key", sorted(SPACES))
+def test_validate_leaves_numpy_out(key, what, tmp_path):
+    commands = []
+    for n in (3, 4, 5):
+        for slack in (1e-6, 0.2, -0.05):
+            path = tmp_path / f"n{n}-{slack}.json"
+            path.write_text(json.dumps(planted(SPACES[key], n, slack)))
+            commands.append(["validate", str(path), "--what", what])
+    codes, numpy_loaded = run_fresh(commands)
+    assert not numpy_loaded
+    assert set(codes) <= {0, 1}
+    # the planted common point is found, and the shrunk families are refuted
+    assert codes[0] == 0
+    if what == "besicovitch":
+        assert codes[2] == 1
+
+
+def test_alpha_and_satellite_validation_leave_numpy_out(tmp_path):
+    alpha = tmp_path / "alpha.json"
+    alpha.write_text(json.dumps({
+        "version": 1, "space": {"kind": "euclidean", "dim": 1},
+        "balls": [{"center": [0.0], "radius": 0.7}, {"center": [0.5], "radius": 1.0},
+                  {"center": [-0.5], "radius": 1.0}],
+    }))
+    satellite = tmp_path / "satellite.json"
+    satellite.write_text(json.dumps({
+        "version": 1, "space": {"kind": "euclidean", "dim": 2}, "balls": [],
+        "sets": [
+            {"anchor": [0.0, 0.0], "inner_radius": 1.0, "lambda": 1.0, "diameter": 2.0},
+            {"anchor": [1.8, 0.0], "inner_radius": 0.9, "lambda": 1.0, "diameter": 1.8},
+            {"anchor": [0.9, 0.8], "inner_radius": 0.85, "lambda": 1.0, "diameter": 1.7},
+        ],
+    }))
+    commands = [
+        ["validate", str(alpha), "--what", "alpha-config", "--alpha", "0.75"],
+        ["validate", str(alpha), "--what", "alpha-config", "--alpha", "0.6"],
+        ["validate", str(satellite), "--what", "satellite", "--tau", "1.5"],
+    ]
+    assert run_fresh(commands) == ([0, 1, 0], False)
+
+
+def test_volume_leaves_numpy_out():
+    commands = [
+        ["volume", "--space", "euclidean", "--dim", "3", "--r", "1.5"],
+        ["volume", "--space", "euclidean", "--dim", "2", "--r", "1.0", "--pnorm", "3"],
+        ["volume", "--space", "sphere", "--dim", "2", "--r", "1.0"],
+        ["volume", "--space", "hyperbolic", "--dim", "3", "--r", "2.0"],
+        ["volume", "--space", "hyperbolic", "--dim", "3", "--r", "800"],  # exit 2
+    ]
+    assert run_fresh(commands) == ([0, 0, 0, 0, 2], False)
+
+
+def test_a_planar_partition_loads_numpy(tmp_path):
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps(planted(SPACES["l2"], 5, 0.2)))
+    assert run_fresh([["partition", str(path)]]) == ([0], True)
