@@ -18,9 +18,9 @@ distances, so their counts and choices are those of a pairwise loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
+from ._record import Record
 from .errors import InputError, UnsupportedFeatureError
 from .geometry import (
     DEFAULT_TOL,
@@ -37,8 +37,7 @@ INVALID = "invalid"
 INDETERMINATE = "indeterminate"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of a validator.
 
     ``witness`` carries the certificate: a common point for a valid
@@ -55,24 +54,23 @@ class Verdict:
         return self.status == VALID
 
 
-@dataclass(frozen=True)
-class BallFamily:
+class BallFamily(Record):
     """A finite ordered family of closed balls in one space."""
 
-    space: Space
-    balls: tuple
+    __slots__ = _fields = ("space", "balls")
 
-    def __post_init__(self):
-        balls = tuple(self.balls)
-        object.__setattr__(self, "balls", balls)
+    def __init__(self, space: Space, balls):
+        balls = tuple(balls)
         for i, b in enumerate(balls):
             if not isinstance(b, Ball):
                 raise InputError(f"family entry {i} is not a Ball")
-            if len(b.center.coords) != self.space.ambient_dim:
+            if len(b.center.coords) != space.ambient_dim:
                 raise InputError(
                     f"ball {i} center has {len(b.center.coords)} coordinates, "
-                    f"expected {self.space.ambient_dim}"
+                    f"expected {space.ambient_dim}"
                 )
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "balls", balls)
 
     def __len__(self):
         return len(self.balls)
@@ -92,8 +90,7 @@ class BallFamily:
         return [b.radius for b in self.balls]
 
 
-@dataclass(frozen=True)
-class QuasiRoundSet:
+class QuasiRoundSet(Record):
     """A set pinched between two concentric balls.
 
     The set itself is abstract; it is described by an anchor point ``a``,
@@ -101,29 +98,26 @@ class QuasiRoundSet:
     ``B(a, r) <= S <= B(a, lam * r)``, and its exact diameter.
     """
 
-    anchor: Point
-    inner_radius: float
-    lam: float
-    diameter: float
+    __slots__ = _fields = ("anchor", "inner_radius", "lam", "diameter")
 
-    def __post_init__(self):
-        if not self.inner_radius > 0.0:
-            raise InputError(f"inner radius must be > 0, got {self.inner_radius!r}")
-        if not self.lam >= 1.0:
-            raise InputError(f"roundness factor must be >= 1, got {self.lam!r}")
-        lo, hi = self.inner_radius, 2.0 * self.lam * self.inner_radius
-        if not (lo <= self.diameter <= hi * (1.0 + 1e-12)):
+    def __init__(self, anchor: Point, inner_radius: float, lam: float, diameter: float):
+        if not inner_radius > 0.0:
+            raise InputError(f"inner radius must be > 0, got {inner_radius!r}")
+        if not lam >= 1.0:
+            raise InputError(f"roundness factor must be >= 1, got {lam!r}")
+        lo, hi = inner_radius, 2.0 * lam * inner_radius
+        if not (lo <= diameter <= hi * (1.0 + 1e-12)):
             raise InputError(
-                f"diameter {self.diameter} outside the sandwich range [{lo}, {hi}]"
+                f"diameter {diameter} outside the sandwich range [{lo}, {hi}]"
             )
+        self._set(anchor, inner_radius, lam, diameter)
 
     @property
     def outer_radius(self) -> float:
         return self.lam * self.inner_radius
 
 
-@dataclass(frozen=True)
-class OverlapProfile:
+class OverlapProfile(NamedTuple):
     """Pointwise depth statistics of a ball family."""
 
     max_overlap: int

@@ -11,7 +11,7 @@ Three complete model geometries are supported:
 All maps work on explicit coordinates.  Points are immutable and are
 validated (and re-projected onto the constraint surface) on construction.
 
-Each :class:`Space` has one model, cached on it (:class:`_Flat`,
+Each :class:`Space` builds one model and keeps it (:class:`_Flat`,
 :class:`_Sphere` or :class:`_Hyperboloid`), that owns every formula that
 depends on the kind of space; the public functions delegate to it.
 
@@ -23,9 +23,10 @@ loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
+from typing import Optional
 
+from ._record import Record
 from .errors import DomainError, InputError
 
 # Absolute/relative slack used by geometric predicates unless overridden.
@@ -37,8 +38,7 @@ def leq(a: float, b: float, tol: float = DEFAULT_TOL) -> bool:
     return a <= b + tol * (1.0 + abs(b))
 
 
-@dataclass(frozen=True)
-class Space:
+class Space(Record):
     """A model metric space.
 
     Parameters
@@ -50,19 +50,22 @@ class Space:
         Norm exponent for euclidean spaces (p >= 1).  Ignored otherwise.
     radius : float
         Sphere radius (> 0).  Ignored otherwise.
+
+    The space's model is built on construction (it checks ``pnorm`` or
+    ``radius``) and kept in a slot that equality, hashing and pickling
+    ignore.
     """
 
-    kind: str
-    dim: int
-    pnorm: float = 2.0
-    radius: float = 1.0
+    _fields = ("kind", "dim", "pnorm", "radius")
+    __slots__ = _fields + ("_model",)
 
-    def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in SPACE_KINDS:
-            raise InputError(f"unknown space kind {self.kind!r}")
-        if not isinstance(self.dim, int) or self.dim < 1:
-            raise InputError(f"dimension must be a positive integer, got {self.dim!r}")
-        self._model  # built now: the model checks its pnorm or radius
+    def __init__(self, kind: str, dim: int, pnorm: float = 2.0, radius: float = 1.0):
+        if not isinstance(kind, str) or kind not in SPACE_KINDS:
+            raise InputError(f"unknown space kind {kind!r}")
+        if not isinstance(dim, int) or dim < 1:
+            raise InputError(f"dimension must be a positive integer, got {dim!r}")
+        self._set(kind, dim, pnorm, radius)
+        object.__setattr__(self, "_model", SPACE_KINDS[kind](self))
 
     @classmethod
     def euclidean(cls, dim: int, pnorm: float = 2.0) -> "Space":
@@ -84,12 +87,6 @@ class Space:
     def is_line(self) -> bool:
         """The Euclidean line (of any p): the one space with one coordinate."""
         return self._model.width == 1
-
-    # Built on first use and kept on the instance (a cached_property writes
-    # the instance dict directly, so it works on the frozen dataclass).
-    @cached_property
-    def _model(self):
-        return SPACE_KINDS[self.kind](self)
 
     @property
     def _kernel(self):
@@ -116,11 +113,13 @@ class Space:
         return Point(self._model.origin)
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Record):
     """An immutable point, stored in ambient coordinates."""
 
-    coords: tuple
+    __slots__ = _fields = ("coords",)
+
+    def __init__(self, coords: tuple):
+        object.__setattr__(self, "coords", coords)
 
     def __iter__(self):
         return iter(self.coords)
@@ -129,28 +128,30 @@ class Point:
         return len(self.coords)
 
 
-@dataclass(frozen=True)
-class Tangent:
+class Tangent(Record):
     """A tangent vector at ``base``, in ambient coordinates.
 
     On the sphere the vector is euclidean-orthogonal to the base point;
     on the hyperboloid it is Minkowski-orthogonal to it.
     """
 
-    base: Point
-    vector: tuple
+    __slots__ = _fields = ("base", "vector")
+
+    def __init__(self, base: Point, vector: tuple):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "vector", vector)
 
 
-@dataclass(frozen=True)
-class Ball:
+class Ball(Record):
     """A closed metric ball."""
 
-    center: Point
-    radius: float
+    __slots__ = _fields = ("center", "radius")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.radius) and self.radius >= 0.0):
-            raise InputError(f"ball radius must be finite and >= 0, got {self.radius!r}")
+    def __init__(self, center: Point, radius: float):
+        if not (math.isfinite(radius) and radius >= 0.0):
+            raise InputError(f"ball radius must be finite and >= 0, got {radius!r}")
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "radius", radius)
 
 
 def _mdot(a, b) -> float:
@@ -315,9 +316,11 @@ class _Model:
     ``parameter``, the Space field it reads.  Its methods work on
     coordinate tuples: ``surface`` re-projects checked coordinates onto
     the space, ``norm``/``project``/``exp``/``log`` handle tangent
-    vectors, ``step(x, c, r, d)`` moves ``x``, at distance ``d > r`` from
-    the center ``c``, onto the ball of radius ``r``, and ``volume``,
-    ``random`` and ``uniform`` serve the functions of those purposes.
+    vectors (``log(b, q, d)`` takes the distance ``d`` from ``b`` to
+    ``q``, or None to compute it), ``step(x, c, r, d)`` moves ``x``, at
+    distance ``d > r`` from the center ``c``, onto the ball of radius
+    ``r``, and ``volume``, ``random`` and ``uniform`` serve the
+    functions of those purposes.
     """
 
     def rows(self, a, rows):
@@ -374,8 +377,8 @@ class _Flat(_Model):
     def exp(self, b, v):
         return tuple(x + y for x, y in zip(b, v))
 
-    def log(self, base, target):
-        return tuple(y - x for x, y in zip(base.coords, target.coords))
+    def log(self, b, q, d):
+        return tuple(y - x for x, y in zip(b, q))
 
     def step(self, x, c, r, d):
         # retract along the straight line toward the center (the metric
@@ -421,11 +424,12 @@ class _Curved(_Model):
         self.origin = (0.0,) * space.dim + (R,)
 
     def step(self, x, c, r, d):
-        # follow the geodesic toward the center
+        # follow the geodesic toward the center; d is the distance that
+        # log_map would otherwise compute again
         p = Point(x)
-        v = log_map(self.space, p, Point(c))
+        v = log_map(self.space, p, Point(c), d).vector
         s = (d - r) / d
-        return exp_map(self.space, Tangent(p, tuple(s * y for y in v.vector))).coords
+        return exp_map(self.space, Tangent(p, tuple(s * y for y in v))).coords
 
     def uniform(self, c, r, rng):
         # draw the radius from the area-element density by rejection under
@@ -503,14 +507,14 @@ class _Sphere(_Curved):
         ct, st = math.cos(theta), math.sin(theta)
         return tuple(ct * x + st * R * y / n for x, y in zip(b, v))
 
-    def log(self, base, target):
-        d = distance(self.space, base, target)
+    def log(self, b, q, d):
+        if d is None:
+            d = self.kernel(b, q)
         R = self.R
         if d >= math.pi * R * (1.0 - 1e-9):
             raise DomainError("log map is undefined at antipodal points")
         if d == 0.0:
             return (0.0,) * self.width
-        b, q = base.coords, target.coords
         c = _dot(b, q) / (R * R)
         u = tuple(y - c * x for x, y in zip(b, q))
         un = math.sqrt(sum(x * x for x in u))
@@ -556,14 +560,14 @@ class _Hyperboloid(_Curved):
         # re-lift to kill accumulated drift off the hyperboloid
         return self._lift(tuple(ch * x + sh * y / n for x, y in zip(b[:-1], v[:-1])))
 
-    def log(self, base, target):
-        d = distance(self.space, base, target)
+    def log(self, b, q, d):
+        if d is None:
+            d = self.kernel(b, q)
         if d == 0.0:
             return (0.0,) * self.width
-        b = base.coords
         ch = math.cosh(d)
         sh = math.sinh(d)
-        w = tuple((y - ch * x) * (d / sh) for x, y in zip(b, target.coords))
+        w = tuple((y - ch * x) * (d / sh) for x, y in zip(b, q))
         # exact tangency: remove any numerical component along the base
         return self.project(b, w)
 
@@ -638,14 +642,17 @@ def exp_map(space: Space, t: Tangent) -> Point:
     return Point(space._model.exp(t.base.coords, v))
 
 
-def log_map(space: Space, base: Point, target: Point) -> Tangent:
+def log_map(space: Space, base: Point, target: Point, dist: Optional[float] = None) -> Tangent:
     """Inverse of the exponential map at ``base``.
 
-    Undefined (raises :class:`DomainError`) at antipodal sphere pairs.
+    ``dist``, when given, is ``distance(space, base, target)``, which the
+    caller already holds; the curved spaces use it instead of computing
+    it again.  Undefined (raises :class:`DomainError`) at antipodal
+    sphere pairs.
     """
     _check_point(space, base, "base")
     _check_point(space, target, "target")
-    return Tangent(base, space._model.log(base, target))
+    return Tangent(base, space._model.log(base.coords, target.coords, dist))
 
 
 def geodesic_interpolate(space: Space, x: Point, y: Point, t: float) -> Point:

@@ -19,8 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .covering import BallFamily, QuasiRoundSet
 from .errors import InputError
@@ -38,8 +37,7 @@ __all__ = [
 SCENE_VERSION = 1
 
 
-@dataclass(frozen=True)
-class SceneFile:
+class SceneFile(NamedTuple):
     """Parsed scene: a space, its balls, and optional points and sets."""
 
     space: Space
@@ -84,9 +82,9 @@ def _parse_space(obj) -> Space:
     if not isinstance(kind, str) or kind not in SPACE_KINDS:
         raise InputError(f"unknown space kind {kind!r}")
     param = SPACE_KINDS[kind].parameter
-    if param is None:
+    if param is None or param not in obj:
         return Space(kind, dim)
-    return Space(kind, dim, **{param: _finite(obj.get(param, getattr(Space, param)), f"space {param}")})
+    return Space(kind, dim, **{param: _finite(obj[param], f"space {param}")})
 
 
 def _entries(doc, key, what, parse, objects=True) -> tuple:

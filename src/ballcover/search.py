@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
+from ._record import Record
 from .covering import (
     BallFamily,
     find_common_point,
@@ -57,32 +57,36 @@ __all__ = [
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(Record):
     """Reproducibility and effort envelope for the randomized searches."""
 
-    seed: int = 0
-    budget: int = 100_000
-    restarts: int = 8
-    initial_temperature: float = 1.0
-    decay: float = 0.95
-    perturbation_scale: float = 0.3
+    __slots__ = _fields = (
+        "seed", "budget", "restarts", "initial_temperature", "decay", "perturbation_scale",
+    )
 
-    def __post_init__(self):
-        if self.budget < 1:
-            raise InputError(f"budget must be >= 1, got {self.budget}")
-        if self.restarts < 1:
-            raise InputError(f"restarts must be >= 1, got {self.restarts}")
-        if not 0.0 < self.decay < 1.0:
-            raise InputError(f"decay must lie in (0, 1), got {self.decay}")
-        if not self.initial_temperature > 0.0:
+    def __init__(
+        self,
+        seed: int = 0,
+        budget: int = 100_000,
+        restarts: int = 8,
+        initial_temperature: float = 1.0,
+        decay: float = 0.95,
+        perturbation_scale: float = 0.3,
+    ):
+        if budget < 1:
+            raise InputError(f"budget must be >= 1, got {budget}")
+        if restarts < 1:
+            raise InputError(f"restarts must be >= 1, got {restarts}")
+        if not 0.0 < decay < 1.0:
+            raise InputError(f"decay must lie in (0, 1), got {decay}")
+        if not initial_temperature > 0.0:
             raise InputError("initial temperature must be positive")
-        if not self.perturbation_scale > 0.0:
+        if not perturbation_scale > 0.0:
             raise InputError("perturbation scale must be positive")
+        self._set(seed, budget, restarts, initial_temperature, decay, perturbation_scale)
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """Best configuration found, with its certification status."""
 
     best: BallFamily
@@ -91,8 +95,7 @@ class SearchResult:
     trace: tuple
 
 
-@dataclass(frozen=True)
-class CipResult:
+class CipResult(NamedTuple):
     """Outcome of a shrunk-common-point search."""
 
     found: bool
@@ -100,8 +103,7 @@ class CipResult:
     witness: Optional[Point] = None
 
 
-@dataclass(frozen=True)
-class ConstantsRow:
+class ConstantsRow(Record):
     """One line of the extremal-constants report.
 
     ``paper_value`` is an exact integer or an (inclusive) integer
@@ -109,21 +111,18 @@ class ConstantsRow:
     the constructions in this module certify.
     """
 
-    name: str
-    dim: int
-    paper_value: object
-    achieved_lower_bound: int
-    method: str
+    __slots__ = _fields = ("name", "dim", "paper_value", "achieved_lower_bound", "method")
 
-    def __post_init__(self):
-        if self.name not in ("w", "Hstar", "K", "alpha", "beta"):
-            raise InputError(f"unknown constant name {self.name!r}")
-        hi = self.paper_value[1] if isinstance(self.paper_value, tuple) else self.paper_value
-        if self.achieved_lower_bound > hi:
+    def __init__(self, name: str, dim: int, paper_value, achieved_lower_bound: int, method: str):
+        if name not in ("w", "Hstar", "K", "alpha", "beta"):
+            raise InputError(f"unknown constant name {name!r}")
+        hi = paper_value[1] if isinstance(paper_value, tuple) else paper_value
+        if achieved_lower_bound > hi:
             raise InputError(
-                f"achieved bound {self.achieved_lower_bound} exceeds the "
-                f"known upper value {hi} for {self.name}({self.dim})"
+                f"achieved bound {achieved_lower_bound} exceeds the "
+                f"known upper value {hi} for {name}({dim})"
             )
+        self._set(name, dim, paper_value, achieved_lower_bound, method)
 
 
 def _restart_rng(config: SearchConfig, restart: int):

@@ -34,8 +34,7 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .covering import BallFamily, OverlapProfile, overlap_profile, strict_net_bound
 from .errors import DomainError, InputError, InternalError, UnsupportedFeatureError
@@ -53,8 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SubcoverResult:
+class SubcoverResult(NamedTuple):
     """A selected subfamily together with its coverage evidence.
 
     ``bands[k]`` is the scale-band index of ``selected[k]``: band ``i``
@@ -68,8 +66,7 @@ class SubcoverResult:
     bands: tuple
 
 
-@dataclass(frozen=True)
-class ChainState:
+class ChainState(NamedTuple):
     """Left-to-right record of the two-family interval structure.
 
     ``tags[k]`` is the family tag (0 or 1) of the k-th kept interval in
@@ -82,8 +79,7 @@ class ChainState:
     chain_ids: tuple
 
 
-@dataclass(frozen=True)
-class DisjointPartition:
+class DisjointPartition(NamedTuple):
     """Balls split into families that are internally pairwise disjoint.
 
     ``assignment[i]`` maps input index ``i`` to its family index, or -1

@@ -4,7 +4,6 @@ Each subcommand is exercised with a passing input, a violating input
 where the concept exists, and a malformed input.
 """
 
-import dataclasses
 import json
 import math
 import os
@@ -387,7 +386,7 @@ class TestSelectCoverage:
         def one_uncovered(family, centers, beta):
             res = real(family, centers, beta)
             flags = (True,) * (len(centers) - 1) + (False,)
-            return dataclasses.replace(res, covered_centers=flags)
+            return res._replace(covered_centers=flags)
 
         monkeypatch.setattr(cli, "select_bounded_overlap_subcover", one_uncovered)
         out = str(tmp_path / "r.json")

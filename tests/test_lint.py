@@ -7,6 +7,10 @@
   covering, selection and CLI modules never do.
 * numpy is imported only inside the functions that build arrays or draw
   from its RNG, never in a module body, so start-up does not load it.
+* No module imports ``dataclasses``, anywhere: the records are slotted
+  classes or named tuples, so importing the package runs no dataclass
+  code generation and does not load ``dataclasses`` or the ``inspect``
+  module it imports.
 """
 
 import ast
@@ -79,6 +83,21 @@ def module_level_numpy_imports(tree):
     return sorted(out)
 
 
+def dataclasses_imports(tree):
+    """Lines of every import of ``dataclasses``, at any depth."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(n == "dataclasses" or n.startswith("dataclasses.") for n in names):
+            out.append(node.lineno)
+    return sorted(out)
+
+
 def is_kind(node):
     return (isinstance(node, ast.Attribute) and node.attr == "kind") or (
         isinstance(node, ast.Name) and node.id == "kind"
@@ -111,6 +130,21 @@ def test_no_unused_imports(path):
 def test_numpy_is_not_imported_at_module_level(path):
     lines = module_level_numpy_imports(parse(path))
     assert not lines, f"{path.name} imports numpy at module level (lines {lines})"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_dataclasses_is_never_imported(path):
+    lines = dataclasses_imports(parse(path))
+    assert not lines, f"{path.name} imports dataclasses (lines {lines})"
+
+
+def test_the_dataclasses_check_sees_every_import():
+    tree = ast.parse(
+        "import dataclasses\nfrom dataclasses import dataclass\n"
+        "def f():\n    import dataclasses as dc\n"
+        "class C:\n    from dataclasses import field\nimport dataclasses_json\n"
+    )
+    assert dataclasses_imports(tree) == [1, 2, 4, 6]
 
 
 def test_kind_comparisons_stay_in_the_geometry_models():

@@ -1,10 +1,15 @@
 """Start-up cost: the scalar commands never import numpy.
 
-The validators and ``volume`` work on coordinate tuples and ``math``, so a
-fresh interpreter that imports the CLI, or runs one of them, must end
-with ``numpy`` absent from ``sys.modules``.  Each case runs in its own
-``sys.executable`` process; a planar ``partition``, which builds arrays,
-shows that the check sees numpy when it is loaded.
+The validators, ``volume`` and ``oned`` work on coordinate tuples and
+``math``, so a fresh interpreter that imports the CLI, or runs one of
+them, must end with ``numpy`` absent from ``sys.modules``.  Each case
+runs in its own ``sys.executable`` process; a planar ``partition``, which
+builds arrays, shows that the check sees numpy when it is loaded.
+
+The package's records are plain classes, so neither ``dataclasses`` nor
+the ``inspect`` module it imports is loaded either.  numpy imports
+``inspect`` itself, so that check applies to the runs that leave numpy
+out.
 """
 
 import json
@@ -24,18 +29,22 @@ codes = []
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in json.loads(sys.argv[1]):
         codes.append(run_command(argv))
-print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules,
+                  "records": [m for m in ("dataclasses", "inspect") if m in sys.modules]}))
 """
 
 
 def run_fresh(commands):
     """Exit codes of the commands, and whether numpy got imported, in a
-    fresh interpreter."""
+    fresh interpreter; one that leaves numpy out must leave
+    ``dataclasses`` and ``inspect`` out too."""
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-c", CHILD, json.dumps(commands)], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     result = json.loads(out.stdout)
+    if not result["numpy"]:
+        assert result["records"] == [], f"{commands} loaded {result['records']}"
     return result["codes"], result["numpy"]
 
 
@@ -129,6 +138,25 @@ def test_volume_leaves_numpy_out():
         ["volume", "--space", "hyperbolic", "--dim", "3", "--r", "800"],  # exit 2
     ]
     assert run_fresh(commands) == ([0, 0, 0, 0, 2], False)
+
+
+def test_oned_leaves_numpy_out(tmp_path):
+    path = tmp_path / "line.json"
+    balls = [{"center": [1.5 * k + 0.25 * (k % 3)], "radius": 1.0 + 0.1 * (k % 4)}
+             for k in range(40)]
+    path.write_text(json.dumps({"version": 1, "space": {"kind": "euclidean", "dim": 1},
+                                "balls": balls}))
+    commands = [["oned", str(path), "--mode", mode] for mode in ("auto", "bounded", "scattered")]
+    assert run_fresh(commands) == ([0, 0, 0], False)
+
+
+def test_the_record_check_sees_dataclasses(tmp_path):
+    script = tmp_path / "child.py"
+    script.write_text("import dataclasses\n" + CHILD)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, str(script), "[]"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert json.loads(out.stdout)["records"] == ["dataclasses", "inspect"]
 
 
 def test_a_planar_partition_loads_numpy(tmp_path):
