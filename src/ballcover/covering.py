@@ -61,13 +61,14 @@ class BallFamily(Record):
 
     def __init__(self, space: Space, balls):
         balls = tuple(balls)
+        width = space.ambient_dim
         for i, b in enumerate(balls):
             if not isinstance(b, Ball):
                 raise InputError(f"family entry {i} is not a Ball")
-            if len(b.center.coords) != space.ambient_dim:
+            if len(b.center.coords) != width:
                 raise InputError(
                     f"ball {i} center has {len(b.center.coords)} coordinates, "
-                    f"expected {space.ambient_dim}"
+                    f"expected {width}"
                 )
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "balls", balls)

@@ -32,6 +32,10 @@ from .errors import DomainError, InputError
 # Absolute/relative slack used by geometric predicates unless overridden.
 DEFAULT_TOL = 1e-9
 
+# How far curved-space coordinates may be off the constraint surface before
+# they are re-projected onto it.
+SURFACE_TOL = 1e-6
+
 
 def leq(a: float, b: float, tol: float = DEFAULT_TOL) -> bool:
     """a <= b up to absolute-plus-relative slack."""
@@ -93,7 +97,7 @@ class Space(Record):
         """The scalar distance of this space on raw coordinate tuples."""
         return self._model.kernel
 
-    def point(self, coords, tol: float = 1e-6) -> "Point":
+    def point(self, coords, tol: float = SURFACE_TOL) -> "Point":
         """Validate raw coordinates and return a :class:`Point`.
 
         Curved-space coordinates may be off the constraint surface by at

@@ -5,13 +5,23 @@ A scene document is a single JSON object with a mandatory integer
 and optional ``points`` and quasi-round ``sets``.  All numbers are
 64-bit floats serialized with Python's shortest round-trip
 representation, so ``serialize_scene(parse_scene(text))`` parses back to
-an equal value.  Non-finite numbers are rejected at parse time.
+an equal value.  Non-finite numbers, and integers beyond the float
+range, are rejected at parse time.
+
+Each list of the scene is checked in one pass: the JSON types, the
+width of every coordinate array, and that every coordinate and number is
+a finite float; then its points and records are built in one sweep.  A
+list that fails the pass (or holds JSON integers, which parse as floats)
+goes through the per-entry parser, which builds the same objects and
+names the first bad entry ("ball 3: ...") with its exact message.
 
 Reports are JSON objects with deterministic key order: the echoed
 command, a SHA-256 digest of the input document (when there is one), the
 seed (when the command is randomized), the payload, and a wall-time slot
 that stays null unless timing was explicitly requested — keeping reports
-byte-identical across re-runs.
+byte-identical across re-runs.  :func:`render_report` writes a report
+directly; its text equals ``json.dumps(report, sort_keys=True,
+indent=2) + "\n"`` byte for byte.
 """
 
 from __future__ import annotations
@@ -19,11 +29,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _string
 from typing import NamedTuple, Optional
 
 from .covering import BallFamily, QuasiRoundSet
 from .errors import InputError
-from .geometry import SPACE_KINDS, Ball, Space
+from .geometry import SPACE_KINDS, SURFACE_TOL, Ball, Point, Space
 
 __all__ = [
     "SceneFile",
@@ -35,6 +47,7 @@ __all__ = [
 ]
 
 SCENE_VERSION = 1
+_SET_NUMBERS = ("inner_radius", "lambda", "diameter")
 
 
 class SceneFile(NamedTuple):
@@ -60,7 +73,10 @@ def _require(obj, key, where):
 def _finite(value, where):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputError(f"{where} must be a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf if value > 0 else -math.inf
     if not math.isfinite(v):
         raise InputError(f"{where} must be finite, got {v!r}")
     return v
@@ -87,17 +103,61 @@ def _parse_space(obj) -> Space:
     return Space(kind, dim, **{param: _finite(obj[param], f"space {param}")})
 
 
-def _entries(doc, key, what, parse, objects=True) -> tuple:
-    """``parse(entry, name)`` of each entry of the optional array
-    ``doc[key]``, where ``name`` is ``what`` and the index; an error names
-    its entry ("ball 3: ...")."""
+def _floats(values) -> bool:
+    """Whether every value is a finite float (a float sum is finite only
+    if every term is; one that overflows sends the list to the per-entry
+    parser, which accepts it)."""
+    return {*map(type, values)} <= {float} and math.isfinite(sum(values))
+
+
+def _bulk(space, raw, fields, build) -> Optional[tuple]:
+    """``build(point, *numbers)`` of each entry of ``raw`` in one pass, or
+    None when ``raw`` fails a check of the per-entry parser (or holds an
+    integer, which that parser converts).
+
+    ``fields`` is None when the entries are coordinate arrays; otherwise
+    the entries are objects, ``fields[0]`` names their coordinates and the
+    rest their numbers.
+    """
+    if type(raw) is not list:
+        return None
+    if fields is None:
+        rows, numbers = raw, []
+    elif {*map(type, raw)} <= {dict}:
+        try:
+            rows, *numbers = [[entry[key] for entry in raw] for key in fields]
+        except KeyError:
+            return None
+    else:
+        return None
+    if not (
+        {*map(type, rows)} <= {list}
+        and {*map(len, rows)} <= {space.ambient_dim}
+        and all(map(_floats, [list(chain.from_iterable(rows)), *numbers]))
+    ):
+        return None
+    surface = space._model.surface
+    try:
+        return tuple(map(build, [Point(surface(tuple(c), SURFACE_TOL)) for c in rows], *numbers))
+    except InputError:
+        return None
+
+
+def _entries(space, doc, key, what, fields, build, parse) -> tuple:
+    """The entries of the optional array ``doc[key]``: built by
+    :func:`_bulk` when the array passes its checks, else ``parse(entry,
+    name)`` of each entry, where ``name`` is ``what`` and the index; an
+    error names its entry ("ball 3: ...")."""
     raw = doc.get(key, [])
+    built = _bulk(space, raw, fields, build)
+    if built is not None:
+        return built
     if not isinstance(raw, list):
         raise InputError(f"{key} must be an array")
     out = []
     for i, entry in enumerate(raw):
         name = f"{what} {i}"
-        if objects and not isinstance(entry, dict):
+        if fields is not None and not isinstance(entry, dict):
             raise InputError(f"{name} must be an object")
         try:
             out.append(parse(entry, name))
@@ -117,6 +177,8 @@ def parse_scene(text: str) -> SceneFile:
         doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise InputError(f"scene is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer literal of more digits than int() reads
+        raise InputError(f"scene has a number that cannot be read: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError("scene document must be a JSON object")
     version = _require(doc, "version", "scene")
@@ -132,13 +194,14 @@ def parse_scene(text: str) -> SceneFile:
         anchor = space.point(_coords(_require(rs, "anchor", name), f"{name} anchor"))
         return QuasiRoundSet(anchor, *(
             _finite(_require(rs, key, name), f"{name} {key}")
-            for key in ("inner_radius", "lambda", "diameter")
+            for key in _SET_NUMBERS
         ))
 
-    balls = _entries(doc, "balls", "ball", ball)
-    points = _entries(doc, "points", "point", lambda rp, name: space.point(_coords(rp, name)),
-                      objects=False)
-    sets = _entries(doc, "sets", "set", quasi_round_set)
+    balls = _entries(space, doc, "balls", "ball", ("center", "radius"), Ball, ball)
+    points = _entries(space, doc, "points", "point", None, lambda p: p,
+                      lambda rp, name: space.point(_coords(rp, name)))
+    sets = _entries(space, doc, "sets", "set", ("anchor",) + _SET_NUMBERS, QuasiRoundSet,
+                    quasi_round_set)
     return SceneFile(
         space=space,
         family=BallFamily(space, balls),
@@ -179,7 +242,7 @@ def serialize_scene(scene: SceneFile) -> str:
             }
             for s in scene.sets
         ]
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return render_report(doc)
 
 
 def scene_digest(text: str) -> str:
@@ -206,5 +269,92 @@ def build_report(
 
 
 def render_report(report: dict) -> str:
-    """Serialize a report with deterministic key order."""
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """Serialize a report (or a scene document) with deterministic key
+    order.
+
+    The text equals ``json.dumps(report, sort_keys=True, indent=2)``
+    plus a newline, written without the encoder's generators.
+    """
+    parts: list = []
+    _write(report, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _number(value) -> str:
+    """A float as the JSON encoder writes it."""
+    if value != value:
+        return "NaN"
+    if math.isinf(value):
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(value)
+
+
+# the text of each scalar JSON type, by exact type
+_TEXT = {
+    str: _string,
+    int: int.__repr__,
+    float: _number,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+}
+
+
+def _scalar(value) -> Optional[str]:
+    """The JSON text of a string, number, bool or None; None otherwise."""
+    text = _TEXT.get(type(value))
+    if text is not None:
+        return text(value)
+    # a subclass of a JSON type is written as its base type
+    for base in (str, int, float):
+        if isinstance(value, base):
+            return _TEXT[base](value)
+    return None
+
+
+def _write(value, newline: str, out) -> None:
+    """Append the JSON text of ``value`` to ``out``; ``newline`` is a
+    newline and the indent of the line ``value`` starts on."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            out("[]")
+            return
+        inner = newline + "  "
+        out("[" + inner)
+        if {*map(type, value)} == {int}:
+            out(("," + inner).join(map(int.__repr__, value)))
+        else:
+            sep = ""
+            for item in value:
+                text = _TEXT.get(type(item))
+                if text is not None:
+                    out(sep + text(item))
+                else:
+                    out(sep)
+                    _write(item, inner, out)
+                sep = "," + inner
+        out(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            name = key if isinstance(key, str) else _scalar(key)
+            if name is None:
+                raise TypeError("keys must be str, int, float, bool or None, "
+                                f"not {key.__class__.__name__}")
+            text = _TEXT.get(type(item))
+            if text is not None:
+                out(f"{sep}{_string(name)}: {text(item)}")
+            else:
+                out(f"{sep}{_string(name)}: ")
+                _write(item, inner, out)
+            sep = "," + inner
+        out(newline + "}")
+    else:
+        text = _scalar(value)
+        if text is None:
+            raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+        out(text)

@@ -490,6 +490,32 @@ def _staircase_two_color(cands, cs):
     return chosen
 
 
+def _check_two_family_cover(final, cs) -> None:
+    """Raise :class:`InternalError` unless the intervals ``final``
+    (left, right, input index, tag) carry at most two tags, the intervals
+    of each tag are pairwise disjoint, and together they cover every
+    coordinate of the sorted list ``cs``; one sweep after a sort by left
+    end, on the floats the construction compared."""
+    final = sorted(final)
+    tags = {t for _l, _r, _i, t in final}
+    if len(tags) > 2:
+        raise InternalError(f"the line cover uses {len(tags)} families")
+    last_right = {}
+    for left, right, idx, t in final:
+        # closed intervals sorted by left end: disjoint iff each starts
+        # after the previous one of its family ends
+        if t in last_right and not last_right[t] < left:
+            raise InternalError(f"interval {idx} meets an earlier interval of its family")
+        last_right[t] = right
+    k, reach = 0, -math.inf
+    for c in cs:
+        while k < len(final) and final[k][0] <= c:
+            reach = max(reach, final[k][1])
+            k += 1
+        if not c <= reach:
+            raise InternalError(f"center {c!r} is not covered by the line cover")
+
+
 def besicovitch_cover_1d(
     family: BallFamily,
     centers: Sequence[float],
@@ -507,7 +533,8 @@ def besicovitch_cover_1d(
     cover with alternating tags); ``"auto"`` picks ``"scattered"`` when
     the center spread exceeds 1000 times the largest radius.  Both
     constructions cover all centers with at most two internally disjoint
-    families.
+    families; the result is checked for exactly that before it is
+    returned, and a failed check raises :class:`InternalError`.
     """
     space = family.space
     if not space.is_line:
@@ -597,6 +624,7 @@ def besicovitch_cover_1d(
             (left, right, idx, k % 2) for k, (left, right, idx) in enumerate(chosen)
         ]
         final.sort()
+    _check_two_family_cover(final, cs)
 
     # families in tag order, dropping an absent tag
     present = sorted({t for _l, _r, _i, t in final})

@@ -16,6 +16,7 @@ import pytest
 
 from ballcover import InternalError, cli
 from ballcover.cli import run_command
+from ballcover.sceneio import render_report
 
 
 @pytest.fixture
@@ -519,6 +520,78 @@ class TestUnexpectedErrors:
                              capture_output=True, text=True, timeout=60)
         assert out.returncode == 3
         assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "{valid_1d}", "--what", "besicovitch"],
+    ["validate", "{invalid_1d}", "--what", "k-config", "--timing"],
+    ["validate", "{bands}", "--what", "alpha-config", "--target-index", "1"],
+    ["validate", "{satellite}", "--what", "satellite"],
+    ["select", "{bands}"],
+    ["partition", "{bands}"],
+    ["oned", "{bands}"],
+    ["net", "{plane}", "--eps", "1.0", "--strict"],
+    ["search", "--what", "wbcp", "--dim", "2", "--seed", "1", "--budget", "200", "--restarts", "1"],
+    ["search", "--what", "hadwiger", "--dim", "2"],
+    ["search", "--what", "pack5", "--dim", "2", "--seed", "2", "--budget", "200",
+     "--restarts", "1"],
+    ["search", "--what", "satellite", "--dim", "2", "--seed", "3", "--budget", "200",
+     "--restarts", "1"],
+    ["cip", "{cip_hard}", "--m", "1", "--shrink", "0.8"],
+    ["cip", "--m", "2", "--trials", "20", "--seed", "5"],
+    ["constants", "--dims", "1,2", "--budget", "100"],
+    ["volume", "--space", "hyperbolic", "--dim", "3", "--r", "2.0"],
+], ids=lambda argv: " ".join(a for a in argv if "{" not in a))
+def test_report_writer_matches_json_dumps(argv, scenes, monkeypatch, capsys):
+    """Every subcommand's report, as the writer receives it, renders to the
+    text of ``json.dumps(report, sort_keys=True, indent=2)`` plus a newline."""
+    seen = []
+
+    def checked(report):
+        text = render_report(report)
+        assert text == json.dumps(report, sort_keys=True, indent=2) + "\n"
+        seen.append(report)
+        return text
+
+    monkeypatch.setattr(cli, "render_report", checked)
+    assert run_command([a.format(**scenes) for a in argv]) in (0, 1)
+    assert len(seen) == 1 and capsys.readouterr().out == render_report(seen[0])
+
+
+class TestIntegersBeyondFloats:
+    """A scene integer too large for a float is an input error (exit 2)."""
+
+    BIG = "1" + "0" * 400
+
+    @pytest.mark.parametrize("space,ball,message", [
+        ('{"kind": "euclidean", "dim": 1}', '{"center": [BIG], "radius": 1.0}',
+         "ball 1: ball 1 center[0] must be finite, got inf"),
+        ('{"kind": "euclidean", "dim": 1}', '{"center": [2.0], "radius": BIG}',
+         "ball 1: ball 1 radius must be finite, got inf"),
+        ('{"kind": "euclidean", "dim": 1, "pnorm": -BIG}', '{"center": [2.0], "radius": 1.0}',
+         "space pnorm must be finite, got -inf"),
+        ('{"kind": "sphere", "dim": 1, "radius": BIG}', '{"center": [0.0, 1.0], "radius": 1.0}',
+         "space radius must be finite, got inf"),
+    ], ids=["center", "radius", "pnorm", "sphere radius"])
+    def test_exits_two_naming_the_entry(self, space, ball, message, tmp_path, capsys):
+        first = '{"center": [0.0, 1.0], "radius": 1.0}' if "sphere" in space else \
+            '{"center": [0.0], "radius": 1.0}'
+        scene = tmp_path / "big.json"
+        scene.write_text(f'{{"version": 1, "space": {space}, "balls": [{first}, {ball}]}}'
+                         .replace("BIG", self.BIG))
+        assert run_command(["validate", str(scene), "--what", "besicovitch"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_integer_literal_beyond_the_digit_limit_exits_two(self, tmp_path, capsys):
+        scene = tmp_path / "long.json"
+        scene.write_text('{"version": 1, "space": {"kind": "euclidean", "dim": 1}, '
+                         f'"balls": [{{"center": [{"7" * 5000}], "radius": 1.0}}]}}')
+        assert run_command(["validate", str(scene), "--what", "besicovitch"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: scene has a number that cannot be read: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 class TestTolIsValidateOnly:

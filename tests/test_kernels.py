@@ -500,3 +500,59 @@ def test_scene_reports_are_unchanged(make, argv, digest, tmp_path, monkeypatch):
     rng = np.random.default_rng(73)
     docs = [make(rng, n) for n in (1, 40, 150)]
     assert report_digest(tmp_path, monkeypatch, docs, argv) == digest
+
+
+# ---------------------------------------------------------------------------
+# oned, partition and select reports on line scenes, pinned to digests taken
+# before the scene reader checked coordinates in bulk
+# ---------------------------------------------------------------------------
+
+
+def line_scene(rng, n, spread=60.0):
+    """n intervals with centers in [0, spread], some at repeated centers and
+    some written as JSON integers, and every third center as a point."""
+    centers = [float(x) for x in rng.uniform(0.0, spread, n)]
+    for k in range(0, n, 7):
+        centers[k] = int(centers[k])
+    for k in range(5, n, 11):
+        centers[k] = centers[k - 3]
+    radii = [float(x) for x in rng.uniform(0.2, 4.0, n)]
+    radii[n // 2] = 0.0
+    return {"version": 1, "space": {"kind": "euclidean", "dim": 1},
+            "balls": [{"center": [c], "radius": r} for c, r in zip(centers, radii)],
+            "points": [[c] for c in centers[::3]]}
+
+
+def wide_line_scene(rng, n):
+    """A line scene whose spread is far above 1000 times its largest radius."""
+    return line_scene(rng, n, spread=1e7)
+
+
+LINE_REPORTS = [
+    (line_scene, ["oned"],
+     "f7ced07fce2fd07ff27576756f0e17dbec2abe1936c39827638ae133c1aff2f9"),
+    (line_scene, ["oned", "--mode", "bounded"],
+     "dd73f5291e9738f788733fd14a3360dd96b9b7e9e3ded5abc63854b6a8e284a0"),
+    (line_scene, ["oned", "--mode", "scattered"],
+     "a3a821bf0c527a9bc0e00f27befd4481836c8c06cf58d1eb6b01f86d1069776d"),
+    (wide_line_scene, ["oned"],
+     "f6d6d6ce1a4e2c56b495a8c7d3bbb1f80c0bc3650591391a3e86e805c3a23e2b"),
+    (wide_line_scene, ["oned", "--mode", "bounded"],
+     "401459453de1588c47ecb6c6571f557a365ee91be307fda79bcd06fc86a2bcb7"),
+    (line_scene, ["partition"],
+     "19526ded28093768052338645854f96196b06545a9b1d5c5b04cdffed7b202e6"),
+    (line_scene, ["partition", "--alpha", "0.6"],
+     "1bf82c5276587660f9ecbf5fbe5638387803a16d77289f4e94af296b12551373"),
+    (line_scene, ["select"],
+     "590acfb88cdb0b941b8411955bb371bda1e9bcc3568d0255b84c5a291f17cc5f"),
+    (line_scene, ["select", "--beta", "0.7"],
+     "2d11e2917fd7b680e5cc0653f989560b33b75764c289f9fa36f09b0ea222bb97"),
+]
+
+
+@pytest.mark.parametrize("make,argv,digest", LINE_REPORTS,
+                         ids=[f"{r[0].__name__} {' '.join(r[1])}" for r in LINE_REPORTS])
+def test_line_scene_reports_are_unchanged(make, argv, digest, tmp_path, monkeypatch):
+    rng = np.random.default_rng(79)
+    docs = [make(rng, n) for n in (1, 40, 300)]
+    assert report_digest(tmp_path, monkeypatch, docs, argv) == digest

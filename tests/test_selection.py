@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -563,6 +564,55 @@ def test_separation_check_raises_on_close_pair():
         selection._check_separation(
             BallFamily(E2, (Ball(Point((0.0, 0.0)), 0.5), Ball(Point((0.3, 0.4)), 1.0))), 0.5
         )
+
+
+def _drop_second(chosen):
+    return chosen[:1] + chosen[2:]
+
+
+def _widen_first(chosen):
+    # the first interval reaches over the second into the third, which
+    # alternating tags give the same family
+    (left, right, idx), *rest = chosen
+    return [(left, right + 6.0, idx), *rest]
+
+
+def _retag_third(kept, tag):
+    kept[2].tag = tag
+    return kept
+
+
+# four chained intervals [-2, 2], [1, 5], [4, 8], [7, 11]: the cover keeps
+# all four, tagged 0, 1, 0, 1
+SELF_CHECK_CASES = [
+    ("bounded", "_phase_b_two_color", _drop_second, "center 3.0 is not covered by the line cover"),
+    ("bounded", "_phase_b_two_color", lambda kept: _retag_third(kept, 1),
+     "interval 2 meets an earlier interval of its family"),
+    ("bounded", "_phase_b_two_color", lambda kept: _retag_third(kept, 2),
+     "the line cover uses 3 families"),
+    ("scattered", "_staircase_two_color", _drop_second, "center 3.0 is not covered by the line cover"),
+    ("scattered", "_staircase_two_color", _widen_first,
+     "interval 2 meets an earlier interval of its family"),
+]
+
+
+@pytest.mark.parametrize("mode,stage,corrupt,message", SELF_CHECK_CASES)
+def test_oned_checks_its_own_cover(mode, stage, corrupt, message, tmp_path, monkeypatch, capsys):
+    from ballcover.cli import run_command
+
+    scene = tmp_path / "line.json"
+    scene.write_text(json.dumps({
+        "version": 1, "space": {"kind": "euclidean", "dim": 1},
+        "balls": [{"center": [c], "radius": 2.0} for c in (0.0, 3.0, 6.0, 9.0)],
+    }))
+    assert run_command(["oned", str(scene), "--mode", mode]) == 0
+    original = getattr(selection, stage)
+    monkeypatch.setattr(selection, stage, lambda *a: corrupt(original(*a)))
+    capsys.readouterr()
+    assert run_command(["oned", str(scene), "--mode", mode]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: {message}\n"
 
 
 def test_guards_survive_optimized_mode():
