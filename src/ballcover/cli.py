@@ -10,8 +10,8 @@ JSON documents written to standard output or, with ``--out``,
 atomically to a file; a device or pipe is written in place.  Randomized
 subcommands take a ``--seed`` (default 0) and echo it; wall time stays
 null unless ``--timing`` is passed, so re-runs with identical inputs
-produce byte-identical reports.  Only the subcommands that build arrays
-or draw random numbers import numpy.
+produce byte-identical reports.  Only ``search`` (but ``--what
+hadwiger``), ``cip`` and ``constants``, which draw random numbers, import numpy.
 """
 
 from __future__ import annotations

@@ -9,15 +9,17 @@ if it can neither certify a point nor converge to a stationary refutation
 within its iteration cap, the verdict is ``indeterminate`` rather than a
 guess.
 
-Overlap profiles and greedy nets measure one point against every ball
-center (or every kept point) per call of the row form of
-:func:`~ballcover.geometry.distance`, whose entries equal the scalar
-distances, so their counts and choices are those of a pairwise loop.
+Overlap profiles and greedy nets measure a point with the scalar
+:func:`~ballcover.geometry.distance` against the centers (or kept points)
+that a radius-band grid (``geometry._Grid``) cannot rule out, so their
+counts and choices are those of a loop over every pair, without numpy.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from typing import NamedTuple, Optional, Sequence
 
 from ._record import Record
@@ -27,7 +29,7 @@ from .geometry import (
     Ball,
     Point,
     Space,
-    _coord_rows,
+    _Grid,
     distance,
     uniform_in_ball,
 )
@@ -403,8 +405,6 @@ def overlap_profile(
     histogram tabulates depths at interval endpoints.  Otherwise depths
     are measured at the given probe points.
     """
-    import numpy as np
-
     if exact_1d:
         if not family.space.is_line:
             raise UnsupportedFeatureError(
@@ -412,37 +412,32 @@ def overlap_profile(
             )
         if len(family) == 0:
             return OverlapProfile(0, None, {})
-        lefts = np.array([b.center.coords[0] - b.radius for b in family])
-        rights = np.array([b.center.coords[0] + b.radius for b in family])
-        # closed intervals: at a shared coordinate, openings count before closings
-        coords = np.concatenate([lefts, rights])
-        kinds = np.concatenate([np.zeros(len(family)), np.ones(len(family))])
-        order = np.lexsort((kinds, coords))
-        depth = np.cumsum(np.where(kinds[order] == 0, 1, -1))
-        peak = int(np.argmax(depth))
-        max_overlap = int(depth[peak])
-        witness = Point((float(coords[order][peak]),))
-        ls = np.sort(lefts)
-        rs = np.sort(rights)
-        depths_at = (
-            np.searchsorted(ls, coords, side="right")
-            - np.searchsorted(rs, coords, side="left")
-        )
-        values, counts = np.unique(depths_at, return_counts=True)
-        histogram = {int(v): int(c) for v, c in zip(values, counts)}
-        return OverlapProfile(max_overlap, witness, histogram)
+        lefts = [b.center.coords[0] - b.radius for b in family]
+        rights = [b.center.coords[0] + b.radius for b in family]
+        # closed intervals: openings (0) first at a shared coordinate, then input order
+        depth = max_overlap = 0
+        for x, kind in sorted([(x, 0) for x in lefts] + [(x, 1) for x in rights]):
+            depth += 1 - 2 * kind
+            if depth > max_overlap:
+                max_overlap, witness = depth, Point((x,))
+        ls, rs = sorted(lefts), sorted(rights)
+        depths = Counter(bisect_right(ls, x) - bisect_left(rs, x) for x in lefts + rights)
+        return OverlapProfile(max_overlap, witness, dict(sorted(depths.items())))
     if probes is None:
         raise InputError("either probes or exact_1d must be given")
     if len(family) == 0 or len(probes) == 0:
         return OverlapProfile(0, None, {})
     space = family.space
-    centers = _coord_rows(family.centers, space.ambient_dim)
-    reach = np.array([b.radius + tol * (1.0 + b.radius) for b in family])
+    reach = [b.radius + tol * (1.0 + b.radius) for b in family]
+    grid = _Grid(space, family.centers + list(probes), max(reach))
+    for j, b in enumerate(family):
+        grid.add(b.center.coords, reach[j], j)
     best_depth = -1
     best_probe = None
     histogram: dict = {}
     for p in probes:
-        depth = int(np.count_nonzero(distance(space, p, centers) <= reach))
+        depth = sum(distance(space, p, family[j].center) <= reach[j]
+                    for j in grid.near(p.coords, 0.0))
         histogram[depth] = histogram.get(depth, 0) + 1
         if depth > best_depth:
             best_depth, best_probe = depth, p
@@ -466,17 +461,15 @@ def epsilon_net_greedy(
     and every input point lies within eps of some kept point, so the
     result is maximal.  Deterministic for a given input order.
     """
-    import numpy as np
-
     if not eps > 0.0:
         raise InputError(f"eps must be > 0, got {eps}")
     kept: list = []
     indices: list = []
-    rows = np.empty((len(points), space.ambient_dim))
+    grid = _Grid(space, points, eps)
     for i, p in enumerate(points):
-        d = distance(space, p, rows[: len(kept)])
-        if not np.any(d <= eps if strict else d < eps):
-            rows[len(kept)] = p.coords
+        near = (distance(space, p, kept[k]) for k in grid.near(p.coords, 0.0))
+        if not any(d <= eps if strict else d < eps for d in near):
+            grid.add(p.coords, eps, len(kept))
             kept.append(p)
             indices.append(i)
     return EpsilonNet(kept, indices)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
+from itertools import product
 from typing import Optional
 
 from ._record import Record
@@ -187,6 +188,11 @@ def _check_point(space: Space, p: Point, name: str = "point") -> None:
 # parameters bound by ``partial``, so a space that carries one pickles.
 
 
+def _l2_1(a, b):
+    x = a[0] - b[0]
+    return math.sqrt(x * x)
+
+
 def _l2_2(a, b):
     x = a[0] - b[0]
     y = a[1] - b[1]
@@ -275,13 +281,6 @@ def _map_each(f, a):
     return np.fromiter(map(f, a.ravel().tolist()), float, a.size).reshape(a.shape)
 
 
-def _coord_rows(points, width: int):
-    """The ``(len(points), width)`` array of the points' coordinates."""
-    import numpy as np
-
-    return np.array([p.coords for p in points], dtype=float).reshape(len(points), width)
-
-
 def _sin_power_integral(k: int, x: float) -> float:
     """Closed-form integral of sin^k over [0, x], by reduction."""
     if k == 0:
@@ -316,8 +315,10 @@ class _Model:
     """The formulas of one space.
 
     A model sets ``width`` (the number of ambient coordinates),
-    ``origin``, ``inj`` (the injectivity radius), ``kernel`` and
-    ``parameter``, the Space field it reads.  Its methods work on
+    ``origin`` (built on use, so a model costs O(1) in the dimension),
+    ``inj`` (the injectivity radius), ``kernel``, ``parameter``, the
+    Space field it reads, and ``grid``: the :class:`_Grid` axes and
+    least cell side.  Its methods work on
     coordinate tuples: ``surface`` re-projects checked coordinates onto
     the space, ``norm``/``project``/``exp``/``log`` handle tangent
     vectors (``log(b, q, d)`` takes the distance ``d`` from ``b`` to
@@ -344,14 +345,17 @@ class _Flat(_Model):
 
     parameter = "pnorm"
     inj = math.inf
+    origin = property(lambda self: (0.0,) * self.width)
 
     def __init__(self, space: Space):
         p = space.pnorm
         if not p >= 1.0:
             raise InputError(f"pnorm must be >= 1, got {p!r}")
-        self.p, self.width, self.origin = p, space.dim, (0.0,) * space.dim
+        self.p, self.width = p, space.dim
+        # an l^p norm is at least an axis gap, and |x| ** p underflows below 2 ** (-1022 / p)
+        self.grid = (min(3, space.dim), 2.0 ** -(1000.0 / p if p < math.inf else 1000.0))
         if p == 2.0:
-            self.kernel = {2: _l2_2, 3: _l2_3}.get(space.dim, _l2)
+            self.kernel = {1: _l2_1, 2: _l2_2, 3: _l2_3}.get(space.dim, _l2)
         elif p == 1.0:
             self.kernel = _l1
         elif math.isinf(p):
@@ -423,9 +427,10 @@ class _Curved(_Model):
     ``sn^(dim-1)`` peaking at ``t_peak``) and sinh on the hyperboloid.
     """
 
+    origin = property(lambda self: (0.0,) * self.dim + (self.R,))
+
     def __init__(self, space: Space, R: float = 1.0):
         self.space, self.R, self.dim, self.width = space, R, space.dim, space.dim + 1
-        self.origin = (0.0,) * space.dim + (R,)
 
     def step(self, x, c, r, d):
         # follow the geodesic toward the center; d is the distance that
@@ -470,6 +475,8 @@ class _Sphere(_Curved):
         super().__init__(space, R)
         self.inj = math.pi * R
         self.kernel = partial(_sphere, R)
+        # the arc is at least the chord, whose squares underflow as l2's do
+        self.grid = (min(3, self.width), 2.0 ** -500)
 
     def rows(self, a, rows):
         import numpy as np
@@ -536,6 +543,7 @@ class _Hyperboloid(_Curved):
     sn_integral = staticmethod(_sinh_power_integral)
     inj = math.inf
     kernel = staticmethod(_hyperboloid)
+    grid = (0, 0.0)  # no coordinate gap bounds the distance: every pair is tested
 
     def surface(self, c, tol):
         if c[-1] <= 0.0:
@@ -616,6 +624,47 @@ def distance(space: Space, p: Point, q):
     if len(b) != model.width:
         _check_point(space, q, "q")  # raises
     return model.kernel(a, b)
+
+
+class _Grid:
+    """Balls ``(c, r)`` by power-of-two radius band and cell: ``near(x,
+    rho)`` lists a superset of those with ``distance(x, c) <= rho + r``,
+    for ``rho <= reach`` and ``x`` among ``points``.  Radii below ``2**b``
+    get cells of side ``2**b * (1 + 1e-6)``, and a query scans the cells
+    within ``rho + 2**b`` times that on each ``grid`` axis; the margin
+    outweighs rounding, as cells are never below the model's underflow
+    gap, the largest coordinate over ``2**31`` or ``reach * 2**-40``.
+    Without a finite scale all balls share one cell.
+    """
+
+    def __init__(self, space: Space, points, reach: float):
+        axes, floor = space._model.grid
+        flat = [abs(v) for p in points for v in p.coords[:axes]]
+        floor = max(floor, max(flat, default=0.0) * 2.0 ** -31, reach * 2.0 ** -40)
+        finite = math.isfinite(sum(flat) + 4.0 * reach + floor)
+        self.axes = range(axes if finite else 0)
+        self.floor = floor if finite else math.inf
+        self.bands = {}
+
+    def add(self, c, r: float, item) -> None:
+        band = math.frexp(max(r, self.floor))[1]
+        side, cells, items = self.bands.setdefault(band, (math.ldexp(1.000001, band), {}, []))
+        cells.setdefault(tuple([math.floor(c[k] / side) for k in self.axes]), []).append(item)
+        items.append(item)
+
+    def near(self, x, rho: float) -> list:
+        out = []
+        for band, (side, cells, items) in self.bands.items():
+            reach = (rho + math.ldexp(1.0, band)) * 1.000001
+            keys = [range(math.floor((x[k] - reach) / side), math.floor((x[k] + reach) / side) + 1)
+                    for k in self.axes]
+            # a cell costs a lookup and an item a distance call: take the cheaper
+            if math.prod(map(len, keys)) >= 4 * len(items):
+                out += items
+                continue
+            for key in product(*keys):
+                out += cells.get(key, ())
+        return out
 
 
 def tangent_norm(space: Space, t: Tangent) -> float:

@@ -26,7 +26,6 @@ indent=2) + "\n"`` byte for byte.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from itertools import chain
@@ -47,6 +46,7 @@ __all__ = [
 ]
 
 SCENE_VERSION = 1
+MAX_BARE_DIM = 1_000_000  # the largest dim of a scene without coordinates
 _SET_NUMBERS = ("inner_radius", "lambda", "diameter")
 
 
@@ -185,6 +185,8 @@ def parse_scene(text: str) -> SceneFile:
     if version != SCENE_VERSION:
         raise InputError(f"unsupported scene version {version!r} (expected {SCENE_VERSION})")
     space = _parse_space(_require(doc, "space", "scene"))
+    if space.dim > MAX_BARE_DIM and not any(doc.get(key) for key in ("balls", "points", "sets")):
+        raise InputError(f"space dim {space.dim} exceeds {MAX_BARE_DIM} without coordinates")
 
     def ball(rb, name):
         center = space.point(_coords(_require(rb, "center", name), f"{name} center"))
@@ -247,6 +249,8 @@ def serialize_scene(scene: SceneFile) -> str:
 
 def scene_digest(text: str) -> str:
     """SHA-256 hex digest of a scene document's UTF-8 bytes."""
+    import hashlib  # here, not at module level: importing the CLI does not load OpenSSL
+
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

@@ -22,11 +22,11 @@ evaluated exactly on the given floats.  Greedy tie-breaking is always
 "larger radius first, then lexicographically smallest center", which
 makes every procedure deterministic.
 
-The greedy loops test one ball against every ball already chosen with
-one call of the row form of :func:`~ballcover.geometry.distance`, whose
-entries equal the scalar distances, so each decision is the one a
-pairwise loop would make.  Violated internal guarantees raise
-:class:`~ballcover.errors.InternalError`, never a bare ``assert``.
+The greedy loops test a ball with the scalar
+:func:`~ballcover.geometry.distance` against the chosen balls that a
+radius-band grid (``geometry._Grid``) cannot rule out, so each decision
+is that of a loop over every pair, without numpy.  Violated internal
+guarantees raise :class:`~ballcover.errors.InternalError`, never ``assert``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .covering import BallFamily, OverlapProfile, overlap_profile, strict_net_bound
 from .errors import DomainError, InputError, InternalError, UnsupportedFeatureError
-from .geometry import Ball, Point, Space, _coord_rows, distance, injectivity_radius
+from .geometry import Ball, Point, Space, _Grid, distance, injectivity_radius
 
 __all__ = [
     "SubcoverResult",
@@ -159,8 +159,6 @@ def select_bounded_overlap_subcover(
     Only balls centered exactly (by coordinates) at a listed center are
     eligible; every listed center must have at least one such ball.
     """
-    import numpy as np
-
     _check_ratio("beta", beta)
     space = family.space
     center_list = list(centers)
@@ -182,9 +180,7 @@ def select_bounded_overlap_subcover(
     )
     by_band = _assign_bands([(family[i].radius, i) for i in candidates], beta)
 
-    # the current round's balls, as rows
-    round_rows = np.empty((len(family), space.ambient_dim))
-    round_radii = np.empty(len(family))
+    reach = 2.0 * max(family.radii, default=0.0)
     selected_idx = []
     selected_bands = []
     for band in sorted(by_band):
@@ -192,19 +188,17 @@ def select_bounded_overlap_subcover(
             pool = [i for i in by_band[band] if not covered[ball_to_center[i]]]
             if not pool:
                 break
-            k = 0
+            chosen = _Grid(space, center_list, reach)  # this round's balls
             for i in pool:
-                b = family[i]
-                d = distance(space, b.center, round_rows[:k])
-                if np.all(d > b.radius + round_radii[:k]):
-                    round_rows[k], round_radii[k] = b.center.coords, b.radius
+                c, r = family[i].center, family[i].radius
+                if all(distance(space, c, family[j].center) > r + family[j].radius
+                       for j in chosen.near(c.coords, r)):
+                    chosen.add(c.coords, r, i)
                     selected_idx.append(i)
                     selected_bands.append(band)
-                    k += 1
             for ci, p in enumerate(center_list):
-                if not covered[ci] and np.any(
-                    distance(space, p, round_rows[:k]) <= round_radii[:k]
-                ):
+                if not covered[ci] and any(distance(space, p, family[j].center) <= family[j].radius
+                                           for j in chosen.near(p.coords, 0.0)):
                     covered[ci] = True
 
     selected = BallFamily(space, tuple(family[i] for i in selected_idx))
@@ -232,22 +226,22 @@ def _first_fit(space: Space, balls, order) -> tuple:
     member, else a new family".  Returns the families, as input indices
     in colouring order, and the input-indexed colour assignment.
     """
-    import numpy as np
-
-    rows = _coord_rows([balls[i].center for i in order], space.ambient_dim)
-    radii = np.array([balls[i].radius for i in order], dtype=float)
-    colours = np.empty(len(order), dtype=np.intp)
+    radii = [b.radius for b in balls]
+    grid = _Grid(space, [b.center for b in balls], 2.0 * max(radii, default=0.0))
     families: list[list[int]] = []
     assignment = [-1] * len(balls)
-    for t, i in enumerate(order):
-        d = distance(space, balls[i].center, rows[:t])
-        used = np.zeros(len(families) + 1, dtype=bool)
-        used[colours[:t][~(d > radii[t] + radii[:t])]] = True
-        f = int(np.argmin(used))
+    for i in order:
+        c, r = balls[i].center, radii[i]
+        used = set()
+        for j in grid.near(c.coords, r):
+            if assignment[j] not in used and not distance(space, c, balls[j].center) > r + radii[j]:
+                used.add(assignment[j])
+        f = min(set(range(len(families) + 1)) - used)
         if f == len(families):
             families.append([])
         families[f].append(i)
-        assignment[i] = colours[t] = f
+        assignment[i] = f
+        grid.add(c.coords, r, i)
     return families, assignment
 
 
@@ -665,15 +659,13 @@ def besicovitch_cover_1d(
 
 def _check_separation(selected: BallFamily, s: float) -> None:
     """Raise unless ``distance(x_t, x_j) > s * max(r_t, r_j)`` on all pairs."""
-    import numpy as np
-
-    space = selected.space
-    rows = _coord_rows(selected.centers, space.ambient_dim)
-    radii = np.array(selected.radii, dtype=float)
-    for t, b in enumerate(selected.balls[:-1]):
-        d = distance(space, b.center, rows[t + 1:])
-        if not np.all(d > s * np.maximum(b.radius, radii[t + 1:])):
-            raise InternalError("selection lost its separation guarantee")
+    space, balls = selected.space, selected.balls
+    grid = _Grid(space, selected.centers, 2.0 * s * max(selected.radii, default=0.0))
+    for j, b in enumerate(balls):
+        for t in grid.near(b.center.coords, s * b.radius):
+            if not distance(space, balls[t].center, b.center) > s * max(balls[t].radius, b.radius):
+                raise InternalError("selection lost its separation guarantee")
+        grid.add(b.center.coords, s * b.radius, j)
 
 
 def cip_subcover(

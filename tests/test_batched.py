@@ -22,8 +22,10 @@ from ballcover import (
     epsilon_net_greedy,
     overlap_profile,
 )
-from ballcover.geometry import random_point, uniform_in_ball
+from ballcover.errors import InternalError
+from ballcover.geometry import _Grid, random_point, uniform_in_ball
 from ballcover.selection import (
+    _check_separation,
     morse_partition,
     partition_into_disjoint_families,
     select_bounded_overlap_subcover,
@@ -357,3 +359,156 @@ def test_overlap_profile_probes_on_the_tolerance_boundary():
     prof = overlap_profile(fam, probes=probes, tol=tol)
     best, witness, histogram = ref_profile(fam, probes, tol)
     assert (prof.max_overlap, prof.witness, prof.histogram) == (best, witness, histogram)
+
+
+# ---------------------------------------------------------------------------
+# grid stress: scenes where pruning by cells could go wrong
+# ---------------------------------------------------------------------------
+
+
+def family_of(space, centers, radii):
+    return BallFamily(space, tuple(Ball(Point(tuple(float(v) for v in c)), float(r))
+                                   for c, r in zip(centers, radii)))
+
+
+def edge_scene(seed):
+    """Centers on the cell edges of their band and radii of half a cell
+    side: neighbours touch up to the last bit of the key division."""
+    rng = np.random.default_rng(seed)
+    side = math.ldexp(1.000001, 1)  # the cells of radii in [1, 2)
+    keys = rng.integers(-6, 6, (120, 2))
+    return family_of(Space.euclidean(2), keys * side, [side / 2.0] * len(keys))
+
+
+def decades_scene(seed):
+    rng = np.random.default_rng(seed)
+    return family_of(Space.euclidean(2), rng.uniform(0.0, 60.0, (150, 2)),
+                     10.0 ** rng.uniform(-2.0, 2.0, 150))
+
+
+def zero_scene(seed, dim=2):
+    """Zero radii on repeated integer points: balls meet only where they
+    coincide."""
+    rng = np.random.default_rng(seed)
+    return family_of(Space.euclidean(dim), rng.integers(0, 8, (120, dim)), [0.0] * 120)
+
+
+def tiny_scene(space, seed, scale):
+    """Coordinate gaps where the kernel's sums underflow (for l2 below
+    about 1e-161, for l3 below 1e-107, for l100 below 6e-4), so that
+    balls whose gap is above their radii can still meet."""
+    rng = np.random.default_rng(seed)
+    centers = rng.integers(-3, 4, (100, space.dim)) * scale
+    return family_of(space, centers, rng.choice([scale / 10.0, scale / 3.0, scale], 100))
+
+
+def huge_scene(seed, r):
+    """1e300 coordinates: differences overflow to inf; with radii near
+    the float limit the reach overflows too, and with small radii a
+    coordinate over the radius band's cell side does."""
+    rng = np.random.default_rng(seed)
+    return family_of(Space.euclidean(2), rng.uniform(-1e300, 1e300, (80, 2)),
+                     r * rng.uniform(0.5, 1.0, 80))
+
+
+def offset_scene(seed):
+    """Touching balls 2**50 cells away from the origin, where a key
+    division has no bits left below the cell."""
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(0, 40, (120, 2))
+    return family_of(Space.euclidean(2), 2.0 ** 47 + keys * 0.125, [0.0625] * 120)
+
+
+def antipodal_scene(seed):
+    """Caps and the caps centered at their antipodes, with radius sums on
+    both sides of pi."""
+    space = Space.sphere(2)
+    rng = np.random.default_rng(seed)
+    base = [random_point(space, rng) for _ in range(40)]
+    pts = base + [Point(tuple(-x for x in b.coords)) for b in base]
+    return BallFamily(space, tuple(Ball(p, float(rng.uniform(1.45, 1.7))) for p in pts))
+
+
+STRESS = {
+    "edges": lambda: edge_scene(20),
+    "decades": lambda: decades_scene(21),
+    "zero-radii": lambda: zero_scene(22),
+    "zero-radii-line": lambda: zero_scene(23, dim=1),
+    "tiny-l2": lambda: tiny_scene(Space.euclidean(2), 24, 1e-162),
+    "tiny-l3": lambda: tiny_scene(Space.euclidean(2, 3.0), 25, 1e-108),
+    "tiny-l100": lambda: tiny_scene(Space.euclidean(2, 100.0), 26, 4e-4),
+    "huge": lambda: huge_scene(27, 1e299),
+    "huge-reach": lambda: huge_scene(28, 1.7e308),
+    "huge-small-radii": lambda: huge_scene(33, 1e-10),
+    "antipodal": lambda: antipodal_scene(29),
+    "offset": lambda: offset_scene(32),
+    "hyperbolic-far": lambda: clustered_scene(Space.hyperbolic(2), 30, 100, 12.0, 0.5, 6.0),
+    "l3": lambda: clustered_scene(Space.euclidean(3, 3.0), 31, 100, 6.0, 0.01, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRESS))
+def test_stress_partition_and_select_match_the_references(name):
+    fam = STRESS[name]()
+    res = partition_into_disjoint_families(fam, 0.75)
+    assert list(res.assignment) == ref_first_fit(fam.space, fam.balls, sorted_order(fam))[1]
+    if min(fam.radii) == 0.0:
+        return  # ref_select bands positive radii only
+    centers = fam.centers
+    sel = select_bounded_overlap_subcover(fam, centers, 0.5)
+    selected, bands, covered = ref_select(fam, centers, 0.5)
+    assert sel.selected.balls == tuple(fam[i] for i in selected)
+    assert (list(sel.bands), list(sel.covered_centers)) == (bands, covered)
+
+
+@pytest.mark.parametrize("name", sorted(STRESS))
+def test_stress_nets_and_probes_match_the_references(name):
+    fam = STRESS[name]()
+    space, points = fam.space, fam.centers
+    for eps in sorted({b.radius for b in fam.balls[:3]} | {1e-3, 2.0}):
+        if eps > 0.0:
+            for strict in (False, True):
+                want = ref_net(space, points, eps, strict)
+                assert epsilon_net_greedy(space, points, eps, strict=strict).indices == want
+    prof = overlap_profile(fam, probes=points)
+    assert (prof.max_overlap, prof.witness, prof.histogram) == ref_profile(fam, points)
+
+
+@pytest.mark.parametrize("name", sorted(STRESS))
+def test_stress_separation_check_matches_the_reference(name):
+    fam = STRESS[name]()
+    space = fam.space
+    for s in (0.3, 0.9):
+        violated = any(
+            not distance(space, fam[t].center, fam[j].center) > s * max(fam[t].radius, fam[j].radius)
+            for t in range(len(fam)) for j in range(t + 1, len(fam))
+        )
+        raised = False
+        try:
+            _check_separation(fam, s)
+        except InternalError:
+            raised = True
+        assert raised == violated
+
+
+def test_the_stress_scenes_reach_both_decisions():
+    # each scene has meeting and disjoint pairs, so a wrongly pruned pair
+    # would change a decision
+    for name in ("edges", "decades", "zero-radii", "tiny-l2", "tiny-l3", "tiny-l100",
+                 "antipodal", "offset"):
+        fam = STRESS[name]()
+        part = partition_into_disjoint_families(fam, 0.75)
+        assert 1 < len(part.families) < len(fam), name
+
+
+def test_grid_falls_back_to_every_pair_without_a_finite_scale():
+    space = Space.euclidean(2)
+    pts = [Point((0.0, 0.0)), Point((1e300, -1e300))]
+    assert len(_Grid(space, pts, 1.0).axes) == 2
+    assert len(_Grid(space, pts, math.inf).axes) == 0
+    assert len(_Grid(space, pts + [Point((math.inf, 0.0))], 1.0).axes) == 0
+    assert len(_Grid(Space.hyperbolic(2), [], 1.0).axes) == 0
+    grid = _Grid(space, pts, math.inf)
+    for k, p in enumerate(pts):
+        grid.add(p.coords, 1.0, k)
+    assert sorted(grid.near(pts[0].coords, 0.0)) == [0, 1]

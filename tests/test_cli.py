@@ -594,6 +594,32 @@ class TestIntegersBeyondFloats:
         assert captured.err.count("\n") == 1 and captured.out == ""
 
 
+class TestHugeDim:
+    """A space dim far beyond the scene's coordinates is an input error
+    (exit 2), found before anything of that size is allocated."""
+
+    @pytest.mark.parametrize("balls,message", [
+        ([{"center": [0.0, 1.0], "radius": 1.0}],
+         "ball 0: expected 100000000000000000000 coordinates, got 2"),
+        ([], "space dim 100000000000000000000 exceeds 1000000 without coordinates"),
+    ], ids=["ball", "bare"])
+    @pytest.mark.parametrize("argv", [["validate", "--what", "besicovitch"], ["partition"]],
+                             ids=lambda argv: argv[0])
+    def test_exits_two(self, balls, message, argv, tmp_path, capsys):
+        scene = tmp_path / "huge.json"
+        scene.write_text(json.dumps({"version": 1, "balls": balls,
+                                     "space": {"kind": "euclidean", "dim": 10 ** 20}}))
+        assert run_command([argv[0], str(scene), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+
+    def test_volume_exits_two(self, capsys):
+        # a Space costs O(1) in its dim, so the volume formula decides
+        argv = ["volume", "--space", "euclidean", "--dim", str(10 ** 20), "--r", "1.0"]
+        assert run_command(argv) == 2
+        assert "beyond the float range" in capsys.readouterr().err
+
+
 class TestTolIsValidateOnly:
     def test_validate_reads_tol(self, tmp_path):
         # two unit balls whose gap of 0.02 only a loose tolerance forgives

@@ -186,6 +186,22 @@ def test_integer_coordinates_keep_the_sum_types():
         assert bits(distance(space, p, q)) == bits(ref_distance(space, p, q))
 
 
+def test_unrolled_line_kernel_equals_the_loop():
+    # 0 + x * x == x * x, so dropping the loop's start changes no bit:
+    # signed zeros, subnormal differences, squares that underflow or
+    # overflow, and differences that overflow to inf
+    from ballcover.geometry import _l2, _l2_1
+
+    assert Space.euclidean(1)._kernel is _l2_1
+    edge = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-200, 1.5e-154, 1e-154,
+            0.1, 1.0, -3.0, 1.3407807929942596e154, 1.4e154, 1e300, -1e300,
+            1.7976931348623157e308, -1.7976931348623157e308, 7]
+    for a in edge:
+        for b in edge:
+            assert bits(_l2_1((a,), (b,))) == bits(_l2((a,), (b,)))
+            assert _l2_1((a,), (b,)) == _l2((a,), (b,))
+
+
 def test_kernel_is_cached_and_space_still_pickles():
     space = Space.sphere(2, radius=3.0)
     assert space._kernel is space._kernel

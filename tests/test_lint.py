@@ -7,6 +7,8 @@
   covering, selection and CLI modules never do.
 * numpy is imported only inside the functions that build arrays or draw
   from its RNG, never in a module body, so start-up does not load it.
+  The selection loops never import it, and covering imports it only to
+  draw the samples of ``covering_number``.
 * No module imports ``dataclasses``, anywhere: the records are slotted
   classes or named tuples, so importing the package runs no dataclass
   code generation and does not load ``dataclasses`` or the ``inspect``
@@ -21,6 +23,8 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ballcover"
 MODULES = sorted(SRC.glob("*.py"))
 MAX_KIND_COMPARISONS = 9
+# the functions of a module that may import numpy
+NUMPY_FUNCTIONS = {"selection.py": set(), "covering.py": {"covering_number"}}
 KIND_FREE = {"covering.py", "selection.py", "cli.py"}
 
 
@@ -83,6 +87,28 @@ def module_level_numpy_imports(tree):
     return sorted(out)
 
 
+def numpy_import_sites(tree):
+    """The innermost enclosing function of each numpy import, None in a
+    module or class body."""
+    out = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [a.name for a in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(n == "numpy" or n.startswith("numpy.") for n in names):
+                out.append(where)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else where)
+
+    visit(tree, None)
+    return out
+
+
 def dataclasses_imports(tree):
     """Lines of every import of ``dataclasses``, at any depth."""
     out = []
@@ -130,6 +156,21 @@ def test_no_unused_imports(path):
 def test_numpy_is_not_imported_at_module_level(path):
     lines = module_level_numpy_imports(parse(path))
     assert not lines, f"{path.name} imports numpy at module level (lines {lines})"
+
+
+@pytest.mark.parametrize("name", sorted(NUMPY_FUNCTIONS))
+def test_numpy_is_imported_only_where_it_draws_samples(name):
+    sites = numpy_import_sites(parse(SRC / name))
+    assert set(sites) <= NUMPY_FUNCTIONS[name], f"{name} imports numpy in {sites}"
+
+
+def test_the_numpy_site_check_sees_every_import():
+    tree = ast.parse(
+        "import numpy\ndef f():\n    import numpy as np\n    def g():\n"
+        "        from numpy.random import default_rng\n    import os\n"
+        "class C:\n    def m(self):\n        import numpy.linalg\n"
+    )
+    assert numpy_import_sites(tree) == [None, "f", "g", "m"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -10,6 +10,7 @@ import pytest
 from ballcover import Ball, BallFamily, QuasiRoundSet, Space
 from ballcover.errors import InputError
 from ballcover.sceneio import (
+    MAX_BARE_DIM,
     SceneFile,
     build_report,
     parse_scene,
@@ -488,3 +489,36 @@ def test_writer_rejects_what_json_rejects(value):
 def test_writer_rejects_keys_json_rejects():
     with pytest.raises(TypeError, match="keys must be str, int, float, bool or None, not tuple"):
         render_report({(1, 2): 3})
+
+
+# a dim that no Space can allocate an origin for
+HUGE_DIM = 10 ** 20
+LIMIT = f"space dim {HUGE_DIM} exceeds {MAX_BARE_DIM} without coordinates"
+
+
+@pytest.mark.parametrize("kind,entries,message", [
+    ("euclidean", {"balls": [{"center": [0.0, 1.0], "radius": 1.0}]},
+     f"ball 0: expected {HUGE_DIM} coordinates, got 2"),
+    ("sphere", {"balls": [], "points": [[0.0, 1.0]]},
+     f"point 0: expected {HUGE_DIM + 1} coordinates, got 2"),
+    ("hyperbolic", {"sets": [{"anchor": [0.0, 1.0], "inner_radius": 1.0, "lambda": 1.0,
+                              "diameter": 2.0}]},
+     f"set 0: expected {HUGE_DIM + 1} coordinates, got 2"),
+    ("euclidean", {"balls": []}, LIMIT),
+    ("sphere", {}, LIMIT),
+    ("euclidean", {"balls": [3.0]}, "ball 0 must be an object"),
+], ids=["ball", "point", "set", "no-balls", "no-lists", "malformed-ball"])
+def test_a_dim_beyond_the_coordinates_is_an_input_error(kind, entries, message):
+    text = json.dumps({"version": 1, "space": {"kind": kind, "dim": HUGE_DIM}, **entries})
+    with pytest.raises(InputError) as err:
+        parse_scene(text)
+    assert str(err.value) == message
+
+
+def test_a_bare_scene_parses_up_to_the_dim_limit():
+    for dim in (1, MAX_BARE_DIM):
+        text = json.dumps({"version": 1, "space": {"kind": "euclidean", "dim": dim}, "balls": []})
+        assert parse_scene(text).space.dim == dim
+    text = text.replace(str(MAX_BARE_DIM), str(MAX_BARE_DIM + 1))
+    with pytest.raises(InputError, match="exceeds 1000000 without coordinates"):
+        parse_scene(text)

@@ -1,10 +1,13 @@
 """Start-up cost: the scalar commands never import numpy.
 
-The validators, ``volume`` and ``oned`` work on coordinate tuples and
-``math``, so a fresh interpreter that imports the CLI, or runs one of
-them, must end with ``numpy`` absent from ``sys.modules``.  Each case
-runs in its own ``sys.executable`` process; a planar ``partition``, which
-builds arrays, shows that the check sees numpy when it is loaded.
+The validators, ``volume``, ``oned``, ``partition``, ``select`` and
+``net`` work on coordinate tuples and ``math``, so a fresh interpreter
+that imports the CLI, or runs one of them, must end with ``numpy``
+absent from ``sys.modules``.  Each case runs in its own
+``sys.executable`` process; a random ``cip`` run, which draws from
+numpy's RNG, shows that the check sees numpy when it is loaded.
+Importing the CLI does not load OpenSSL's ``_hashlib`` either: only a
+scene digest needs it.
 
 The package's records are plain classes, so neither ``dataclasses`` nor
 the ``inspect`` module it imports is loaded either.  numpy imports
@@ -159,7 +162,38 @@ def test_the_record_check_sees_dataclasses(tmp_path):
     assert json.loads(out.stdout)["records"] == ["dataclasses", "inspect"]
 
 
-def test_a_planar_partition_loads_numpy(tmp_path):
-    path = tmp_path / "plane.json"
-    path.write_text(json.dumps(planted(SPACES["l2"], 5, 0.2)))
-    assert run_fresh([["partition", str(path)]]) == ([0], True)
+def test_a_random_cip_run_loads_numpy():
+    assert run_fresh([["cip", "--m", "2", "--trials", "5"]]) == ([0], True)
+
+
+def line_scene():
+    return {"version": 1, "space": {"kind": "euclidean", "dim": 1},
+            "balls": [{"center": [1.5 * k + 0.25 * (k % 3)], "radius": 1.0 + 0.1 * (k % 4)}
+                      for k in range(40)]}
+
+
+@pytest.mark.parametrize("key", ["line", "l2", "sphere"])
+def test_partition_select_and_net_leave_numpy_out(key, tmp_path):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(line_scene() if key == "line" else planted(SPACES[key], 12, 0.2)))
+    path = str(path)
+    commands = [["partition", path], ["select", path], ["net", path, "--eps", "0.5"],
+                ["net", path, "--eps", "0.5", "--strict"]]
+    assert run_fresh(commands) == ([0, 0, 0, 0], False)
+
+
+def modules_after(code):
+    """The names in ``sys.modules`` after ``code`` runs in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", code + "\nimport sys; print(*sys.modules)"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split()
+
+
+def test_importing_the_cli_leaves_openssl_out():
+    pytest.importorskip("_hashlib", reason="this interpreter's hashlib has no OpenSSL")
+    if "_hashlib" in modules_after(""):
+        pytest.skip("this interpreter loads _hashlib at start-up")
+    assert "_hashlib" not in modules_after("import ballcover.cli")
+    assert "_hashlib" in modules_after("from ballcover.sceneio import scene_digest; scene_digest('')")
