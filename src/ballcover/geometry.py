@@ -94,6 +94,11 @@ class Space(Record):
         return self._model.width == 1
 
     @property
+    def is_flat(self) -> bool:
+        """R^dim with an l^p norm, as opposed to the sphere or the hyperboloid."""
+        return self._model.flat
+
+    @property
     def _kernel(self):
         """The scalar distance of this space on raw coordinate tuples."""
         return self._model.kernel
@@ -182,8 +187,8 @@ def _check_point(space: Space, p: Point, name: str = "point") -> None:
 # to right from the int 0 as ``sum()`` starts (the Minkowski form from 0.0,
 # as ``_mdot`` does), instead of calling ``sum()``: the floats are those of
 # ``sum()`` up to Python 3.11, whose float sum is a plain left-to-right
-# loop, and they stay equal to the row forms on 3.12+, where ``sum()`` of
-# floats is compensated.  The unrolled l2 kernels drop the leading ``0 +``,
+# loop, and they do not change on 3.12+, where ``sum()`` of floats is
+# compensated.  The unrolled l2 kernels drop the leading ``0 +``,
 # which cannot change a square.  Kernels are module-level functions, with
 # parameters bound by ``partial``, so a space that carries one pickles.
 
@@ -259,28 +264,6 @@ def _hyperboloid(a, b):
     return math.log1p(half + math.sqrt(m + half * half))
 
 
-# The numpy row forms keep the scalar kernels' floats: column sums run left
-# to right from 0.0, ``min``/``max`` clamps keep their tie rules, and ``**``,
-# ``asin`` and ``acos`` are applied per element through Python, because
-# numpy's versions differ in the last bit on some inputs.  IEEE +, -, *, /
-# and sqrt are exact either way.
-
-
-def _sum_columns(m):
-    import numpy as np
-
-    s = np.zeros(m.shape[0])
-    for k in range(m.shape[1]):
-        s += m[:, k]
-    return s
-
-
-def _map_each(f, a):
-    import numpy as np
-
-    return np.fromiter(map(f, a.ravel().tolist()), float, a.size).reshape(a.shape)
-
-
 def _sin_power_integral(k: int, x: float) -> float:
     """Closed-form integral of sin^k over [0, x], by reduction."""
     if k == 0:
@@ -314,11 +297,11 @@ def unit_ball_volume(dim: int, pnorm: float = 2.0) -> float:
 class _Model:
     """The formulas of one space.
 
-    A model sets ``width`` (the number of ambient coordinates),
-    ``origin`` (built on use, so a model costs O(1) in the dimension),
-    ``inj`` (the injectivity radius), ``kernel``, ``parameter``, the
-    Space field it reads, and ``grid``: the :class:`_Grid` axes and
-    least cell side.  Its methods work on
+    A model sets ``width`` (the number of ambient coordinates), ``flat``
+    (true for l^p only), ``origin`` (built on use, so a model costs O(1)
+    in the dimension), ``inj`` (the injectivity radius), ``kernel``,
+    ``parameter``, the Space field it reads, and ``grid``: the
+    :class:`_Grid` axes and least cell side.  Its methods work on
     coordinate tuples: ``surface`` re-projects checked coordinates onto
     the space, ``norm``/``project``/``exp``/``log`` handle tangent
     vectors (``log(b, q, d)`` takes the distance ``d`` from ``b`` to
@@ -328,12 +311,7 @@ class _Model:
     functions of those purposes.
     """
 
-    def rows(self, a, rows):
-        """The kernel from ``a`` to each row of a float array."""
-        import numpy as np
-
-        kernel = self.kernel
-        return np.fromiter((kernel(a, r) for r in rows.tolist()), float, len(rows))
+    flat = False
 
     def centroid(self, points):
         """The extra, centroid start of the common-point sweep, if any."""
@@ -344,7 +322,7 @@ class _Flat(_Model):
     """R^dim with the l^p norm."""
 
     parameter = "pnorm"
-    inj = math.inf
+    flat, inj = True, math.inf
     origin = property(lambda self: (0.0,) * self.width)
 
     def __init__(self, space: Space):
@@ -362,16 +340,6 @@ class _Flat(_Model):
             self.kernel = _linf
         else:
             self.kernel = partial(_lp, p, 1.0 / p)
-
-    def rows(self, a, rows):
-        import numpy as np
-
-        if self.p not in (1.0, 2.0, math.inf):
-            return super().rows(a, rows)
-        d = np.abs(np.array(a, dtype=float) - rows)
-        if self.p == 2.0:
-            return np.sqrt(_sum_columns(d * d))
-        return _sum_columns(d) if self.p == 1.0 else d.max(axis=1)
 
     def surface(self, c, tol):
         return c
@@ -477,21 +445,6 @@ class _Sphere(_Curved):
         self.kernel = partial(_sphere, R)
         # the arc is at least the chord, whose squares underflow as l2's do
         self.grid = (min(3, self.width), 2.0 ** -500)
-
-    def rows(self, a, rows):
-        import numpy as np
-
-        R = self.R
-        a = np.array(a, dtype=float)
-        cos_t = _sum_columns(a * rows) / (R * R)
-        out = np.empty(len(rows))
-        near = cos_t > 0.5
-        d = a - rows[near]
-        x = np.sqrt(_sum_columns(_map_each(lambda v: v ** 2, d))) / (2.0 * R)
-        out[near] = 2.0 * R * _map_each(math.asin, np.where(x < 1.0, x, 1.0))
-        c = np.where(cos_t[~near] < 1.0, cos_t[~near], 1.0)
-        out[~near] = R * _map_each(math.acos, np.where(c > -1.0, c, -1.0))
-        return out
 
     def surface(self, c, tol):
         R = self.R
@@ -602,11 +555,10 @@ def distance(space: Space, p: Point, q):
 
     ``q`` is a :class:`Point`, giving a float, or an ``(n, ambient_dim)``
     array of point coordinates, giving the ``(n,)`` array of distances
-    from ``p`` to each row.  The scalar form calls the space's one cached
-    kernel on the coordinate tuples.  Both forms evaluate the same
-    formulas in the same order, with every sum written out left to right,
-    so every array entry equals the float that the scalar form returns
-    for that row, bit for bit.
+    from ``p`` to each row.  Both forms call the space's one cached
+    kernel, on the coordinate tuples or on each row, so every array entry
+    equals the float that the scalar form returns for that row, bit for
+    bit.
     """
     model = space._model
     a = p.coords
@@ -619,7 +571,7 @@ def distance(space: Space, p: Point, q):
             rows = np.asarray(q, dtype=float)
             if rows.ndim != 2 or rows.shape[1] != model.width:
                 raise InputError(f"q has shape {rows.shape}, expected (n, {model.width})")
-            return model.rows(a, rows)
+            return np.fromiter((model.kernel(a, r) for r in rows.tolist()), float, len(rows))
     b = q.coords
     if len(b) != model.width:
         _check_point(space, q, "q")  # raises

@@ -126,9 +126,19 @@ class ConstantsRow(Record):
 
 
 def _restart_rng(config: SearchConfig, restart: int):
-    import numpy as np
+    """The stream of ``numpy.random.default_rng([seed & 0xFFFFFFFF, restart])``."""
+    from ._rng import Generator
 
-    return np.random.default_rng([config.seed & 0xFFFFFFFF, restart])
+    return Generator([config.seed & 0xFFFFFFFF, restart])
+
+
+def _length(v) -> float:
+    """The Euclidean length of ``v``, its squares summed left to right from
+    0.0, as ``np.sum`` does below its pairwise block of 8 terms."""
+    s = 0.0
+    for x in v:
+        s += x * x
+    return math.sqrt(s)
 
 
 def _plateau_cutoff(per_restart_budget: int) -> int:
@@ -152,7 +162,7 @@ def _icosahedron_directions():
 
 def _besicovitch_warm_start(space: Space, rmin: float, rmax: float):
     """A known valid family, scaled so all radii equal min(rmax, fit)."""
-    if space.kind == "euclidean":
+    if space.is_flat:
         r = rmax
         if space.dim == 1:
             centers = [(-0.9 * r,), (0.9 * r,)]
@@ -248,7 +258,7 @@ def search_max_besicovitch_family(
             offsets = rng.normal(0.0, 1.0, dim)
             u_radius = rng.uniform()
             u_kind = rng.uniform()
-            j = int(rng.integers(0, max(1, len(balls))))
+            j = rng.integers(0, max(1, len(balls)))
             radius = math.exp(
                 math.log(rmin) + u_radius * (math.log(rmax) - math.log(rmin))
             )
@@ -353,46 +363,39 @@ def construct_strict_hadwiger(dim: int) -> BallFamily:
 _PACK_TOL = 1e-9
 
 
-def _clamp_to_radius(vec, limit=4.0):
-    import numpy as np
-
-    v = np.asarray(vec, dtype=float)
-    norm = float(np.sqrt(np.sum(v * v)))
+def _clamp_to_radius(v, limit=4.0):
+    norm = _length(v)
     while norm > limit:
-        v = v * (limit / norm)
-        norm = float(np.sqrt(np.sum(v * v)))
+        v = tuple([x * (limit / norm) for x in v])
+        norm = _length(v)
     return v
 
 
 def _pack_warm_start(dim: int):
-    import numpy as np
-
     if dim == 2:
-        pts = [np.zeros(2)]
+        pts = [(0.0, 0.0)]
         for k in range(6):
             a = math.pi * k / 3.0
-            pts.append(np.array([2.0 * math.cos(a), 2.0 * math.sin(a)]))
+            pts.append((2.0 * math.cos(a), 2.0 * math.sin(a)))
         for k in range(12):
             a = math.pi * k / 6.0
-            pts.append(_clamp_to_radius([4.0 * math.cos(a), 4.0 * math.sin(a)]))
+            pts.append(_clamp_to_radius((4.0 * math.cos(a), 4.0 * math.sin(a))))
         return pts
-    # slice of the spacing-2 cubic lattice inside the radius-4 ball
-    pts = []
-    rng_axis = range(-2, 3)
-    for combo in itertools.product(rng_axis, repeat=dim):
-        v = np.array(combo, dtype=float) * 2.0
-        if float(np.sum(v * v)) <= 16.0 + 1e-12:
-            pts.append(_clamp_to_radius(v))
-    pts.sort(key=lambda v: (float(np.sum(v * v)), tuple(v)))
-    if not np.all(pts[0] == 0.0):
+    # slice of the spacing-2 cubic lattice inside the radius-4 ball; its
+    # coordinates and their squares are small integers, so sums are exact
+    pts = [
+        _clamp_to_radius(tuple([2.0 * c for c in combo]))
+        for combo in itertools.product(range(-2, 3), repeat=dim)
+        if sum(c * c for c in combo) <= 4
+    ]
+    pts.sort(key=lambda v: (sum(x * x for x in v), tuple(v)))
+    if any(pts[0]):
         raise InternalError("packing warm start does not begin at the origin")
     return pts
 
 
-def _pack_valid_add(pts, cand):
-    import numpy as np
-
-    return all(float(np.sqrt(np.sum((cand - p) ** 2))) >= 2.0 - _PACK_TOL for p in pts)
+def _pack_valid_add(dist, pts, cand):
+    return all(dist(cand, p) >= 2.0 - _PACK_TOL for p in pts)
 
 
 def pack_unit_balls_radius5(dim: int, config: Optional[SearchConfig] = None) -> SearchResult:
@@ -406,8 +409,6 @@ def pack_unit_balls_radius5(dim: int, config: Optional[SearchConfig] = None) -> 
     plus center jiggles.  The score is checked against the 5**dim
     volume cap.
     """
-    import numpy as np
-
     if dim < 1:
         raise InputError(f"dimension must be >= 1, got {dim}")
     config = config or SearchConfig()
@@ -417,13 +418,15 @@ def pack_unit_balls_radius5(dim: int, config: Optional[SearchConfig] = None) -> 
         fam = BallFamily(space, tuple(Ball(Point(c), 1.0) for c in centers))
         return SearchResult(best=fam, score=5, feasible=True, trace=(5,))
 
+    # the l2 kernel sums its squares left to right, as _length does
+    dist = space._kernel
     per_restart = max(1, config.budget // config.restarts)
     cutoff = _plateau_cutoff(per_restart)
     best: Optional[list] = None
     trace = []
     for restart in range(config.restarts):
         rng = _restart_rng(config, restart)
-        pts = [p.copy() for p in _pack_warm_start(dim)]
+        pts = _pack_warm_start(dim)
         stalled = 0
         for step in range(per_restart):
             if stalled >= cutoff:
@@ -434,15 +437,15 @@ def pack_unit_balls_radius5(dim: int, config: Optional[SearchConfig] = None) -> 
             u_kind = rng.uniform()
             direction = rng.normal(0.0, 1.0, dim)
             u_r = rng.uniform()
-            j = int(rng.integers(0, max(1, len(pts))))
+            j = rng.integers(0, max(1, len(pts)))
             if u_kind < 0.5:
-                norm = float(np.sqrt(np.sum(direction * direction)))
+                norm = _length(direction)
                 if norm == 0.0:
                     stalled += 1
                     continue
-                cand = direction / norm * 4.0 * u_r ** (1.0 / dim)
-                cand = _clamp_to_radius(cand)
-                if _pack_valid_add(pts, cand):
+                reach = u_r ** (1.0 / dim)
+                cand = _clamp_to_radius(tuple([x / norm * 4.0 * reach for x in direction]))
+                if _pack_valid_add(dist, pts, cand):
                     pts.append(cand)
                     stalled = 0
                 else:
@@ -452,9 +455,9 @@ def pack_unit_balls_radius5(dim: int, config: Optional[SearchConfig] = None) -> 
                     stalled += 1
                     continue  # the pinned center never moves
                 sigma = config.perturbation_scale * max(temp, 0.02)
-                cand = _clamp_to_radius(pts[j] + sigma * direction)
+                cand = _clamp_to_radius(tuple([p + sigma * x for p, x in zip(pts[j], direction)]))
                 others = pts[:j] + pts[j + 1 :]
-                if _pack_valid_add(others, cand):
+                if _pack_valid_add(dist, others, cand):
                     pts[j] = cand
                 stalled += 1
         if best is None or len(pts) > len(best):
@@ -465,16 +468,14 @@ def pack_unit_balls_radius5(dim: int, config: Optional[SearchConfig] = None) -> 
         raise InternalError("packing search ran no restart")
     if len(best) > 5 ** dim:
         raise InternalError(f"packing of {len(best)} balls exceeds the volume cap {5 ** dim}")
-    fam = BallFamily(
-        space, tuple(Ball(Point(tuple(float(x) for x in p)), 1.0) for p in best)
-    )
+    fam = BallFamily(space, tuple(Ball(Point(p), 1.0) for p in best))
     feasible = all(
-        float(np.sqrt(np.sum(p * p))) <= 4.0 for p in best
+        _length(p) <= 4.0 for p in best
     ) and all(
-        float(np.sqrt(np.sum((best[i] - best[j]) ** 2))) >= 2.0 - _PACK_TOL
+        dist(best[i], best[j]) >= 2.0 - _PACK_TOL
         for i in range(len(best))
         for j in range(i + 1, len(best))
-    ) and bool(np.all(best[0] == 0.0))
+    ) and not any(best[0])
     return SearchResult(best=fam, score=len(best), feasible=feasible, trace=tuple(trace))
 
 
@@ -527,7 +528,7 @@ def cip_check(family: BallFamily, m: int, s: float) -> CipResult:
         if _cip_verify(space, family, s, idx, y):
             return CipResult(True, idx, y)
 
-    if space.kind == "euclidean" and space.dim == 2 and space.pnorm == 2.0:
+    if space.is_flat and space.dim == 2 and space.pnorm == 2.0:
         got = _cip_sector_route(space, family, s, y, target, scale)
         if got is not None:
             return got
@@ -646,11 +647,11 @@ def satellite_max_search(
             u_dist = rng.uniform()
             u_diam = rng.uniform()
             u_round = rng.uniform()
-            j = int(rng.integers(0, len(sets)))
+            j = rng.integers(0, len(sets))
             anchor_j = sets[j].anchor
             rj = sets[j].inner_radius
             reach = rj * (0.6 + 1.6 * u_dist)
-            norm = math.sqrt(sum(o * o for o in offsets)) or 1.0
+            norm = _length(offsets) or 1.0
             v = tuple(reach * o / norm for o in offsets)
             try:
                 anchor = exp_map(space, project_tangent(space, anchor_j, v))

@@ -58,6 +58,14 @@ def test_space_validation():
         Space.sphere(2, radius=-1.0)
 
 
+def test_flat_and_line_spaces():
+    flat = [Space.euclidean(1), Space.euclidean(2), Space.euclidean(3, 1.0),
+            Space.euclidean(2, math.inf)]
+    curved = [Space.sphere(1), Space.sphere(2, radius=2.0), Space.hyperbolic(2)]
+    assert [s.is_flat for s in flat + curved] == [True] * 4 + [False] * 3
+    assert [s.is_line for s in flat + curved] == [True] + [False] * 6
+
+
 def test_point_validation():
     s2 = Space.sphere(2)
     with pytest.raises(InputError):

@@ -1,11 +1,13 @@
-"""Start-up cost: the scalar commands never import numpy.
+"""Start-up cost: no CLI command imports numpy.
 
 The validators, ``volume``, ``oned``, ``partition``, ``select`` and
-``net`` work on coordinate tuples and ``math``, so a fresh interpreter
-that imports the CLI, or runs one of them, must end with ``numpy``
-absent from ``sys.modules``.  Each case runs in its own
-``sys.executable`` process; a random ``cip`` run, which draws from
-numpy's RNG, shows that the check sees numpy when it is loaded.
+``net`` work on coordinate tuples and ``math``, and the seeded
+``search``, ``cip`` and ``constants`` draw from the package's own PCG64
+stream, so a fresh interpreter that imports the CLI, or runs any of
+them, must end with ``numpy`` absent from ``sys.modules``.  Each case
+runs in its own ``sys.executable`` process; a ``covering_number`` call,
+a library path that still draws from numpy's RNG, shows that the check
+sees numpy when it is loaded.
 Importing the CLI does not load OpenSSL's ``_hashlib`` either: only a
 scene digest needs it.
 
@@ -37,12 +39,12 @@ print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules,
 """
 
 
-def run_fresh(commands):
+def run_fresh(commands, prelude=""):
     """Exit codes of the commands, and whether numpy got imported, in a
-    fresh interpreter; one that leaves numpy out must leave
-    ``dataclasses`` and ``inspect`` out too."""
+    fresh interpreter that first runs ``prelude``; one that leaves numpy
+    out must leave ``dataclasses`` and ``inspect`` out too."""
     env = dict(os.environ, PYTHONPATH=SRC)
-    out = subprocess.run([sys.executable, "-c", CHILD, json.dumps(commands)], env=env,
+    out = subprocess.run([sys.executable, "-c", prelude + CHILD, json.dumps(commands)], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     result = json.loads(out.stdout)
@@ -162,8 +164,25 @@ def test_the_record_check_sees_dataclasses(tmp_path):
     assert json.loads(out.stdout)["records"] == ["dataclasses", "inspect"]
 
 
-def test_a_random_cip_run_loads_numpy():
-    assert run_fresh([["cip", "--m", "2", "--trials", "5"]]) == ([0], True)
+def test_a_covering_number_call_loads_numpy():
+    prelude = ("from ballcover import Ball, Point, Space, covering_number\n"
+               "covering_number(Space.euclidean(2), Ball(Point((0.0, 0.0)), 1.0), 0.5, 20)\n")
+    assert run_fresh([["cip", "--m", "2", "--trials", "5"]], prelude) == ([0], True)
+
+
+def test_seeded_searches_leave_numpy_out(tmp_path):
+    path = tmp_path / "cip.json"
+    path.write_text(json.dumps(planted(SPACES["l2"], 5, 0.2)))
+    commands = [
+        ["search", "--what", what, "--dim", "2", "--budget", "300", "--restarts", "2"]
+        for what in ("wbcp", "pack5", "satellite")
+    ] + [
+        ["search", "--what", "pack5", "--dim", "3", "--budget", "300", "--restarts", "2"],
+        ["cip", "--m", "2", "--trials", "20", "--seed", "7"],
+        ["cip", str(path), "--m", "2", "--shrink", "0.95"],
+        ["constants", "--dims", "1,2", "--budget", "200"],
+    ]
+    assert run_fresh(commands) == ([0] * 7, False)
 
 
 def line_scene():
