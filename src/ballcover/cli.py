@@ -37,7 +37,7 @@ from .covering import (
 from .errors import BallcoverError, InputError, InternalError
 from .geometry import SPACE_KINDS, Ball, Point, Space, ball_volume
 from .sceneio import (
-    ball_doc,
+    ball_docs,
     build_report,
     parse_scene,
     render_report,
@@ -247,7 +247,7 @@ def _cmd_select(args):
     result = select_bounded_overlap_subcover(scene.family, _scene_centers(scene), args.beta)
     payload = {
         "count": len(result.selected),
-        "selected": [ball_doc(b) for b in result.selected],
+        "selected": ball_docs(result.selected),
         "bands": list(result.bands),
         "max_overlap": result.overlap.max_overlap,
         "covered_centers": sum(result.covered_centers),
@@ -260,7 +260,7 @@ def _cmd_partition(args):
     result = partition_into_disjoint_families(scene.family, args.alpha)
     payload = {
         "family_count": len(result.families),
-        "families": [[ball_doc(b) for b in fam] for fam in result.families],
+        "families": [ball_docs(fam) for fam in result.families],
         "assignment": list(result.assignment),
         "family_count_bound": result.family_count_bound,
         "bound_is_empirical": result.bound_is_empirical,
@@ -270,11 +270,12 @@ def _cmd_partition(args):
 
 def _cmd_oned(args):
     scene, digest = _load_scene(args.scene)
-    centers = [p.coords[0] for p in _scene_centers(scene)]
+    coords = [p.coords for p in scene.points] if scene.points else scene.family.coords
+    centers = [c[0] for c in coords]
     result = besicovitch_cover_1d(scene.family, centers, mode=args.mode)
     payload = {
         "family_count": len(result.families),
-        "families": [[ball_doc(b) for b in fam] for fam in result.families],
+        "families": [ball_docs(fam) for fam in result.families],
         "assignment": list(result.assignment),
         "tags": list(result.chain_state.tags) if result.chain_state else None,
     }
@@ -302,7 +303,7 @@ def _cmd_search(args):
             "what": args.what,
             "score": len(fam),
             "feasible": True,
-            "balls": [ball_doc(b) for b in fam],
+            "balls": ball_docs(fam),
         }
         return payload, None, args.seed, 0
     if args.what == "wbcp":
@@ -318,7 +319,7 @@ def _cmd_search(args):
         "score": res.score,
         "feasible": res.feasible,
         "trace": list(res.trace),
-        "balls": [ball_doc(b) for b in res.best],
+        "balls": ball_docs(res.best),
     }
     return payload, None, args.seed, (0 if res.feasible else 1)
 

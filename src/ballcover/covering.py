@@ -57,9 +57,18 @@ class Verdict(NamedTuple):
 
 
 class BallFamily(Record):
-    """A finite ordered family of closed balls in one space."""
+    """A finite ordered family of closed balls in one space.
 
-    __slots__ = _fields = ("space", "balls")
+    A family is stored in one of two forms, and builds the other on first
+    use: as its ``balls``, when made by the constructor, or as columns,
+    the center coordinate tuples ``coords`` and the ``radii``, when made
+    by :meth:`from_columns` (as a parsed scene is) or as a subset of a
+    family.  Equality, hash, pickle and repr read ``balls``, so a family
+    equals the one the constructor makes from the same balls.
+    """
+
+    _fields = ("space", "balls")
+    __slots__ = ("space", "balls", "_coords", "_radii")
 
     def __init__(self, space: Space, balls):
         balls = tuple(balls)
@@ -75,8 +84,60 @@ class BallFamily(Record):
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "balls", balls)
 
+    @classmethod
+    def from_columns(cls, space: Space, coords, radii) -> "BallFamily":
+        """The family of balls ``B(coords[i], radii[i])``, with the checks
+        of the constructor and of :class:`~ballcover.geometry.Ball`, built
+        without a ``Ball`` or ``Point`` per entry."""
+        coords, radii = tuple(map(tuple, coords)), tuple(radii)
+        if len(coords) != len(radii):
+            raise InputError(f"{len(coords)} centers for {len(radii)} radii")
+        width = space.ambient_dim
+        if not {*map(len, coords)} <= {width}:
+            i = next(i for i, c in enumerate(coords) if len(c) != width)
+            raise InputError(
+                f"ball {i} center has {len(coords[i])} coordinates, expected {width}"
+            )
+        if not (all(map(math.isfinite, radii)) and min(radii, default=0.0) >= 0.0):
+            i = next(i for i, r in enumerate(radii) if not (math.isfinite(r) and r >= 0.0))
+            raise InputError(f"ball {i} radius must be finite and >= 0, got {radii[i]!r}")
+        return cls._columns(space, coords, radii)
+
+    @classmethod
+    def _columns(cls, space, coords: tuple, radii: tuple) -> "BallFamily":
+        family = object.__new__(cls)
+        object.__setattr__(family, "space", space)
+        object.__setattr__(family, "_coords", coords)
+        object.__setattr__(family, "_radii", radii)
+        return family
+
+    def __getattr__(self, name):
+        # reached only for an unset slot: build one form from the other
+        if name == "balls":
+            value = tuple(map(Ball, map(Point, self._coords), self._radii))
+        elif name == "_coords":
+            value = tuple([b.center.coords for b in self.balls])
+        elif name == "_radii":
+            value = tuple([b.radius for b in self.balls])
+        else:
+            raise AttributeError(name)
+        object.__setattr__(self, name, value)
+        return value
+
+    def _subset(self, indices) -> "BallFamily":
+        """The balls at ``indices``, in that order, as a column family."""
+        return BallFamily._columns(
+            self.space,
+            tuple(map(self._coords.__getitem__, indices)),
+            tuple(map(self._radii.__getitem__, indices)),
+        )
+
     def __len__(self):
-        return len(self.balls)
+        try:
+            balls = object.__getattribute__(self, "balls")
+        except AttributeError:  # a column family that has not built its balls
+            return len(self._radii)
+        return len(balls)
 
     def __iter__(self):
         return iter(self.balls)
@@ -89,8 +150,14 @@ class BallFamily(Record):
         return [b.center for b in self.balls]
 
     @property
-    def radii(self):
-        return [b.radius for b in self.balls]
+    def coords(self) -> tuple:
+        """The center coordinate tuples, in family order."""
+        return self._coords
+
+    @property
+    def radii(self) -> tuple:
+        """The radii, in family order."""
+        return self._radii
 
 
 class QuasiRoundSet(Record):

@@ -10,10 +10,13 @@ range, are rejected at parse time.
 
 Each list of the scene is checked in one pass: the JSON types, the
 width of every coordinate array, and that every coordinate and number is
-a finite float; then its points and records are built in one sweep.  A
-list that fails the pass (or holds JSON integers, which parse as floats)
-goes through the per-entry parser, which builds the same objects and
-names the first bad entry ("ball 3: ...") with its exact message.
+a finite float; then its points and records are built in one sweep,
+except the balls: their family keeps the coordinate tuples and radii as
+columns (:meth:`BallFamily.from_columns`) and builds its ``Ball`` objects
+only when something asks for them.  A list that fails the pass (or holds
+JSON integers, which parse as floats) goes through the per-entry parser,
+which builds an equal family and names the first bad entry ("ball 3:
+...") with its exact message.
 
 Reports are JSON objects with deterministic key order: the echoed
 command, a SHA-256 digest of the input document (when there is one), the
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import partial
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
 from typing import NamedTuple, Optional
@@ -110,14 +114,16 @@ def _floats(values) -> bool:
     return {*map(type, values)} <= {float} and math.isfinite(sum(values))
 
 
-def _bulk(space, raw, fields, build) -> Optional[tuple]:
-    """``build(point, *numbers)`` of each entry of ``raw`` in one pass, or
-    None when ``raw`` fails a check of the per-entry parser (or holds an
-    integer, which that parser converts).
+def _bulk(space, raw, fields, build):
+    """``build(coords, *numbers)`` of the columns of ``raw``, checked in
+    one pass, or None when ``raw`` fails a check of the per-entry parser
+    (or holds an integer, which that parser converts) or ``build`` raises
+    :class:`InputError`.
 
     ``fields`` is None when the entries are coordinate arrays; otherwise
     the entries are objects, ``fields[0]`` names their coordinates and the
-    rest their numbers.
+    rest their numbers.  ``coords`` holds the coordinate tuples, put on
+    the space's surface.
     """
     if type(raw) is not list:
         return None
@@ -138,16 +144,16 @@ def _bulk(space, raw, fields, build) -> Optional[tuple]:
         return None
     surface = space._model.surface
     try:
-        return tuple(map(build, [Point(surface(tuple(c), SURFACE_TOL)) for c in rows], *numbers))
+        return build([surface(tuple(c), SURFACE_TOL) for c in rows], *numbers)
     except InputError:
         return None
 
 
-def _entries(space, doc, key, what, fields, build, parse) -> tuple:
+def _entries(space, doc, key, what, fields, build, parse, collect=tuple):
     """The entries of the optional array ``doc[key]``: built by
-    :func:`_bulk` when the array passes its checks, else ``parse(entry,
-    name)`` of each entry, where ``name`` is ``what`` and the index; an
-    error names its entry ("ball 3: ...")."""
+    :func:`_bulk` when the array passes its checks, else ``collect`` of
+    ``parse(entry, name)`` of each entry, where ``name`` is ``what`` and
+    the index; an error names its entry ("ball 3: ...")."""
     raw = doc.get(key, [])
     built = _bulk(space, raw, fields, build)
     if built is not None:
@@ -163,7 +169,7 @@ def _entries(space, doc, key, what, fields, build, parse) -> tuple:
             out.append(parse(entry, name))
         except InputError as exc:
             raise InputError(f"{name}: {exc}") from exc
-    return tuple(out)
+    return collect(out)
 
 
 def parse_scene(text: str) -> SceneFile:
@@ -199,14 +205,16 @@ def parse_scene(text: str) -> SceneFile:
             for key in _SET_NUMBERS
         ))
 
-    balls = _entries(space, doc, "balls", "ball", ("center", "radius"), Ball, ball)
-    points = _entries(space, doc, "points", "point", None, lambda p: p,
+    family = _entries(space, doc, "balls", "ball", ("center", "radius"),
+                      partial(BallFamily.from_columns, space), ball, partial(BallFamily, space))
+    points = _entries(space, doc, "points", "point", None, lambda cs: tuple(map(Point, cs)),
                       lambda rp, name: space.point(_coords(rp, name)))
-    sets = _entries(space, doc, "sets", "set", ("anchor",) + _SET_NUMBERS, QuasiRoundSet,
+    sets = _entries(space, doc, "sets", "set", ("anchor",) + _SET_NUMBERS,
+                    lambda cs, *numbers: tuple(map(QuasiRoundSet, map(Point, cs), *numbers)),
                     quasi_round_set)
     return SceneFile(
         space=space,
-        family=BallFamily(space, balls),
+        family=family,
         points=points,
         sets=sets,
         version=version,
@@ -225,12 +233,28 @@ def ball_doc(ball: Ball) -> dict:
     return {"center": list(ball.center.coords), "radius": ball.radius}
 
 
+class _BallDocs(list):
+    """Ball documents, made only by :func:`ball_docs`, whose coordinates
+    and radii are all finite floats: :func:`render_report` writes them
+    from a fixed format."""
+
+
+def ball_docs(family: BallFamily) -> list:
+    """The :func:`ball_doc` of every ball of ``family``, built from its
+    columns."""
+    coords, radii = family.coords, family.radii
+    docs = [{"center": list(c), "radius": r} for c, r in zip(coords, radii)]
+    if docs and _floats(radii) and _floats(list(chain.from_iterable(coords))):
+        return _BallDocs(docs)
+    return docs
+
+
 def serialize_scene(scene: SceneFile) -> str:
     """Render a scene back to its canonical JSON text."""
     doc = {
         "version": scene.version,
         "space": _space_doc(scene.space),
-        "balls": [ball_doc(b) for b in scene.family],
+        "balls": ball_docs(scene.family),
     }
     if scene.points:
         doc["points"] = [list(p.coords) for p in scene.points]
@@ -316,10 +340,28 @@ def _scalar(value) -> Optional[str]:
     return None
 
 
+def _write_ball_docs(docs, newline: str, out) -> None:
+    """Append the text :func:`_write` gives a :class:`_BallDocs` list,
+    from a fixed format."""
+    indent = newline + "  "
+    head = f'{{{indent}  "center": [{indent}    '
+    sep = f",{indent}    "
+    tail = f'{indent}  ],{indent}  "radius": '
+    close = indent + "}"
+    text = float.__repr__
+    out("[" + indent)
+    out(("," + indent).join([
+        head + sep.join(map(text, d["center"])) + tail + text(d["radius"]) + close for d in docs
+    ]))
+    out(newline + "]")
+
+
 def _write(value, newline: str, out) -> None:
     """Append the JSON text of ``value`` to ``out``; ``newline`` is a
     newline and the indent of the line ``value`` starts on."""
-    if isinstance(value, (list, tuple)):
+    if type(value) is _BallDocs:
+        _write_ball_docs(value, newline, out)
+    elif isinstance(value, (list, tuple)):
         if not value:
             out("[]")
             return

@@ -31,8 +31,8 @@ guarantees raise :class:`~ballcover.errors.InternalError`, never ``assert``.
 
 from __future__ import annotations
 
-import heapq
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from typing import NamedTuple, Optional, Sequence
 
@@ -293,7 +293,7 @@ def partition_into_disjoint_families(
 
 
 class _Iv:
-    __slots__ = ("left", "right", "idx", "tag", "node", "alive")
+    __slots__ = ("left", "right", "idx", "tag", "node")
 
     def __init__(self, left, right, idx):
         self.left = left
@@ -301,7 +301,6 @@ class _Iv:
         self.idx = idx
         self.tag = 0
         self.node = -1
-        self.alive = True
 
 
 class _Chains:
@@ -350,44 +349,81 @@ class _Chains:
             rec.tag ^= 1
 
 
-def _phase_a_greedy(items, cs):
+class _RankSet:
+    """A set of integers in ``range(n)`` with predecessor queries.
+
+    A tree of 64-bit words: the bottom level has one bit per member and
+    each level above one bit per nonzero word below it, so adding,
+    discarding and finding the next member below a rank each cost
+    O(log_64 n).
+    """
+
+    def __init__(self, n: int):
+        self.levels = []
+        while True:
+            n = (n >> 6) + 1
+            self.levels.append([0] * n)
+            if n == 1:
+                break
+
+    def __contains__(self, k: int) -> bool:
+        return bool(self.levels[0][k >> 6] >> (k & 63) & 1)
+
+    def add(self, k: int) -> None:
+        for words in self.levels:
+            words[k >> 6] |= 1 << (k & 63)
+            k >>= 6
+
+    def discard(self, k: int) -> None:
+        for words in self.levels:
+            words[k >> 6] &= ~(1 << (k & 63))
+            if words[k >> 6]:
+                break
+            k >>= 6
+
+    def below(self, k: int) -> int:
+        """The largest member less than ``k``, or -1 when there is none."""
+        for depth, words in enumerate(self.levels):
+            low = words[k >> 6] & ((1 << (k & 63)) - 1)
+            if low:
+                k = (k & ~63) | (low.bit_length() - 1)
+                for words in reversed(self.levels[:depth]):
+                    k = (k << 6) | (words[k].bit_length() - 1)
+                return k
+            k >>= 6
+        return -1
+
+
+def _phase_a_greedy(cs, rs, ids):
     """Largest-radius-first selection until every center is covered.
 
-    ``items`` maps each center to its best interval; returns the chosen
-    (left, right, input_index) triples in selection order.  The chosen
-    radius is always the maximum over uncovered centers, which satisfies
-    the required more-than-half-the-supremum rule, makes radii
-    non-increasing along the selection, and guarantees that no chosen
-    interval contains another chosen interval or its center.
+    ``rs[k]`` and ``ids[k]`` are the radius and input index of the best
+    interval on the k-th center of the sorted list ``cs``; returns the
+    chosen (left, right, input_index) triples in selection order: by
+    descending radius, ties by center, which one stable sort of the
+    center positions gives.  The chosen radius is always the maximum
+    over uncovered centers, which satisfies the required
+    more-than-half-the-supremum rule, makes radii non-increasing along
+    the selection, and guarantees that no chosen interval contains
+    another chosen interval or its center.  So no point lies in three
+    chosen intervals (the middle center would lie in one of the outer
+    intervals), and marking the centers each one covers visits at most
+    2n positions in all.
     """
-    pos = {c: k for k, c in enumerate(cs)}
-    nxt = list(range(len(cs) + 1))
-
-    def find(k):
-        root = k
-        while nxt[root] != root:
-            root = nxt[root]
-        while nxt[k] != root:
-            nxt[k], k = root, nxt[k]
-        return root
-
-    heap = [(-r, c, idx) for c, (r, idx) in items.items()]
-    heapq.heapify(heap)
-    chosen = []
+    covered = bytearray(len(cs))
     remaining = len(cs)
-    while heap and remaining:
-        negr, c, idx = heapq.heappop(heap)
-        k = pos[c]
-        if find(k) != k:
+    neg_radii = [-r for r in rs]
+    chosen = []
+    for k in sorted(range(len(cs)), key=neg_radii.__getitem__):
+        if not remaining:
+            break
+        if covered[k]:
             continue
-        r = -negr
-        left, right = c - r, c + r
-        chosen.append((left, right, idx))
-        j = find(bisect_left(cs, left))
-        while j < len(cs) and cs[j] <= right:
-            nxt[j] = j + 1
-            remaining -= 1
-            j = find(j + 1)
+        left, right = cs[k] - rs[k], cs[k] + rs[k]
+        chosen.append((left, right, ids[k]))
+        lo, hi = bisect_left(cs, left), bisect_right(cs, right)
+        remaining -= hi - lo - covered.count(1, lo, hi)
+        covered[lo:hi] = b"\x01" * (hi - lo)
     return chosen
 
 
@@ -401,34 +437,48 @@ def _phase_b_two_color(chosen):
     different tags they belong to different chains (the new interval's
     center is covered by neither side), and all tags in the smaller
     chain are flipped before the tag is assigned.
-    """
-    chains = _Chains()
-    kept_lefts: list[float] = []
-    kept: list[_Iv] = []
 
-    for left, right, idx in chosen:
+    The kept intervals are a :class:`_RankSet` of the ranks of their
+    left ends among all of ``chosen`` (equal left ends in selection
+    order), so finding the nearest kept intervals left of a point and
+    adding or dropping one cost O(log_64 n), in the order a sorted list
+    of the kept intervals would give.
+    """
+    order = sorted(range(len(chosen)), key=lambda k: chosen[k][0])
+    lefts = [chosen[k][0] for k in order]
+    rank = [0] * len(chosen)
+    for r, k in enumerate(order):
+        rank[k] = r
+    by_rank = [None] * len(chosen)
+    kept = _RankSet(len(chosen))
+    chains = _Chains()
+
+    for k, (left, right, idx) in enumerate(chosen):
         rec = _Iv(left, right, idx)
         survivors = []
         for end, x in enumerate((left, right)):
-            pos = bisect_right(kept_lefts, x)
-            hits = []
-            for t in (pos - 1, pos - 2):
-                if t >= 0 and kept[t].right >= x and kept[t] not in hits:
-                    hits.append(kept[t])
-            if pos - 3 >= 0 and not kept[pos - 3].right < x:
+            # the kept intervals with the three largest left ends <= x
+            near = []
+            t = bisect_right(lefts, x)
+            while len(near) < 3 and (t := kept.below(t)) >= 0:
+                near.append(by_rank[t])
+            if len(near) == 3 and not near[2].right < x:
                 raise InternalError("more than two kept intervals hit one endpoint")
-            hits = [h for h in hits if h not in survivors]
+            hits = [h for h in near[:2] if h.right >= x and h not in survivors]
             if len(hits) == 2:
-                # hits[0] has the larger left (found at pos-1).  At the
-                # left endpoint that is the inner hit (reaching furthest
-                # into the new interval); at the right endpoint the inner
-                # hit is the one with the smaller left, hits[1].
+                # hits[0] has the larger left.  At the left endpoint that
+                # is the inner hit (reaching furthest into the new
+                # interval); at the right endpoint the inner hit is the
+                # one with the smaller left, hits[1].
                 inner = hits[0] if end == 0 else hits[1]
                 outer = hits[1] if end == 0 else hits[0]
-                at = bisect_left(kept_lefts, inner.left)
-                inner.alive = False
-                kept_lefts.pop(at)
-                kept.pop(at)
+                # drop the first kept interval whose left end equals the
+                # inner one's, as a sorted list's bisect_left finds it
+                lo = bisect_left(lefts, inner.left)
+                at = kept.below(bisect_right(lefts, inner.left))
+                while (t := kept.below(at)) >= lo:
+                    at = t
+                kept.discard(at)
                 survivors.append(outer)
             elif len(hits) == 1:
                 survivors.append(hits[0])
@@ -447,10 +497,99 @@ def _phase_b_two_color(chosen):
             chains.union(rec.node, a.node)
             chains.union(rec.node, b.node)
 
-        at = bisect_right(kept_lefts, rec.left)
-        kept_lefts.insert(at, rec.left)
-        kept.insert(at, rec)
-    return kept
+        by_rank[rank[k]] = rec
+        kept.add(rank[k])
+    return [by_rank[t] for t in range(len(chosen)) if t in kept]
+
+
+def _scattered_anchors(lefts, rights, ids):
+    """The greedy pairwise disjoint anchors, as positions, left to right.
+
+    Interval ``k`` is ``[lefts[k], rights[k]]`` with input index
+    ``ids[k]``.  Taken longest first, ties by left end, then index, an
+    interval becomes an anchor when it meets no anchor taken before it.
+    An interval that meets no other is an anchor in any order, so one
+    sweep by left end keeps those, and only the others are sorted.  Each
+    anchor taken before a candidate is at least as long, so the candidate
+    meets it exactly when one of the candidate's endpoints lies inside it
+    (a candidate containing an anchor has its length, so, by the tie
+    rule, its left end): every endpoint value inside a new anchor is
+    marked, by rank, and each test reads two marks.  A new anchor's
+    endpoint values were all unmarked, since a marked one would lie
+    inside an anchor that it meets, so each is marked once.
+    """
+    by_left = sorted(range(len(lefts)), key=lefts.__getitem__)
+    # opens[j]: the j-th interval by left end starts after every earlier
+    # one ends; with opens[j + 1] too, it meets no other interval
+    opens = []
+    reach = None
+    for k in by_left:
+        opens.append(reach is None or lefts[k] > reach)
+        if reach is None or rights[k] > reach:
+            reach = rights[k]
+    opens.append(True)
+    anchor = bytearray(len(lefts))
+    crowded = []
+    for j, k in enumerate(by_left):
+        if opens[j] and opens[j + 1]:
+            anchor[k] = 1
+        else:
+            crowded.append(k)
+    crowded.sort(key=lambda k: (-(rights[k] - lefts[k]), lefts[k], ids[k]))
+    ends = [x for k in crowded for x in (lefts[k], rights[k])]
+    rank = [0] * len(ends)
+    r, prev = -1, None
+    for p in sorted(range(len(ends)), key=ends.__getitem__):
+        if ends[p] != prev:
+            r, prev = r + 1, ends[p]
+        rank[p] = r
+    inside = bytearray(r + 1)
+    for j, k in enumerate(crowded):
+        lo, hi = rank[2 * j], rank[2 * j + 1]
+        if not (inside[lo] or inside[hi]):
+            anchor[k] = 1
+            inside[lo:hi + 1] = b"\x01" * (hi + 1 - lo)
+    return [k for k in by_left if anchor[k]]
+
+
+def _scattered_candidates(cs, rs, ids):
+    """The (left, right, idx) candidates of the wide-spread decomposition.
+
+    Interval ``k`` is centered at ``cs[k]`` with radius ``rs[k]`` and
+    input index ``ids[k]``.  Every interval is assigned to a greedy
+    anchor it meets, its home, and each anchor's bundle (the intervals
+    at home there) gives its leftmost and rightmost members and the
+    anchor itself.
+    """
+    lefts = list(map(operator.sub, cs, rs))
+    rights = list(map(operator.add, cs, rs))
+    anchors = _scattered_anchors(lefts, rights, ids)
+    anchor_lefts = [lefts[a] for a in anchors]
+    anchor_rights = [rights[a] for a in anchors]
+    # extras[t]: the members of anchor t's bundle other than the anchor
+    extras: dict[int, list] = {}
+    for k, (left, right) in enumerate(zip(lefts, rights)):
+        pos = bisect_right(anchor_lefts, left)
+        if 0 < pos <= len(anchors) and anchors[pos - 1] == k:
+            continue  # an anchor, at home in its own bundle
+        for t in (pos - 1, pos):
+            if 0 <= t < len(anchors) and anchor_lefts[t] <= right and anchor_rights[t] >= left:
+                break
+        else:
+            raise InternalError("greedy anchors must meet every interval")
+        extras.setdefault(t, []).append(k)
+    # the anchors, then the leftmost and rightmost members of each bundle
+    # with more than its anchor (the cover reads the candidates by left
+    # end, so their order here does not matter)
+    cands = list(zip(anchor_lefts, anchor_rights, map(ids.__getitem__, anchors)))
+    for t, members in extras.items():
+        bundle = [cands[t]] + [(lefts[k], rights[k], ids[k]) for k in members]
+        outermost = (
+            min(bundle, key=lambda iv: (iv[0], -iv[1], iv[2])),
+            max(bundle, key=lambda iv: (iv[1], -iv[0], -iv[2])),
+        )
+        cands.extend({iv[2]: iv for iv in outermost if iv is not bundle[0]}.values())
+    return cands
 
 
 def _staircase_two_color(cands, cs):
@@ -459,52 +598,58 @@ def _staircase_two_color(cands, cs):
     ``cands`` are (left, right, idx) candidate intervals whose union
     covers every coordinate in the sorted list ``cs``.  For the leftmost
     uncovered coordinate, the candidate reaching furthest right among
-    those containing it is chosen; consecutive choices may overlap but
-    choices two apart never do, so alternating tags yield two disjoint
-    families.
+    those containing it is chosen (ties by smaller left end, then index);
+    consecutive choices may overlap but choices two apart never do, so
+    alternating tags yield two disjoint families.  Candidates are read
+    once, by left end: one that starts at or before a chosen coordinate
+    ends no later than the choice, so it contains no coordinate left
+    uncovered.
     """
-    cands = sorted(cands, key=lambda t: (t[0], -t[1], t[2]))
+    cands = sorted(cands)
     chosen = []
-    heap = []
-    ptr = 0
-    k = 0
-    while k < len(cs):
+    n, m = len(cs), len(cands)
+    ptr, k = 0, 0
+    while k < n:
         x = cs[k]
-        while ptr < len(cands) and cands[ptr][0] <= x:
-            left, right, idx = cands[ptr]
-            heapq.heappush(heap, (-right, left, idx))
+        best = None
+        while ptr < m and cands[ptr][0] <= x:
+            cand = cands[ptr]
             ptr += 1
-        while heap and -heap[0][0] < x:
-            heapq.heappop(heap)
-        if not heap:
+            if cand[1] >= x and (
+                best is None or (-cand[1], cand[0], cand[2]) < (-best[1], best[0], best[2])
+            ):
+                best = cand
+        if best is None:
             raise InternalError(f"no candidate interval contains {x!r}")
-        negright, left, idx = heapq.heappop(heap)
-        chosen.append((left, -negright, idx))
-        k = bisect_right(cs, -negright)
+        chosen.append(best)
+        reach = best[1]
+        while k < n and cs[k] <= reach:
+            k += 1
     return chosen
 
 
-def _check_two_family_cover(final, cs) -> None:
-    """Raise :class:`InternalError` unless the intervals ``final``
-    (left, right, input index, tag) carry at most two tags, the intervals
-    of each tag are pairwise disjoint, and together they cover every
-    coordinate of the sorted list ``cs``; one sweep after a sort by left
-    end, on the floats the construction compared."""
-    final = sorted(final)
-    tags = {t for _l, _r, _i, t in final}
-    if len(tags) > 2:
-        raise InternalError(f"the line cover uses {len(tags)} families")
+def _check_two_family_cover(chosen, tags, cs) -> None:
+    """Raise :class:`InternalError` unless the intervals ``chosen``
+    (left, right, input index), tagged ``tags``, carry at most two tags,
+    the intervals of each tag are pairwise disjoint, and together they
+    cover every coordinate of the sorted list ``cs``; one sweep after a
+    sort by left end, on the floats the construction compared."""
+    order = sorted(range(len(chosen)), key=chosen.__getitem__)
+    if len(set(tags)) > 2:
+        raise InternalError(f"the line cover uses {len(set(tags))} families")
     last_right = {}
-    for left, right, idx, t in final:
+    for i in order:
+        left, right, idx = chosen[i]
         # closed intervals sorted by left end: disjoint iff each starts
         # after the previous one of its family ends
-        if t in last_right and not last_right[t] < left:
+        if tags[i] in last_right and not last_right[tags[i]] < left:
             raise InternalError(f"interval {idx} meets an earlier interval of its family")
-        last_right[t] = right
+        last_right[tags[i]] = right
     k, reach = 0, -math.inf
     for c in cs:
-        while k < len(final) and final[k][0] <= c:
-            reach = max(reach, final[k][1])
+        while k < len(order) and chosen[order[k]][0] <= c:
+            if chosen[order[k]][1] > reach:
+                reach = chosen[order[k]][1]
             k += 1
         if not c <= reach:
             raise InternalError(f"center {c!r} is not covered by the line cover")
@@ -529,6 +674,14 @@ def besicovitch_cover_1d(
     constructions cover all centers with at most two internally disjoint
     families; the result is checked for exactly that before it is
     returned, and a failed check raises :class:`InternalError`.
+
+    Both modes take O(n log n) time for n intervals: every pass is a
+    sort, a binary search per interval or center, a sweep that marks
+    each center or endpoint a bounded number of times, or, for the
+    intervals the bounded mode keeps, a bit tree with O(log_64 n)
+    operations.  The cover reads the family's ``coords`` and ``radii``
+    columns, and its families are column subsets of ``family``, so it
+    builds no ``Ball``.
     """
     space = family.space
     if not space.is_line:
@@ -539,18 +692,24 @@ def besicovitch_cover_1d(
         raise InputError(f"unknown mode {mode!r}")
 
     n = len(family)
-    cs = sorted({float(c) for c in centers})
-    best: dict[float, tuple] = {}
-    for i, b in enumerate(family):
-        c = b.center.coords[0]
-        cur = best.get(c)
-        if cur is None or b.radius > cur[0]:
-            best[c] = (b.radius, i)
-    items = {}
-    for ci, c in enumerate(cs):
-        if c not in best:
-            raise InputError(f"center {c!r} has no interval centered on it")
-        items[c] = best[c]
+    cs = sorted(set(map(float, centers)))
+    # best[x]: the index of the largest interval centered at x, the first
+    # of equal ones
+    xs, radii = [c[0] for c in family.coords], family.radii
+    best = dict(zip(xs, range(n)))
+    if len(best) < n:  # a repeated center
+        best = {}
+        for i, (c, r) in enumerate(zip(xs, radii)):
+            if c not in best or r > radii[best[c]]:
+                best[c] = i
+    try:
+        ids = list(map(best.__getitem__, cs))
+    except KeyError as exc:
+        raise InputError(f"center {exc.args[0]!r} has no interval centered on it") from None
+    rs = list(map(radii.__getitem__, ids))
+    # new float objects, made in sorted order, so that the passes over the
+    # centers below read memory in order
+    cs = [c * 1.0 for c in cs]
 
     if not cs:
         return DisjointPartition(
@@ -560,95 +719,45 @@ def besicovitch_cover_1d(
             chain_state=ChainState((), ()),
         )
 
-    max_r = max(r for r, _ in items.values())
+    max_r = max(rs)
     spread = cs[-1] - cs[0]
     if mode == "auto":
         mode = "scattered" if spread > 1000.0 * max_r and max_r > 0.0 else "bounded"
 
     if mode == "bounded":
-        chosen = _phase_a_greedy(items, cs)
-        kept = _phase_b_two_color(chosen)
-        final = [(r.left, r.right, r.idx, r.tag) for r in kept]
+        kept = _phase_b_two_color(_phase_a_greedy(cs, rs, ids))
+        chosen = [(r.left, r.right, r.idx) for r in kept]
+        tags = [r.tag for r in kept]
     else:
-        triples = [
-            (c - r, c + r, idx) for c, (r, idx) in items.items()
-        ]
-        triples.sort(key=lambda t: (-(t[1] - t[0]), t[0], t[2]))
-        anchor_lefts: list[float] = []
-        anchors: list[tuple] = []
-        for left, right, idx in triples:
-            pos = bisect_right(anchor_lefts, left)
-            intersecting = any(
-                anchors[t][0] <= right and anchors[t][1] >= left
-                for t in (pos - 1, pos)
-                if 0 <= t < len(anchors)
-            )
-            if not intersecting:
-                anchor_lefts.insert(pos, left)
-                anchors.insert(pos, (left, right, idx))
-        # second pass: assign every interval to an intersecting anchor
-        groups: dict[int, list] = {k: [] for k in range(len(anchors))}
-        for left, right, idx in triples:
-            pos = bisect_right(anchor_lefts, left)
-            home = None
-            for t in (pos - 1, pos):
-                if 0 <= t < len(anchors):
-                    al, ar, _ai = anchors[t]
-                    if al <= right and ar >= left:
-                        home = t
-                        break
-            if home is None:
-                raise InternalError("greedy anchors must meet every interval")
-            groups[home].append((left, right, idx))
-        cands = []
-        seen = set()
-        for k, (al, ar, ai) in enumerate(anchors):
-            bundle = groups[k]
-            picks = [
-                min(bundle, key=lambda t: (t[0], -t[1], t[2])),
-                (al, ar, ai),
-                max(bundle, key=lambda t: (t[1], -t[0], -t[2])),
-            ]
-            for p in picks:
-                if p[2] not in seen:
-                    seen.add(p[2])
-                    cands.append(p)
-        chosen = _staircase_two_color(cands, cs)
-        final = [
-            (left, right, idx, k % 2) for k, (left, right, idx) in enumerate(chosen)
-        ]
-        final.sort()
-    _check_two_family_cover(final, cs)
+        chosen = _staircase_two_color(_scattered_candidates(cs, rs, ids), cs)
+        # tags alternate in the order of choice; the intervals go by left end
+        order = sorted(range(len(chosen)), key=chosen.__getitem__)
+        chosen, tags = [chosen[i] for i in order], [i % 2 for i in order]
+    _check_two_family_cover(chosen, tags, cs)
 
     # families in tag order, dropping an absent tag
-    present = sorted({t for _l, _r, _i, t in final})
-    fam_index = {t: f for f, t in enumerate(present)}
-    members: list[list[int]] = [[] for _ in present]
+    members = [[iv[2] for iv, t in zip(chosen, tags) if t == tag] for tag in sorted(set(tags))]
     assignment = [-1] * n
-    for left, right, idx, t in final:
-        members[fam_index[t]].append(idx)
-        assignment[idx] = fam_index[t]
+    for f, ms in enumerate(members):
+        for idx in ms:
+            assignment[idx] = f
 
     chain_ids = []
     chain = -1
-    prev_right = None
-    for left, right, _idx, _t in final:
-        if prev_right is None or left > prev_right:
+    reach = None
+    for left, right, _idx in chosen:
+        if reach is None or left > reach:
             chain += 1
         chain_ids.append(chain)
-        prev_right = max(prev_right, right) if prev_right is not None else right
+        if reach is None or right > reach:
+            reach = right
 
     return DisjointPartition(
-        families=tuple(
-            BallFamily(space, tuple(family[i] for i in ms)) for ms in members
-        ),
+        families=tuple(family._subset(ms) for ms in members),
         assignment=tuple(assignment),
         family_count_bound=2,
         bound_is_empirical=False,
-        chain_state=ChainState(
-            tuple(t for _l, _r, _i, t in final),
-            tuple(chain_ids),
-        ),
+        chain_state=ChainState(tuple(tags), tuple(chain_ids)),
     )
 
 

@@ -15,6 +15,10 @@
   classes or named tuples, so importing the package runs no dataclass
   code generation and does not load ``dataclasses`` or the ``inspect``
   module it imports.
+* The line cover (``selection.besicovitch_cover_1d`` and every function
+  or class of ``selection.py`` it reaches) calls no ``.insert(`` and no
+  ``insort``: inserting into a sorted list costs time linear in its
+  length, so a cover built that way is quadratic in the intervals.
 """
 
 import ast
@@ -214,3 +218,35 @@ def test_the_checks_see_what_they_look_for():
         "def f():\n    import numpy as np\n    from numpy import zeros\n"
     )
     assert module_level_numpy_imports(tree) == [1, 3, 5]
+
+
+def reached_definitions(tree, root):
+    """The module-level functions and classes that ``root`` names,
+    directly or through one another, ``root`` included."""
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    reached, todo = {}, [root]
+    while todo:
+        name = todo.pop()
+        if name in reached or name not in defs:
+            continue
+        reached[name] = defs[name]
+        todo += [n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)]
+    return reached
+
+
+def test_the_line_cover_inserts_into_no_list():
+    tree = parse(SRC / "selection.py")
+    reached = reached_definitions(tree, "besicovitch_cover_1d")
+    assert "besicovitch_cover_1d" in reached and "_phase_b_two_color" in reached
+    found = []
+    for name, node in sorted(reached.items()):
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if called == "insert" or called.startswith("insort"):
+                receiver = ast.unparse(func.value) if isinstance(func, ast.Attribute) else ""
+                found.append(f"{name}: {receiver}.{called} (line {call.lineno})")
+    assert not found, found

@@ -8,7 +8,9 @@ assignment and deletion, and pickled through their constructor.  The
 other eight are ``typing.NamedTuple`` results, like ``FeasibilityResult``:
 also immutable, and equal as tuples.  Constructor checks keep their
 messages, and a scene without a ``pnorm`` or ``radius`` gets the
-defaults.
+defaults.  A ``BallFamily`` made from columns equals the family of its
+balls, builds them only on first use, and checks its columns as the
+constructor checks balls.
 """
 
 import json
@@ -201,3 +203,77 @@ def test_a_scene_without_the_space_parameter_gets_the_default(space, expected):
     assert scene.space == expected
     assert (scene.space.pnorm, scene.space.radius) == (expected.pnorm, expected.radius)
     assert type(scene.space.pnorm) is float and type(scene.space.radius) is float
+
+
+# ---------------------------------------------------------------------------
+# a family stored as columns
+# ---------------------------------------------------------------------------
+
+COORDS = [(0.0, 0.0), (1.5, 0.0), (-2.0, 3.25)]
+RADII = [1.0, 0.5, 0.0]
+
+
+def column_family():
+    return BallFamily.from_columns(Space.euclidean(2), COORDS, RADII)
+
+
+def ball_family():
+    return BallFamily(Space.euclidean(2), [Ball(Point(c), r) for c, r in zip(COORDS, RADII)])
+
+
+@pytest.fixture
+def ball_count(monkeypatch):
+    """How many ``Ball``s are built while the test runs."""
+    made = []
+    init = Ball.__init__
+
+    def counted(self, center, radius):
+        made.append(radius)
+        init(self, center, radius)
+
+    monkeypatch.setattr(Ball, "__init__", counted)
+    return made
+
+
+def test_a_column_family_equals_the_family_of_its_balls():
+    a, b = column_family(), ball_family()
+    assert a == b and b == a and hash(a) == hash(b) and repr(a) == repr(b)
+    assert a.balls == b.balls and list(a) == list(b) and a[2] == b[2]
+    assert a.centers == b.centers
+    clone = pickle.loads(pickle.dumps(column_family()))
+    assert clone == b and type(clone) is BallFamily
+
+
+def test_columns_and_length_build_no_ball(ball_count):
+    a = column_family()
+    assert len(a) == 3
+    assert a.coords == tuple(COORDS) and a.radii == tuple(RADII)
+    sub = a._subset([2, 0])
+    assert len(sub) == 2 and sub.coords == (COORDS[2], COORDS[0])
+    assert ball_count == []
+    balls = sub.balls
+    assert ball_count == [0.0, 1.0] and sub.balls is balls  # built once, on first use
+    assert balls == (Ball(Point(COORDS[2]), 0.0), Ball(Point(COORDS[0]), 1.0))
+
+
+def test_a_ball_family_gives_its_columns():
+    b = ball_family()
+    assert b.coords == tuple(COORDS) and b.radii == tuple(RADII)
+    assert b._subset([1]) == BallFamily(b.space, [b[1]])
+    assert len(BallFamily.from_columns(Space.euclidean(1), [], [])) == 0
+
+
+@pytest.mark.parametrize(
+    "coords,radii,message",
+    [
+        ([(0.0, 0.0)], [1.0, 2.0], "1 centers for 2 radii"),
+        ([(0.0, 0.0), (1.0,)], [1.0, 2.0], "ball 1 center has 1 coordinates, expected 2"),
+        ([(0.0, 0.0), (1.0, 1.0)], [1.0, -2.0], "ball 1 radius must be finite and >= 0, got -2.0"),
+        ([(0.0, 0.0)], [math.nan], "ball 0 radius must be finite and >= 0, got nan"),
+        ([(0.0, 0.0)], [math.inf], "ball 0 radius must be finite and >= 0, got inf"),
+    ],
+)
+def test_from_columns_checks_as_the_constructor_does(coords, radii, message):
+    with pytest.raises(InputError) as info:
+        BallFamily.from_columns(Space.euclidean(2), coords, radii)
+    assert str(info.value) == message

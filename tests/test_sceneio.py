@@ -9,9 +9,12 @@ import pytest
 
 from ballcover import Ball, BallFamily, QuasiRoundSet, Space
 from ballcover.errors import InputError
+from ballcover.geometry import Point
 from ballcover.sceneio import (
     MAX_BARE_DIM,
     SceneFile,
+    ball_doc,
+    ball_docs,
     build_report,
     parse_scene,
     render_report,
@@ -467,6 +470,29 @@ def test_writer_matches_json_dumps_on_edge_payloads(payload):
     assert render_report(payload) == reference_render(payload)
     report = build_report(["x", "é"], payload, input_digest="ab", seed=3)
     assert render_report(report) == reference_render(report)
+
+
+def line_family(pairs):
+    return BallFamily(Space.euclidean(1), [Ball(Point((c,)), r) for c, r in pairs])
+
+
+BALL_DOC_FAMILIES = {
+    "empty": line_family([]),
+    "line": line_family([(0.5, 1.0), (-0.0, 0.0), (5e-324, 1e308), (-1e308, 2.5)]),
+    "plane columns": BallFamily.from_columns(
+        Space.euclidean(2), [(0.1, -0.0), (1e-310, 3.0)], [0.25, 0.0]),
+    "integer coordinates": BallFamily(Space.euclidean(2), [Ball(Point((1, -2)), 3)]),
+    "infinite coordinate": line_family([(math.inf, 1.0), (0.0, 1.0)]),
+    "float subclass": line_family([(FloatLike(0.1), 1.0)]),
+}
+
+
+@pytest.mark.parametrize("family", list(BALL_DOC_FAMILIES.values()), ids=list(BALL_DOC_FAMILIES))
+def test_ball_docs_render_as_json_dumps(family):
+    docs = ball_docs(family)
+    assert docs == [ball_doc(b) for b in family]
+    for payload in (docs, {"families": [docs, docs], "n": 1}, [[docs], docs]):
+        assert render_report(payload) == reference_render(payload)
 
 
 @pytest.mark.parametrize("space", SCENE_SPACES, ids=lambda s: f"{s['kind']}{s['dim']}")
