@@ -236,15 +236,19 @@ def _cmd_validate(args):
     return payload, digest, None, (0 if verdict.is_valid else 1)
 
 
-def _scene_centers(scene):
+def _scene_center_coords(scene):
+    """The coordinate tuples of the centers a command covers: the scene's
+    points when it has any, else the centers of its balls."""
     if scene.points:
-        return list(scene.points)
-    return [b.center for b in scene.family]
+        return [p.coords for p in scene.points]
+    return scene.family.coords
 
 
 def _cmd_select(args):
     scene, digest = _load_scene(args.scene)
-    result = select_bounded_overlap_subcover(scene.family, _scene_centers(scene), args.beta)
+    result = select_bounded_overlap_subcover(
+        scene.family, list(map(Point, _scene_center_coords(scene))), args.beta
+    )
     payload = {
         "count": len(result.selected),
         "selected": ball_docs(result.selected),
@@ -270,8 +274,7 @@ def _cmd_partition(args):
 
 def _cmd_oned(args):
     scene, digest = _load_scene(args.scene)
-    coords = [p.coords for p in scene.points] if scene.points else scene.family.coords
-    centers = [c[0] for c in coords]
+    centers = [c[0] for c in _scene_center_coords(scene)]
     result = besicovitch_cover_1d(scene.family, centers, mode=args.mode)
     payload = {
         "family_count": len(result.families),
@@ -284,7 +287,7 @@ def _cmd_oned(args):
 
 def _cmd_net(args):
     scene, digest = _load_scene(args.scene)
-    pts = _scene_centers(scene)
+    pts = list(map(Point, _scene_center_coords(scene)))
     net = epsilon_net_greedy(scene.space, pts, args.eps, strict=args.strict)
     payload = {
         "count": len(net.indices),
