@@ -1,0 +1,80 @@
+"""Time the seven ``search-anneal`` commands in process.
+
+Each command of the benchmark's ``search-anneal`` workload (the
+``SEARCH_COMMANDS`` table of ``bench/workloads.py``: ``search`` for
+wbcp, pack5 and satellite, ``cip --trials`` and ``constants``) runs
+through ``ballcover.cli.run_command`` ``--runs`` times, the commands
+taking turns, so a drift of the host's speed reaches them all alike.
+One JSON object goes to standard output, with each command's minimum and
+median time, its exit code and the SHA-256 of its report, which must be
+the same on every run:
+
+    PYTHONPATH=src python scripts/search_inproc.py [--runs 7] [--only wbcp-d2,constants]
+
+Interpreter start-up is not timed, so these numbers show the search work
+that the benchmark's ``wall_s`` carries, without a 28-s benchmark run.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+
+sys.dont_write_bytecode = True  # read bench/, write nothing there
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench"))
+
+from workloads import SEARCH_COMMANDS  # noqa: E402
+
+from ballcover.cli import run_command  # noqa: E402
+
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        start = time.perf_counter()
+        code = run_command(list(argv))
+        elapsed = time.perf_counter() - start
+    return elapsed, code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--runs", type=int, default=7)
+    ap.add_argument("--only", default="", help="comma-separated command names (default: all)")
+    args = ap.parse_args()
+    only = set(filter(None, args.only.split(",")))
+    commands = [(name, argv) for name, argv, _check, _items in SEARCH_COMMANDS
+                if not only or name in only]
+    times = {name: [] for name, _ in commands}
+    reports = {}
+    for _ in range(args.runs):
+        for name, argv in commands:
+            elapsed, code, digest = run(argv)
+            times[name].append(elapsed)
+            if reports.setdefault(name, (code, digest)) != (code, digest):
+                raise SystemExit(f"{name}: the report changed between runs")
+    rows = [{
+        "command": name,
+        "argv": argv,
+        "min_s": round(min(times[name]), 4),
+        "median_s": round(statistics.median(times[name]), 4),
+        "exit": reports[name][0],
+        "report_sha256": reports[name][1],
+    } for name, argv in commands]
+    print(json.dumps({
+        "runs": args.runs,
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "total_min_s": round(sum(r["min_s"] for r in rows), 4),
+        "rows": rows,
+    }, indent=2))
+
+
+if __name__ == "__main__":
+    main()

@@ -29,6 +29,7 @@ from .geometry import (
     Ball,
     Point,
     Space,
+    _check_point,
     _Grid,
     distance,
     uniform_in_ball,
@@ -211,6 +212,13 @@ class EpsilonNet(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
+def _check_tol(tol: float) -> None:
+    # a NaN or infinite slack would pass every test it enters, and a
+    # negative one would fail true ones
+    if not 0.0 <= tol < math.inf:
+        raise InputError(f"tolerance must be finite and >= 0, got {tol!r}")
+
+
 def find_common_point(
     family: BallFamily,
     tol: float = DEFAULT_TOL,
@@ -219,51 +227,48 @@ def find_common_point(
 ) -> FeasibilityResult:
     """Search for a point lying in every ball of the family.
 
-    Runs cyclic projection onto the ball constraints from several starts.
-    ``converged`` reports whether some start reached a stationary sweep;
-    a stationary point that still violates a constraint is evidence (at
-    tolerance) that the intersection is empty.
+    Runs cyclic projection onto the ball constraints from several starts:
+    the center of the smallest ball, the centroid of the centers (l^p
+    spaces only) and the first six centers, in that order.  Each start
+    gets ``max_iter // len(family)`` sweeps (at least two) of the space
+    model's ``sweep``, which stops once a sweep moves the point by less
+    than ``threshold * (1 + max radius)``.  The first point whose largest
+    violation ``max(d(x, c) - r)`` is at most ``tol * (1 + max radius)``
+    is returned; otherwise ``point`` is None, ``max_violation`` is the
+    least violation reached, and ``converged`` reports whether some start
+    reached a stationary sweep -- a stationary point that still violates
+    a constraint is evidence (at tolerance) that the intersection is
+    empty.  ``tol`` must be finite and >= 0.
 
-    Each sweep moves the point onto every ball it lies outside of, in
-    family order, with the step of the space's model: along the straight
-    line toward the center in l^p spaces (the metric projection for
-    p = 2), along the geodesic through ``log_map``/``exp_map`` in curved
-    ones.  Sweeps run on plain coordinate tuples, with distances from the
-    space's cached scalar kernel, the one that
-    :func:`~ballcover.geometry.distance` calls, so every float equals that
-    of a loop over ``distance`` and ``Point`` steps.
+    A sweep steps the point onto every ball it lies outside of, in family
+    order: along the straight line toward the center in l^p spaces (the
+    metric projection for p = 2), along the geodesic through
+    ``log_map``/``exp_map`` in curved ones.  Sweeps run on plain
+    coordinate tuples with the space's scalar kernel, the one that
+    :func:`~ballcover.geometry.distance` calls, and for l2 in dimensions
+    2 and 3 as an unrolled loop on floats; every float equals that of a
+    loop over ``distance`` and ``Point`` steps.
     """
+    _check_tol(tol)
     space = family.space
     if len(family) == 0:
         return FeasibilityResult(space.origin(), 0.0, True)
     model = space._model
-    kernel, step = model.kernel, model.step
-    balls = [(b.center.coords, b.radius) for b in family]
-    scale = 1.0 + max(r for _, r in balls)
+    kernel = model.kernel
+    balls = list(zip(family.coords, family.radii))
+    scale = 1.0 + max(family.radii)
     starts = [min(balls, key=lambda b: b[1])[0]]
-    centroid = model.centroid([c for c, _ in balls])
+    centroid = model.centroid(family.coords)
     if centroid is not None:
         starts.append(centroid)
-    starts.extend(c for c, _ in balls[:6])
+    starts.extend(family.coords[:6])
     stop = threshold * scale
     best: Optional[tuple] = None
     best_v = math.inf
     any_converged = False
     sweeps = max(2, max_iter // max(1, len(family)))
     for x in starts:
-        # the composed sweep map converges to a fixed point even when
-        # the intersection is empty, so stationarity of the *sweep*
-        # (not of each projection) is the right stopping test
-        converged = False
-        for _ in range(sweeps):
-            before = x
-            for c, r in balls:
-                d = kernel(x, c)
-                if not d <= r:
-                    x = step(x, c, r, d)
-            if kernel(before, x) < stop:
-                converged = True
-                break
+        x, converged = model.sweep(x, balls, sweeps, stop)
         v = max(kernel(x, c) - r for c, r in balls)
         any_converged = any_converged or converged
         if v < best_v:
@@ -318,7 +323,9 @@ def is_besicovitch_family(
     ball's center inside any other ball of the family.  Families of size
     zero or one are trivially valid.  If the common-point search neither
     finds a point nor converges, the verdict is ``indeterminate``.
+    ``tol`` must be finite and >= 0.
     """
+    _check_tol(tol)
     contained = _pair_violation(family, None)
     if contained is not None:
         return contained
@@ -346,8 +353,9 @@ def is_k_configuration(family: BallFamily, tol: float = DEFAULT_TOL) -> Verdict:
 
     Like a Besicovitch family but without the common-point requirement:
     every pair of balls must intersect, and every Besicovitch family
-    passes this check as well.
+    passes this check as well.  ``tol`` must be finite and >= 0.
     """
+    _check_tol(tol)
     return _pair_violation(family, tol) or Verdict(VALID)
 
 
@@ -360,8 +368,10 @@ def is_alpha_configuration(
     """Every family ball must meet the target, whose radius must be
     strictly below ``alpha`` times each family radius.
 
-    ``alpha`` is restricted to (1/2, 1).  An empty family is valid.
+    ``alpha`` is restricted to (1/2, 1) and ``tol`` must be finite and
+    >= 0.  An empty family is valid.
     """
+    _check_tol(tol)
     if not (0.5 < alpha < 1.0):
         raise InputError(f"alpha must lie in (1/2, 1), got {alpha}")
     space = family.space
@@ -397,8 +407,14 @@ def is_tau_satellite_configuration(
     positive membership and intersection tests use the conservative outer
     radius ``lam * r``, while the exclusion in the order condition counts
     as violated only when the point lies inside the certain inner ball.
-    On success the witness is the (0-based) central index.
+    On success the witness is the (0-based) central index.  ``tol`` must
+    be finite and >= 0.
+
+    Distances are the space's scalar kernel on the coordinate tuples, the
+    one that :func:`~ballcover.geometry.distance` calls, with the
+    arguments in the same order.
     """
+    _check_tol(tol)
     if not tau > 1.0:
         raise InputError(f"tau must be > 1, got {tau}")
     if len(sets) != len(points):
@@ -408,10 +424,21 @@ def is_tau_satellite_configuration(
     n = len(sets)
     if n == 0:
         return Verdict(INVALID, reason="empty configuration")
+    # the width checks of ``distance``, in the order of its first calls
+    width = space.ambient_dim
+    for a, s in zip(points, sets):
+        if len(a.coords) != width:
+            _check_point(space, a, "p")  # raises
+        if len(s.anchor.coords) != width:
+            _check_point(space, s.anchor, "q")  # raises
+    dist = space._model.kernel
+    coords = [a.coords for a in points]
+    anchors = [s.anchor.coords for s in sets]
+    outer = [s.outer_radius for s in sets]
+    diameters = [s.diameter for s in sets]
     # membership of each point in its own set (outer test)
-    for i, (s, a) in enumerate(zip(sets, points)):
-        d = distance(space, a, s.anchor)
-        if d > s.outer_radius + tol * (1.0 + s.outer_radius):
+    for i in range(n):
+        if dist(coords[i], anchors[i]) > outer[i] + tol * (1.0 + outer[i]):
             return Verdict(
                 INVALID,
                 reason="point %d lies outside its set" % i,
@@ -420,15 +447,15 @@ def is_tau_satellite_configuration(
     # order condition: later points avoid earlier inner balls, and
     # diameters do not grow by a factor of tau or more
     for i in range(n):
-        si = sets[i]
+        inner, bound = sets[i].inner_radius, tau * diameters[i]
         for j in range(i + 1, n):
-            if distance(space, points[j], si.anchor) <= si.inner_radius:
+            if dist(coords[j], anchors[i]) <= inner:
                 return Verdict(
                     INVALID,
                     reason="point %d lies inside earlier set %d" % (j, i),
                     witness=("exclusion", i, j),
                 )
-            if not sets[j].diameter < tau * si.diameter:
+            if not diameters[j] < bound:
                 return Verdict(
                     INVALID,
                     reason="set %d is not tau-smaller than earlier set %d" % (j, i),
@@ -436,17 +463,16 @@ def is_tau_satellite_configuration(
                 )
     # central set: meets every set, diameter tau-below all of them
     for i0 in range(n):
-        s0 = sets[i0]
+        a0, r0, d0 = anchors[i0], outer[i0], diameters[i0]
         ok = True
         for i in range(n):
             if i == i0:
                 continue
-            si = sets[i]
-            reach = s0.outer_radius + si.outer_radius
-            if distance(space, s0.anchor, si.anchor) > reach + tol * (1.0 + reach):
+            reach = r0 + outer[i]
+            if dist(a0, anchors[i]) > reach + tol * (1.0 + reach):
                 ok = False
                 break
-            if not s0.diameter < tau * si.diameter:
+            if not d0 < tau * diameters[i]:
                 ok = False
                 break
         if ok:

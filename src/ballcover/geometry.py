@@ -219,6 +219,58 @@ def _l2(a, b):
     return math.sqrt(s)
 
 
+# The common-point sweep of R^2 and R^3 unrolled (see ``_Model.sweep``).
+# Each step reuses the differences that the distance took, ``x - c``,
+# which are the ones ``_Flat.step`` recomputes, and the stationarity test
+# is ``before - x`` as the kernel takes it, so every float is the generic
+# sweep's.
+
+
+def _sweep_l2_2(x, balls, sweeps, stop):
+    x0, x1 = x
+    flat = [(c[0], c[1], r) for c, r in balls]
+    sqrt = math.sqrt
+    for _ in range(sweeps):
+        b0, b1 = x0, x1
+        for c0, c1, r in flat:
+            dx = x0 - c0
+            dy = x1 - c1
+            d = sqrt(dx * dx + dy * dy)
+            if not d <= r:
+                t = r / d
+                x0 = c0 + t * dx
+                x1 = c1 + t * dy
+        ex = b0 - x0
+        ey = b1 - x1
+        if sqrt(ex * ex + ey * ey) < stop:
+            return (x0, x1), True
+    return (x0, x1), False
+
+
+def _sweep_l2_3(x, balls, sweeps, stop):
+    x0, x1, x2 = x
+    flat = [(c[0], c[1], c[2], r) for c, r in balls]
+    sqrt = math.sqrt
+    for _ in range(sweeps):
+        b0, b1, b2 = x0, x1, x2
+        for c0, c1, c2, r in flat:
+            dx = x0 - c0
+            dy = x1 - c1
+            dz = x2 - c2
+            d = sqrt(dx * dx + dy * dy + dz * dz)
+            if not d <= r:
+                t = r / d
+                x0 = c0 + t * dx
+                x1 = c1 + t * dy
+                x2 = c2 + t * dz
+        ex = b0 - x0
+        ey = b1 - x1
+        ez = b2 - x2
+        if sqrt(ex * ex + ey * ey + ez * ez) < stop:
+            return (x0, x1, x2), True
+    return (x0, x1, x2), False
+
+
 def _l1(a, b):
     s = 0
     for x, y in zip(a, b):
@@ -307,8 +359,9 @@ class _Model:
     vectors (``log(b, q, d)`` takes the distance ``d`` from ``b`` to
     ``q``, or None to compute it), ``step(x, c, r, d)`` moves ``x``, at
     distance ``d > r`` from the center ``c``, onto the ball of radius
-    ``r``, and ``volume``, ``random`` and ``uniform`` serve the
-    functions of those purposes.
+    ``r``, ``sweep`` runs the common-point sweep on those steps, and
+    ``volume``, ``random`` and ``uniform`` serve the functions of those
+    purposes.
     """
 
     flat = False
@@ -316,6 +369,27 @@ class _Model:
     def centroid(self, points):
         """The extra, centroid start of the common-point sweep, if any."""
         return None
+
+    def sweep(self, x, balls, sweeps, stop):
+        """Cyclic projection from ``x`` onto the balls ``(c, r)``.
+
+        Each sweep steps the point onto every ball it lies outside of, in
+        order; the sweep stops when it moved the point by less than
+        ``stop``.  Returns the last point and whether that happened
+        within ``sweeps`` sweeps.  The composed sweep map converges to a
+        fixed point even when the intersection is empty, so stationarity
+        of the *sweep* (not of each projection) is the stopping test.
+        """
+        kernel, step = self.kernel, self.step
+        for _ in range(sweeps):
+            before = x
+            for c, r in balls:
+                d = kernel(x, c)
+                if not d <= r:
+                    x = step(x, c, r, d)
+            if kernel(before, x) < stop:
+                return x, True
+        return x, False
 
 
 class _Flat(_Model):
@@ -334,6 +408,8 @@ class _Flat(_Model):
         self.grid = (min(3, space.dim), 2.0 ** -(1000.0 / p if p < math.inf else 1000.0))
         if p == 2.0:
             self.kernel = {1: _l2_1, 2: _l2_2, 3: _l2_3}.get(space.dim, _l2)
+            if space.dim in (2, 3):
+                self.sweep = _sweep_l2_2 if space.dim == 2 else _sweep_l2_3
         elif p == 1.0:
             self.kernel = _l1
         elif math.isinf(p):

@@ -633,6 +633,25 @@ class TestTolIsValidateOnly:
         assert run_command(argv) == 1
         assert run_command(argv + ["--tol", "0.01"]) == 0
 
+    @pytest.mark.parametrize("what", ["besicovitch", "k-config"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_validate_rejects_a_tol_out_of_range(self, what, tol, tmp_path, capsys):
+        # a disjoint pair: NaN and inf once certified it, -1 exited 1
+        scene = tmp_path / "disjoint.json"
+        scene.write_text(json.dumps({
+            "version": 1,
+            "space": {"kind": "euclidean", "dim": 2},
+            "balls": [{"center": [-3.0, 0.0], "radius": 1.0},
+                      {"center": [3.0, 0.0], "radius": 1.0}],
+        }))
+        argv = ["validate", str(scene), "--what", what]
+        assert run_command(argv) == 1
+        capsys.readouterr()
+        assert run_command(argv + ["--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: tolerance must be finite and >= 0, got {float(tol)!r}\n"
+
     @pytest.mark.parametrize("argv", [
         ["select", "{valid_1d}"],
         ["partition", "{valid_1d}"],

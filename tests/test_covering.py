@@ -456,3 +456,36 @@ def test_strict_net_bound_monotone_in_dim():
     for alpha in (0.55, 0.75, 0.95):
         vals = [strict_net_bound(alpha, d) for d in range(1, 6)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+class TestToleranceRange:
+    """A NaN or infinite slack passes every comparison it enters, so it
+    would certify a family with a disjoint pair; a negative one turns
+    true tests false.  Every validator refuses all three."""
+
+    BAD = [math.nan, math.inf, -1.0]
+
+    def apart(self):
+        return disk_family([(-3.0, 0.0, 1.0), (3.0, 0.0, 1.0), (0.0, 2.5, 1.2)])
+
+    @pytest.mark.parametrize("tol", BAD, ids=repr)
+    def test_validators_raise(self, tol):
+        family = self.apart()
+        target = Ball(Point((0.0, 0.0)), 0.1)
+        sets = [QuasiRoundSet(Point((0.0, 0.0)), 1.0, 1.0, 1.5)]
+        with pytest.raises(InputError, match="tolerance must be finite and >= 0"):
+            find_common_point(family, tol=tol)
+        with pytest.raises(InputError, match="tolerance must be finite and >= 0"):
+            is_besicovitch_family(family, tol=tol)
+        with pytest.raises(InputError, match="tolerance must be finite and >= 0"):
+            is_k_configuration(family, tol=tol)
+        with pytest.raises(InputError, match="tolerance must be finite and >= 0"):
+            is_alpha_configuration(family, target, 0.75, tol=tol)
+        with pytest.raises(InputError, match="tolerance must be finite and >= 0"):
+            is_tau_satellite_configuration(E2, sets, [Point((0.0, 0.0))], 2.0, tol=tol)
+
+    def test_zero_is_accepted(self):
+        family = self.apart()
+        assert is_besicovitch_family(family, tol=0.0).status == "invalid"
+        assert is_k_configuration(family, tol=0.0).status == "invalid"
+        assert find_common_point(family, tol=0.0).point is None

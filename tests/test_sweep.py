@@ -1,0 +1,216 @@
+"""The unrolled l2 sweep and the satellite validator on plain floats.
+
+``_Flat`` binds an unrolled common-point sweep for l2 in dimensions 2
+and 3 in place of the generic ``_Model.sweep``, and
+``is_tau_satellite_configuration`` calls the space's scalar kernel on
+coordinate tuples instead of ``distance`` on points.  Both must give the
+floats, verdicts and error messages of the code they replace: floats are
+compared with ``==`` and their signs with ``math.copysign``, so a zero
+of the wrong sign fails too.
+"""
+
+import math
+import random
+
+import pytest
+
+from ballcover import Ball, BallFamily, InputError, Point, Space, distance, find_common_point
+from ballcover.covering import (
+    INVALID,
+    VALID,
+    QuasiRoundSet,
+    Verdict,
+    is_tau_satellite_configuration,
+)
+from ballcover._rng import Generator
+from ballcover.geometry import _Model, _sweep_l2_2, _sweep_l2_3, random_point
+
+
+def same_floats(a, b):
+    return len(a) == len(b) and all(
+        (x == y or (math.isnan(x) and math.isnan(y)))
+        and math.copysign(1.0, x) == math.copysign(1.0, y)
+        for x, y in zip(a, b)
+    )
+
+
+def generic(space):
+    """A copy of ``space`` whose model sweeps with the generic loop."""
+    twin = Space.euclidean(space.dim)
+    twin._model.sweep = _Model.sweep.__get__(twin._model)
+    return twin
+
+
+def draw(rng, dim, n, scale=1.0):
+    return tuple(tuple(scale * rng.gauss(0.0, 1.0) for _ in range(dim)) for _ in range(n))
+
+
+def random_families(dim, seed):
+    rng = random.Random(seed)
+    out = []
+    for n in (1, 2, 3, 5, 8):
+        y = draw(rng, dim, 1)[0]
+        centers = draw(rng, dim, n, 2.0)
+        for slack in (1e-6, 0.3, -1e-3):  # feasible tight, loose, infeasible
+            radii = tuple((1.0 + slack) * math.dist(c, y) for c in centers)
+            out.append((centers, radii))
+        out.append((draw(rng, dim, n, 10.0), tuple(rng.uniform(0.2, 1.0) for _ in range(n))))
+    return out
+
+
+def edge_families(dim):
+    def at(*lead):
+        return tuple(lead) + (0.0,) * (dim - len(lead))
+
+    return [
+        ((at(-1.0), at(1.0)), (1.0, 1.0)),  # tangent pair
+        ((at(0.0, -2.0), at(0.0, 2.0)), (2.0, 2.0)),
+        ((at(0.5, 0.25),), (0.75,)),  # one ball
+        ((at(0.5, 0.25),), (0.0,)),
+        ((at(0.0), at(1.0), at(0.0, 1.0)), (0.0, 0.0, 0.0)),  # zero radii
+        ((at(1.0), at(1.0)), (0.0, 0.0)),
+        ((at(1e150, -1e150), at(-1e150, 1e150)), (1.5e150, 1.5e150)),  # squares near 1e300
+        ((at(1e150, 3e149), at(-2e150), at(0.0, 1e150)), (2e150, 2e150, 2e150)),
+        ((at(-0.0, -0.0), at(0.0, 0.0)), (0.0, 1.0)),  # signed zeros
+    ]
+
+
+def starts(centers, dim):
+    return [centers[0], (0.0,) * dim, (-0.0,) * dim, tuple(3.0 for _ in range(dim))]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_unrolled_sweep_is_bound_for_l2_in_two_and_three_dimensions(dim):
+    unrolled = _sweep_l2_2 if dim == 2 else _sweep_l2_3
+    assert Space.euclidean(dim)._model.sweep is unrolled
+    for other in (Space.euclidean(1), Space.euclidean(4), Space.euclidean(dim, 1.0),
+                  Space.sphere(dim), Space.hyperbolic(dim)):
+        assert other._model.sweep.__func__ is _Model.sweep
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_unrolled_sweep_equals_the_generic_one(dim):
+    model = Space.euclidean(dim)._model
+    cases = random_families(dim, 70 + dim) + edge_families(dim)
+    for centers, radii in cases:
+        balls = list(zip(centers, radii))
+        for x in starts(centers, dim):
+            for sweeps, stop in ((2, 1e-10), (400, 1e-10), (50, 0.0), (1, math.inf)):
+                got, got_conv = model.sweep(x, balls, sweeps, stop)
+                want, want_conv = _Model.sweep(model, x, balls, sweeps, stop)
+                assert got_conv == want_conv
+                assert same_floats(got, want), (centers, radii, x, got, want)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_start_inside_every_ball_does_not_move(dim):
+    model = Space.euclidean(dim)._model
+    x = (0.25,) + (-0.0,) * (dim - 1)
+    balls = [((1.0,) + (0.0,) * (dim - 1), 1.0), ((0.0,) * dim, 0.5)]
+    got, converged = model.sweep(x, balls, 10, 1e-10)
+    assert converged and same_floats(got, x)
+    assert same_floats(got, _Model.sweep(model, x, balls, 10, 1e-10)[0])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_find_common_point_matches_the_generic_sweep(dim):
+    space = Space.euclidean(dim)
+    twin = generic(space)
+    outcomes = set()
+    for centers, radii in random_families(dim, 80 + dim) + edge_families(dim):
+        for max_iter, threshold in ((10_000, 1e-10), (2 * len(radii), 1e-10), (600, 0.0)):
+            got = find_common_point(BallFamily.from_columns(space, centers, radii),
+                                    max_iter=max_iter, threshold=threshold)
+            want = find_common_point(BallFamily.from_columns(twin, centers, radii),
+                                     max_iter=max_iter, threshold=threshold)
+            assert got.converged == want.converged
+            assert same_floats((got.max_violation,), (want.max_violation,))
+            assert (got.point is None) == (want.point is None)
+            if got.point is not None:
+                assert same_floats(got.point.coords, want.point.coords)
+            outcomes.add((got.point is not None, got.converged))
+    assert {(True, True), (False, True), (False, False)} <= outcomes
+
+
+# ---------------------------------------------------------------------------
+# the satellite validator against the distance-based loop it replaces
+# ---------------------------------------------------------------------------
+
+
+def ref_satellite(space, sets, points, tau, tol=1e-9):
+    n = len(sets)
+    if n == 0:
+        return Verdict(INVALID, reason="empty configuration")
+    for i, (s, a) in enumerate(zip(sets, points)):
+        if distance(space, a, s.anchor) > s.outer_radius + tol * (1.0 + s.outer_radius):
+            return Verdict(INVALID, reason="point %d lies outside its set" % i,
+                           witness=("membership", i))
+    for i in range(n):
+        si = sets[i]
+        for j in range(i + 1, n):
+            if distance(space, points[j], si.anchor) <= si.inner_radius:
+                return Verdict(INVALID, reason="point %d lies inside earlier set %d" % (j, i),
+                               witness=("exclusion", i, j))
+            if not sets[j].diameter < tau * si.diameter:
+                return Verdict(INVALID,
+                               reason="set %d is not tau-smaller than earlier set %d" % (j, i),
+                               witness=("diameter-order", i, j))
+    for i0 in range(n):
+        s0 = sets[i0]
+        ok = True
+        for i in range(n):
+            if i == i0:
+                continue
+            si = sets[i]
+            reach = s0.outer_radius + si.outer_radius
+            if distance(space, s0.anchor, si.anchor) > reach + tol * (1.0 + reach):
+                ok = False
+                break
+            if not s0.diameter < tau * si.diameter:
+                ok = False
+                break
+        if ok:
+            return Verdict(VALID, witness=i0)
+    return Verdict(INVALID, reason="no admissible central set", witness=("central", None))
+
+
+def random_configuration(space, rng, n):
+    sets, points = [], []
+    for _ in range(n):
+        r = rng.uniform(0.05, 1.0)
+        lam = rng.uniform(1.0, 1.5)
+        anchor = random_point(space, rng, 1.0)
+        if space.is_flat:
+            a = Point(tuple(x + rng.normal(0.0, 0.5 * r) for x in anchor.coords))
+        else:
+            a = random_point(space, rng, 1.0) if rng.uniform() < 0.3 else anchor
+        sets.append(QuasiRoundSet(anchor, r, lam, rng.uniform(r, 2.0 * lam * r)))
+        points.append(a)
+    return sets, points
+
+
+@pytest.mark.parametrize("space", [Space.euclidean(2), Space.euclidean(3), Space.euclidean(2, 1.0),
+                                   Space.sphere(2), Space.hyperbolic(2)], ids=str)
+def test_satellite_validator_matches_the_distance_loop(space):
+    rng = Generator(90)
+    statuses = set()
+    for k in range(300):
+        sets, points = random_configuration(space, rng, 1 + rng.integers(0, 6))
+        tau = rng.uniform(1.01, 4.0)
+        got = is_tau_satellite_configuration(space, sets, points, tau)
+        assert got == ref_satellite(space, sets, points, tau)
+        statuses.add(got.witness[0] if got.status == INVALID else VALID)
+    assert VALID in statuses and len(statuses) >= 3
+
+
+def test_satellite_validator_keeps_the_width_message():
+    space = Space.euclidean(2)
+    sets = [QuasiRoundSet(Point((0.0, 0.0)), 1.0, 1.0, 1.5)] * 2
+    with pytest.raises(InputError, match=r"^p has 3 coordinates, expected 2$"):
+        is_tau_satellite_configuration(space, sets, [Point((0.0, 0.0)), Point((0.0, 0.0, 0.0))], 2.0)
+    bad = [sets[0], QuasiRoundSet(Point((0.0,)), 1.0, 1.0, 1.5)]
+    with pytest.raises(InputError, match=r"^q has 1 coordinates, expected 2$"):
+        is_tau_satellite_configuration(space, bad, [Point((0.0, 0.0))] * 2, 2.0)
+    # the message is the one distance gives on the same pair
+    with pytest.raises(InputError, match=r"^p has 3 coordinates, expected 2$"):
+        distance(space, Point((0.0, 0.0, 0.0)), sets[0].anchor)
