@@ -124,12 +124,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=10_000)
-    p.add_argument("--restarts", type=int, default=4)
-    p.add_argument("--rmin", type=float, default=0.5, help="wbcp: smallest radius")
-    p.add_argument("--rmax", type=float, default=1.5, help="wbcp: largest radius")
-    p.add_argument("--tau", type=float, default=1.5, help="satellite: diameter ratio")
-    p.add_argument("--lam", type=float, default=1.0, help="satellite: roundness")
+    p.add_argument("--budget", type=int, help="not hadwiger: proposals (default 10000)")
+    p.add_argument("--restarts", type=int, help="not hadwiger: restarts (default 4)")
+    p.add_argument("--rmin", type=float, help="wbcp: smallest radius (default 0.5)")
+    p.add_argument("--rmax", type=float, help="wbcp: largest radius (default 1.5)")
+    p.add_argument("--tau", type=float, help="satellite: diameter ratio (default 1.5)")
+    p.add_argument("--lam", type=float, help="satellite: roundness (default 1.0)")
 
     p = sub.add_parser("cip", help="shrunk-common-point search")
     add_common(p, scene=False)
@@ -150,8 +150,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", choices=list(SPACE_KINDS), required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--r", type=float, required=True)
-    p.add_argument("--pnorm", type=float, default=2.0)
-    p.add_argument("--sphere-radius", type=float, default=1.0)
+    p.add_argument("--pnorm", type=float, help="euclidean: the p of the norm (default 2)")
+    p.add_argument("--sphere-radius", type=float, help="sphere: its radius (default 1)")
 
     return parser
 
@@ -198,6 +198,30 @@ def _emit(report: dict, out: Optional[str]) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+# per subcommand: each optional flag's default and the --what or --space
+# values that read it; any other value refuses the flag
+_SEARCH_FLAGS = {
+    "budget": (10_000, ("wbcp", "pack5", "satellite")),
+    "restarts": (4, ("wbcp", "pack5", "satellite")),
+    "rmin": (0.5, ("wbcp",)),
+    "rmax": (1.5, ("wbcp",)),
+    "tau": (1.5, ("satellite",)),
+    "lam": (1.0, ("satellite",)),
+}
+_VOLUME_FLAGS = {"pnorm": (2.0, ("euclidean",)), "sphere_radius": (1.0, ("sphere",))}
+
+
+def _apply_flags(args, flags, option, choice) -> None:
+    """Refuse a flag that ``option choice`` does not read; give every flag
+    left unset its default."""
+    for dest, (default, readers) in flags.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif choice not in readers:
+            flag = "--" + dest.replace("_", "-")
+            raise InputError(f"{flag} does not apply to {option} {choice}")
 
 
 def _tolkw(args) -> dict:
@@ -299,6 +323,7 @@ def _cmd_net(args):
 
 
 def _cmd_search(args):
+    _apply_flags(args, _SEARCH_FLAGS, "--what", args.what)
     config = SearchConfig(seed=args.seed, budget=args.budget, restarts=args.restarts)
     if args.what == "hadwiger":
         fam = construct_strict_hadwiger(args.dim)
@@ -399,7 +424,7 @@ def _cmd_constants(args):
 
 
 def _cmd_volume(args):
-    # each kind reads only its own parameter
+    _apply_flags(args, _VOLUME_FLAGS, "--space", args.space)
     space = Space(args.space, args.dim, pnorm=args.pnorm, radius=args.sphere_radius)
     payload = {"space": args.space, "dim": args.dim, "r": args.r,
                "volume": ball_volume(space, args.r)}

@@ -6,7 +6,10 @@ it, so scores are certified lower bounds (never upper bounds).  All
 searches are deterministic functions of their :class:`SearchConfig`:
 each restart derives an independent random stream from (seed, restart),
 and a fixed number of random draws happens per proposal regardless of
-acceptance.
+acceptance.  The three annealed searches share one driver,
+:func:`_anneal`, which alone owns the budget split, the restarts and their
+streams, the temperature schedule and the stall cutoff; each search only
+says how a restart starts and what one proposal does.
 
 Known-good layouts (a pentagon for the plane, icosahedral directions in
 three dimensions, hexagonal rings and cubic-lattice slices for the
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from types import SimpleNamespace
 from typing import NamedTuple, Optional, Sequence
 
 from ._record import Record
@@ -55,6 +59,7 @@ __all__ = [
 ]
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+_ADD_SWEEPS = 60  # convex-feasibility sweeps per ball when an add move is checked
 
 
 class SearchConfig(Record):
@@ -141,8 +146,33 @@ def _length(v) -> float:
     return math.sqrt(s)
 
 
-def _plateau_cutoff(per_restart_budget: int) -> int:
-    return max(200, per_restart_budget // 5)
+def _anneal(config: SearchConfig, start, propose) -> list:
+    """Run ``config.restarts`` restarts of an annealed search; return each
+    restart's final state, in restart order.
+
+    A restart builds its state with ``start(restart, rng)`` and then makes
+    up to ``budget // restarts`` proposals ``propose(state, temp, rng)``,
+    which update ``state`` in place and return True only when they grew
+    it.  The temperature decays geometrically over the restart's budget,
+    and a restart stops once ``max(200, budget // restarts // 5)``
+    proposals in a row have not grown its state.
+    """
+    per_restart = max(1, config.budget // config.restarts)
+    cutoff = max(200, per_restart // 5)
+    finals = []
+    for restart in range(config.restarts):
+        rng = _restart_rng(config, restart)
+        state = start(restart, rng)
+        stalled = 0
+        for step in range(per_restart):
+            if stalled >= cutoff:
+                break
+            temp = config.initial_temperature * config.decay ** (50.0 * step / per_restart)
+            stalled = 0 if propose(state, temp, rng) else stalled + 1
+        finals.append(state)
+    if not finals:
+        raise InternalError("annealed search ran no restart")
+    return finals
 
 
 # ---------------------------------------------------------------------------
@@ -160,29 +190,33 @@ def _icosahedron_directions():
     return [tuple(x / norm for x in p) for p in pts]
 
 
+def _kissing_directions(dim: int):
+    """Unit directions pairwise more than 60 degrees apart, for d = 1-3:
+    the two signs, the regular pentagon's vertices and the icosahedron's."""
+    if dim == 1:
+        return [(-1.0,), (1.0,)]
+    if dim == 2:
+        return [
+            (math.cos(2.0 * math.pi * k / 5.0), math.sin(2.0 * math.pi * k / 5.0))
+            for k in range(5)
+        ]
+    return _icosahedron_directions()
+
+
 def _besicovitch_warm_start(space: Space, rmin: float, rmax: float):
     """A known valid family, scaled so all radii equal min(rmax, fit)."""
     if space.is_flat:
         r = rmax
-        if space.dim == 1:
-            centers = [(-0.9 * r,), (0.9 * r,)]
-        elif space.dim == 2:
+        if space.dim <= 3:
+            scale = (0.9 * r, 0.99 * r, 2.0 / 2.05 * r)[space.dim - 1]
+            centers = [tuple(scale * x for x in u) for u in _kissing_directions(space.dim)]
+        else:  # the cross-polytope's vertices
+            rho = 2.0 / 2.05 * r
             centers = [
-                (0.99 * r * math.cos(2.0 * math.pi * k / 5.0),
-                 0.99 * r * math.sin(2.0 * math.pi * k / 5.0))
-                for k in range(5)
+                tuple(sign * rho if k == axis else 0.0 for k in range(space.dim))
+                for axis in range(space.dim)
+                for sign in (1.0, -1.0)
             ]
-        elif space.dim == 3:
-            rho = 2.0 / 2.05 * r
-            centers = [tuple(rho * x for x in u) for u in _icosahedron_directions()]
-        else:
-            rho = 2.0 / 2.05 * r
-            centers = []
-            for axis in range(space.dim):
-                for sign in (1.0, -1.0):
-                    c = [0.0] * space.dim
-                    c[axis] = sign * rho
-                    centers.append(tuple(c))
         return [Ball(Point(c), r) for c in centers], space.origin()
     # curved spaces: two balls along a geodesic through the base point
     inj = injectivity_radius(space)
@@ -199,7 +233,7 @@ def _besicovitch_warm_start(space: Space, rmin: float, rmax: float):
     return out, base
 
 
-def _incremental_family_ok(space, balls, candidate, sweeps=60):
+def _incremental_family_ok(space, balls, candidate):
     """Cheap feasibility gate for adding one ball to a valid family: the
     new common point, or None."""
     for b in balls:
@@ -207,7 +241,7 @@ def _incremental_family_ok(space, balls, candidate, sweeps=60):
         if not (d > b.radius and d > candidate.radius):
             return None
     trial = BallFamily(space, tuple(balls) + (candidate,))
-    return find_common_point(trial, max_iter=sweeps * len(trial)).point
+    return find_common_point(trial, max_iter=_ADD_SWEEPS * len(trial)).point
 
 
 def search_max_besicovitch_family(
@@ -229,86 +263,67 @@ def search_max_besicovitch_family(
     rmin, rmax = float(radii_range[0]), float(radii_range[1])
     if not rmin > 0.0 or rmin > rmax:
         raise InputError(f"infeasible radii range [{rmin}, {rmax}]")
-    per_restart = max(1, config.budget // config.restarts)
-    cutoff = _plateau_cutoff(per_restart)
     dim = space.ambient_dim
 
-    best_balls: Optional[tuple] = None
-    trace = []
-    for restart in range(config.restarts):
-        rng = _restart_rng(config, restart)
-        if restart == 0:
-            balls, witness = _besicovitch_warm_start(space, rmin, rmax)
-            if any(not rmin <= b.radius <= rmax for b in balls):
-                balls, witness = balls[:1], balls[0].center
-            if not is_besicovitch_family(BallFamily(space, tuple(balls))).is_valid:
-                balls, witness = [balls[0]], balls[0].center
-        else:
+    def start(restart, rng):
+        if restart > 0:
             r0 = math.exp(rng.uniform(math.log(rmin), math.log(rmax)))
-            balls, witness = [Ball(space.origin(), r0)], space.origin()
+            return SimpleNamespace(balls=[Ball(space.origin(), r0)], witness=space.origin())
+        balls, witness = _besicovitch_warm_start(space, rmin, rmax)
+        if any(not rmin <= b.radius <= rmax for b in balls):
+            balls, witness = balls[:1], balls[0].center
+        if not is_besicovitch_family(BallFamily(space, tuple(balls))).is_valid:
+            balls, witness = [balls[0]], balls[0].center
+        return SimpleNamespace(balls=balls, witness=witness)
 
-        stalled = 0
-        for step in range(per_restart):
-            if stalled >= cutoff:
-                break
-            temp = config.initial_temperature * config.decay ** (
-                50.0 * step / per_restart
-            )
-            sigma = config.perturbation_scale * rmax * max(temp, 0.05)
-            offsets = rng.normal(0.0, 1.0, dim)
-            u_radius = rng.uniform()
-            u_kind = rng.uniform()
-            j = rng.integers(0, max(1, len(balls)))
-            radius = math.exp(
-                math.log(rmin) + u_radius * (math.log(rmax) - math.log(rmin))
-            )
-            if u_kind < 0.7:
-                v = tuple(sigma * o for o in offsets)
-                try:
-                    center = exp_map(space, project_tangent(space, witness, v))
-                except DomainError:
-                    stalled += 1
-                    continue
-                cand = Ball(center, radius)
-                new_witness = _incremental_family_ok(space, balls, cand)
-                if new_witness is not None:
-                    balls.append(cand)
-                    witness = new_witness
-                    stalled = 0
-                else:
-                    stalled += 1
-            else:
-                if len(balls) <= 1:
-                    stalled += 1
-                    continue
-                old = balls[j]
-                v = tuple(0.3 * sigma * o for o in offsets)
-                try:
-                    center = exp_map(space, project_tangent(space, old.center, v))
-                except DomainError:
-                    stalled += 1
-                    continue
-                new_r = min(rmax, max(rmin, old.radius * math.exp(0.2 * (u_radius - 0.5))))
-                trial = list(balls)
-                trial[j] = Ball(center, new_r)
-                verdict = is_besicovitch_family(
-                    BallFamily(space, tuple(trial)), max_iter=3000
-                )
-                if verdict.is_valid:
-                    balls = trial
-                    witness = verdict.witness
-                stalled += 1
-        if best_balls is None or len(balls) > len(best_balls):
-            best_balls = tuple(balls)
-        trace.append(len(balls))
+    def propose(state, temp, rng):
+        balls = state.balls
+        sigma = config.perturbation_scale * rmax * max(temp, 0.05)
+        offsets = rng.normal(0.0, 1.0, dim)
+        u_radius = rng.uniform()
+        u_kind = rng.uniform()
+        j = rng.integers(0, max(1, len(balls)))
+        radius = math.exp(
+            math.log(rmin) + u_radius * (math.log(rmax) - math.log(rmin))
+        )
+        if u_kind < 0.7:
+            v = tuple(sigma * o for o in offsets)
+            try:
+                center = exp_map(space, project_tangent(space, state.witness, v))
+            except DomainError:
+                return False
+            cand = Ball(center, radius)
+            new_witness = _incremental_family_ok(space, balls, cand)
+            if new_witness is None:
+                return False
+            balls.append(cand)
+            state.witness = new_witness
+            return True
+        if len(balls) <= 1:
+            return False
+        old = balls[j]
+        v = tuple(0.3 * sigma * o for o in offsets)
+        try:
+            center = exp_map(space, project_tangent(space, old.center, v))
+        except DomainError:
+            return False
+        new_r = min(rmax, max(rmin, old.radius * math.exp(0.2 * (u_radius - 0.5))))
+        trial = list(balls)
+        trial[j] = Ball(center, new_r)
+        verdict = is_besicovitch_family(BallFamily(space, tuple(trial)), max_iter=3000)
+        if verdict.is_valid:
+            state.balls = trial
+            state.witness = verdict.witness
+        return False
 
-    family = BallFamily(space, best_balls or ())
+    finals = _anneal(config, start, propose)
+    family = BallFamily(space, tuple(max(finals, key=lambda f: len(f.balls)).balls))
     verdict = is_besicovitch_family(family)
     return SearchResult(
         best=family,
         score=len(family),
         feasible=verdict.is_valid,
-        trace=tuple(trace),
+        trace=tuple(len(f.balls) for f in finals),
     )
 
 
@@ -333,17 +348,9 @@ def construct_strict_hadwiger(dim: int) -> BallFamily:
             "strict tangent configurations are built for dimensions 1-3 only"
         )
     space = Space.euclidean(dim)
-    if dim == 1:
-        centers = [(-2.0,), (2.0,)]
-    elif dim == 2:
-        centers = [
-            (2.0 * math.cos(2.0 * math.pi * k / 5.0),
-             2.0 * math.sin(2.0 * math.pi * k / 5.0))
-            for k in range(5)
-        ]
-    else:
-        centers = [tuple(2.0 * x for x in u) for u in _icosahedron_directions()]
-    balls = tuple(Ball(Point(c), 1.0) for c in centers)
+    balls = tuple(
+        Ball(Point(tuple(2.0 * x for x in u)), 1.0) for u in _kissing_directions(dim)
+    )
     for i, b in enumerate(balls):
         d = math.sqrt(sum(x * x for x in b.center.coords))
         if abs(d - 2.0) >= 1e-12:
@@ -420,52 +427,32 @@ def pack_unit_balls_radius5(dim: int, config: Optional[SearchConfig] = None) -> 
 
     # the l2 kernel sums its squares left to right, as _length does
     dist = space._kernel
-    per_restart = max(1, config.budget // config.restarts)
-    cutoff = _plateau_cutoff(per_restart)
-    best: Optional[list] = None
-    trace = []
-    for restart in range(config.restarts):
-        rng = _restart_rng(config, restart)
-        pts = _pack_warm_start(dim)
-        stalled = 0
-        for step in range(per_restart):
-            if stalled >= cutoff:
-                break
-            temp = config.initial_temperature * config.decay ** (
-                50.0 * step / per_restart
-            )
-            u_kind = rng.uniform()
-            direction = rng.normal(0.0, 1.0, dim)
-            u_r = rng.uniform()
-            j = rng.integers(0, max(1, len(pts)))
-            if u_kind < 0.5:
-                norm = _length(direction)
-                if norm == 0.0:
-                    stalled += 1
-                    continue
-                reach = u_r ** (1.0 / dim)
-                cand = _clamp_to_radius(tuple([x / norm * 4.0 * reach for x in direction]))
-                if _pack_valid_add(dist, pts, cand):
-                    pts.append(cand)
-                    stalled = 0
-                else:
-                    stalled += 1
-            else:
-                if j == 0:
-                    stalled += 1
-                    continue  # the pinned center never moves
-                sigma = config.perturbation_scale * max(temp, 0.02)
-                cand = _clamp_to_radius(tuple([p + sigma * x for p, x in zip(pts[j], direction)]))
-                others = pts[:j] + pts[j + 1 :]
-                if _pack_valid_add(dist, others, cand):
-                    pts[j] = cand
-                stalled += 1
-        if best is None or len(pts) > len(best):
-            best = pts
-        trace.append(len(pts))
 
-    if best is None:
-        raise InternalError("packing search ran no restart")
+    def propose(pts, temp, rng):
+        u_kind = rng.uniform()
+        direction = rng.normal(0.0, 1.0, dim)
+        u_r = rng.uniform()
+        j = rng.integers(0, max(1, len(pts)))
+        if u_kind < 0.5:
+            norm = _length(direction)
+            if norm == 0.0:
+                return False
+            reach = u_r ** (1.0 / dim)
+            cand = _clamp_to_radius(tuple([x / norm * 4.0 * reach for x in direction]))
+            if not _pack_valid_add(dist, pts, cand):
+                return False
+            pts.append(cand)
+            return True
+        if j == 0:
+            return False  # the pinned center never moves
+        sigma = config.perturbation_scale * max(temp, 0.02)
+        cand = _clamp_to_radius(tuple([p + sigma * x for p, x in zip(pts[j], direction)]))
+        if _pack_valid_add(dist, pts[:j] + pts[j + 1 :], cand):
+            pts[j] = cand
+        return False
+
+    finals = _anneal(config, lambda restart, rng: _pack_warm_start(dim), propose)
+    best = max(finals, key=len)
     if len(best) > 5 ** dim:
         raise InternalError(f"packing of {len(best)} balls exceeds the volume cap {5 ** dim}")
     fam = BallFamily(space, tuple(Ball(Point(p), 1.0) for p in best))
@@ -476,7 +463,9 @@ def pack_unit_balls_radius5(dim: int, config: Optional[SearchConfig] = None) -> 
         for i in range(len(best))
         for j in range(i + 1, len(best))
     ) and not any(best[0])
-    return SearchResult(best=fam, score=len(best), feasible=feasible, trace=tuple(trace))
+    return SearchResult(
+        best=fam, score=len(best), feasible=feasible, trace=tuple(map(len, finals))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -628,61 +617,44 @@ def satellite_max_search(
     if lam < 1.0:
         raise InputError(f"lam must be >= 1, got {lam!r}")
     config = config or SearchConfig()
-    per_restart = max(1, config.budget // config.restarts)
-    cutoff = _plateau_cutoff(per_restart)
     dim = space.ambient_dim
 
-    best_sets: Optional[list] = None
-    trace = []
-    for restart in range(config.restarts):
-        rng = _restart_rng(config, restart)
-        base = space.origin()
-        sets = [QuasiRoundSet(base, 1.0, lam, min(2.0, 2.0 * lam))]
-        points = [base]
-        stalled = 0
-        for step in range(per_restart):
-            if stalled >= cutoff:
-                break
-            offsets = rng.normal(0.0, 1.0, dim)
-            u_dist = rng.uniform()
-            u_diam = rng.uniform()
-            u_round = rng.uniform()
-            j = rng.integers(0, len(sets))
-            anchor_j = sets[j].anchor
-            rj = sets[j].inner_radius
-            reach = rj * (0.6 + 1.6 * u_dist)
-            norm = _length(offsets) or 1.0
-            v = tuple(reach * o / norm for o in offsets)
-            try:
-                anchor = exp_map(space, project_tangent(space, anchor_j, v))
-            except DomainError:
-                stalled += 1
-                continue
-            min_diam = min(qs.diameter for qs in sets)
-            diam = min_diam * (0.4 + 0.58 * (tau - 1.0 + 1.0) * u_diam)
-            diam = min(diam, min_diam * tau * 0.98)
-            r_new = diam / (1.0 + (2.0 * lam - 1.0) * u_round)
-            try:
-                cand = QuasiRoundSet(anchor, r_new, lam, diam)
-            except InputError:
-                stalled += 1
-                continue
-            trial_sets = sets + [cand]
-            trial_points = points + [anchor]
-            verdict = is_tau_satellite_configuration(
-                space, trial_sets, trial_points, tau
-            )
-            if verdict.is_valid:
-                sets, points = trial_sets, trial_points
-                stalled = 0
-            else:
-                stalled += 1
-        if best_sets is None or len(sets) > len(best_sets):
-            best_sets = sets
-        trace.append(len(sets))
+    def propose(sets, temp, rng):
+        offsets = rng.normal(0.0, 1.0, dim)
+        u_dist = rng.uniform()
+        u_diam = rng.uniform()
+        u_round = rng.uniform()
+        j = rng.integers(0, len(sets))
+        anchor_j = sets[j].anchor
+        rj = sets[j].inner_radius
+        reach = rj * (0.6 + 1.6 * u_dist)
+        norm = _length(offsets) or 1.0
+        v = tuple(reach * o / norm for o in offsets)
+        try:
+            anchor = exp_map(space, project_tangent(space, anchor_j, v))
+        except DomainError:
+            return False
+        min_diam = min(qs.diameter for qs in sets)
+        diam = min_diam * (0.4 + 0.58 * (tau - 1.0 + 1.0) * u_diam)
+        diam = min(diam, min_diam * tau * 0.98)
+        r_new = diam / (1.0 + (2.0 * lam - 1.0) * u_round)
+        try:
+            cand = QuasiRoundSet(anchor, r_new, lam, diam)
+        except InputError:
+            return False
+        trial = sets + [cand]
+        if not is_tau_satellite_configuration(
+            space, trial, [qs.anchor for qs in trial], tau
+        ).is_valid:
+            return False
+        sets.append(cand)
+        return True
 
-    if best_sets is None:
-        raise InternalError("satellite search ran no restart")
+    def start(restart, rng):
+        return [QuasiRoundSet(space.origin(), 1.0, lam, min(2.0, 2.0 * lam))]
+
+    finals = _anneal(config, start, propose)
+    best_sets = max(finals, key=len)
     verdict = is_tau_satellite_configuration(
         space, best_sets, [qs.anchor for qs in best_sets], tau
     )
@@ -694,7 +666,7 @@ def satellite_max_search(
         best=fam,
         score=len(best_sets),
         feasible=verdict.is_valid,
-        trace=tuple(trace),
+        trace=tuple(map(len, finals)),
     )
 
 

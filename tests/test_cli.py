@@ -670,3 +670,60 @@ class TestTolIsValidateOnly:
         captured = capsys.readouterr()
         assert "unrecognized arguments: --tol" in captured.err
         assert captured.out == ""
+
+
+class TestFlagsApplyOnlyWhereRead:
+    """A ``search`` or ``volume`` flag given with a ``--what`` or ``--space``
+    that does not read it exits 2 and names the flag; before, it was
+    accepted and ignored (``search --what pack5 --rmin -5`` exited 0)."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["search", "--what", "pack5", "--dim", "2", "--rmin", "-5"], "--rmin"),
+        (["search", "--what", "pack5", "--dim", "2", "--rmax", "2"], "--rmax"),
+        (["search", "--what", "pack5", "--dim", "2", "--tau", "9"], "--tau"),
+        (["search", "--what", "pack5", "--dim", "2", "--lam", "0.1"], "--lam"),
+        (["search", "--what", "satellite", "--dim", "2", "--rmin", "-5"], "--rmin"),
+        (["search", "--what", "satellite", "--dim", "2", "--rmax", "2"], "--rmax"),
+        (["search", "--what", "wbcp", "--dim", "2", "--tau", "1.5"], "--tau"),
+        (["search", "--what", "wbcp", "--dim", "2", "--lam", "1.0"], "--lam"),
+        (["search", "--what", "hadwiger", "--dim", "2", "--rmax", "nan"], "--rmax"),
+        (["search", "--what", "hadwiger", "--dim", "2", "--rmin", "0.5"], "--rmin"),
+        (["search", "--what", "hadwiger", "--dim", "2", "--tau", "1.5"], "--tau"),
+        (["search", "--what", "hadwiger", "--dim", "2", "--lam", "1.0"], "--lam"),
+        (["search", "--what", "hadwiger", "--dim", "2", "--budget", "100"], "--budget"),
+        (["search", "--what", "hadwiger", "--dim", "2", "--restarts", "2"], "--restarts"),
+        (["volume", "--space", "hyperbolic", "--dim", "2", "--r", "1", "--pnorm", "0.3"],
+         "--pnorm"),
+        (["volume", "--space", "hyperbolic", "--dim", "2", "--r", "1",
+          "--sphere-radius", "-4"], "--sphere-radius"),
+        (["volume", "--space", "sphere", "--dim", "2", "--r", "1", "--pnorm", "3"], "--pnorm"),
+        (["volume", "--space", "euclidean", "--dim", "2", "--r", "1",
+          "--sphere-radius", "2"], "--sphere-radius"),
+    ], ids=lambda v: "-".join(v) if isinstance(v, list) else v)
+    def test_a_flag_that_is_not_read_exits_two(self, argv, flag, capsys):
+        assert run_command(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        choice = argv[argv.index("--what" if argv[0] == "search" else "--space") + 1]
+        assert f"error: {flag} does not apply to " in captured.err
+        assert captured.err.rstrip().endswith(choice)
+
+    @pytest.mark.parametrize("argv, defaults", [
+        (["search", "--what", "wbcp", "--dim", "2", "--seed", "1"],
+         ["--budget", "10000", "--restarts", "4", "--rmin", "0.5", "--rmax", "1.5"]),
+        (["search", "--what", "pack5", "--dim", "2", "--seed", "1"],
+         ["--budget", "10000", "--restarts", "4"]),
+        (["search", "--what", "satellite", "--dim", "2", "--seed", "1"],
+         ["--budget", "10000", "--restarts", "4", "--tau", "1.5", "--lam", "1.0"]),
+        (["search", "--what", "hadwiger", "--dim", "3"], ["--seed", "0"]),
+        (["volume", "--space", "euclidean", "--dim", "2", "--r", "1"], ["--pnorm", "2"]),
+        (["volume", "--space", "sphere", "--dim", "2", "--r", "1"], ["--sphere-radius", "1"]),
+    ], ids=["wbcp", "pack5", "satellite", "hadwiger", "euclidean", "sphere"])
+    def test_a_flag_that_is_read_keeps_its_default(self, argv, defaults, capsys):
+        # the report echoes argv, so only the payloads are compared
+        assert run_command(argv) == 0
+        implicit = json.loads(capsys.readouterr().out)
+        assert run_command(argv + defaults) == 0
+        explicit = json.loads(capsys.readouterr().out)
+        assert implicit["payload"] == explicit["payload"]
+        assert implicit["seed"] == explicit["seed"]

@@ -19,6 +19,9 @@
   or class of ``selection.py`` it reaches) calls no ``.insert(`` and no
   ``insort``: inserting into a sorted list costs time linear in its
   length, so a cover built that way is quadratic in the intervals.
+* The restart loop of the annealed searches lives in ``search._anneal``
+  alone: no other code of ``search.py`` calls ``_restart_rng`` or reads a
+  ``.restarts`` attribute, so no search grows its own copy of the loop.
 """
 
 import ast
@@ -250,3 +253,39 @@ def test_the_line_cover_inserts_into_no_list():
                 receiver = ast.unparse(func.value) if isinstance(func, ast.Attribute) else ""
                 found.append(f"{name}: {receiver}.{called} (line {call.lineno})")
     assert not found, found
+
+
+def restart_loop_sites(tree):
+    """(innermost enclosing function, line) of every ``_restart_rng`` call
+    and every read of a ``.restarts`` attribute."""
+    out = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            called = isinstance(child, ast.Call) and getattr(child.func, "id", "") == "_restart_rng"
+            read = isinstance(child, ast.Attribute) and child.attr == "restarts"
+            if called or read:
+                out.append((where, child.lineno))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            visit(child, getattr(child, "name", "<lambda>") if inner else where)
+
+    visit(tree, None)
+    return out
+
+
+def test_the_restart_loop_lives_in_the_annealing_driver():
+    sites = restart_loop_sites(parse(SRC / "search.py"))
+    assert {where for where, _ in sites} == {"_anneal"}, sites
+
+
+def test_the_restart_loop_check_sees_every_site():
+    tree = ast.parse(
+        "def _anneal(config):\n    return [_restart_rng(config, r) for r in range(config.restarts)]\n"
+        "def search(config):\n    n = config.restarts\n"
+        "    def propose():\n        return _restart_rng(config, 0)\n"
+        "    return lambda: n or cfg.restarts\n"
+        "x = _restart_rng\n"
+    )
+    assert restart_loop_sites(tree) == [
+        ("_anneal", 2), ("_anneal", 2), ("search", 4), ("propose", 6), ("<lambda>", 7),
+    ]

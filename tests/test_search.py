@@ -416,6 +416,11 @@ class TestInternalGuards:
         with pytest.raises(InternalError, match="no restart"):
             satellite_max_search(Space.euclidean(2), 1.5, 1.0, TINY)
 
+    def test_wbcp_without_restarts(self, monkeypatch):
+        monkeypatch.setattr(search, "range", _no_loops, raising=False)
+        with pytest.raises(InternalError, match="no restart"):
+            search_max_besicovitch_family(Space.euclidean(2), (0.5, 1.5), TINY)
+
     def test_hadwiger_lost_tangency(self, monkeypatch):
         monkeypatch.setattr(search, "_icosahedron_directions", lambda: [(0.5, 0.0, 0.0)] * 12)
         with pytest.raises(InternalError, match="lost tangency"):
