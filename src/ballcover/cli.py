@@ -91,13 +91,10 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["besicovitch", "alpha-config", "satellite", "k-config"],
     )
-    p.add_argument("--alpha", type=float, default=0.75, help="ratio for alpha-config")
-    p.add_argument("--tau", type=float, default=1.5, help="ratio for satellite")
+    p.add_argument("--alpha", type=float, help="alpha-config: ratio (default 0.75)")
+    p.add_argument("--tau", type=float, help="satellite: ratio (default 1.5)")
     p.add_argument(
-        "--target-index",
-        type=int,
-        default=0,
-        help="index of the target ball for alpha-config",
+        "--target-index", type=int, help="alpha-config: index of the target ball (default 0)"
     )
 
     p = sub.add_parser("select", help="bounded-overlap subcover selection")
@@ -211,6 +208,11 @@ _SEARCH_FLAGS = {
     "lam": (1.0, ("satellite",)),
 }
 _VOLUME_FLAGS = {"pnorm": (2.0, ("euclidean",)), "sphere_radius": (1.0, ("sphere",))}
+_VALIDATE_FLAGS = {
+    "alpha": (0.75, ("alpha-config",)),
+    "target_index": (0, ("alpha-config",)),
+    "tau": (1.5, ("satellite",)),
+}
 
 
 def _apply_flags(args, flags, option, choice) -> None:
@@ -229,20 +231,18 @@ def _tolkw(args) -> dict:
 
 
 def _cmd_validate(args):
+    _apply_flags(args, _VALIDATE_FLAGS, "--what", args.what)
     scene, digest = _load_scene(args.scene)
     if args.what == "besicovitch":
         verdict = is_besicovitch_family(scene.family, **_tolkw(args))
     elif args.what == "k-config":
         verdict = is_k_configuration(scene.family, **_tolkw(args))
     elif args.what == "alpha-config":
-        n = len(scene.family)
-        if not 0 <= args.target_index < n:
-            raise InputError(f"target index {args.target_index} out of range for {n} balls")
-        target = scene.family[args.target_index]
-        rest = BallFamily(
-            scene.space,
-            tuple(b for i, b in enumerate(scene.family) if i != args.target_index),
-        )
+        t, n = args.target_index, len(scene.family)
+        if not 0 <= t < n:
+            raise InputError(f"target index {t} out of range for {n} balls")
+        target = Ball(Point(scene.family.coords[t]), scene.family.radii[t])
+        rest = scene.family._subset([i for i in range(n) if i != t])
         verdict = is_alpha_configuration(rest, target, args.alpha, **_tolkw(args))
     else:
         if not scene.sets:
@@ -353,21 +353,21 @@ def _cmd_search(args):
 
 
 def _random_cip_family(rng, m):
-    space = Space.euclidean(2)
     y = rng.uniform(-1.0, 1.0, 2)
-    balls = []
+    coords, radii = [], []
     for _ in range(2 * m + 1):
         r = rng.uniform(0.5, 2.0)
         ang = rng.uniform(0.0, 2.0 * math.pi)
         d = r * rng.uniform(0.0, 1.0)
-        balls.append(
-            Ball(Point((y[0] + d * math.cos(ang), y[1] + d * math.sin(ang))), r)
-        )
-    return BallFamily(space, tuple(balls))
+        coords.append((y[0] + d * math.cos(ang), y[1] + d * math.sin(ang)))
+        radii.append(r)
+    return BallFamily.from_columns(Space.euclidean(2), coords, radii)
 
 
 def _cmd_cip(args):
     if args.trials is not None:
+        if args.scene is not None:
+            raise InputError(f"cip takes a scene path or --trials, not both: {args.scene!r}")
         if args.trials < 1:
             raise InputError(f"trials must be >= 1, got {args.trials}")
         from ._rng import Generator

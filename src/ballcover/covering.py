@@ -60,16 +60,17 @@ class Verdict(NamedTuple):
 class BallFamily(Record):
     """A finite ordered family of closed balls in one space.
 
-    A family is stored in one of two forms, and builds the other on first
-    use: as its ``balls``, when made by the constructor, or as columns,
-    the center coordinate tuples ``coords`` and the ``radii``, when made
-    by :meth:`from_columns` (as a parsed scene is) or as a subset of a
-    family.  Equality, hash, pickle and repr read ``balls``, so a family
-    equals the one the constructor makes from the same balls.
+    A family is stored as columns: ``coords``, the center coordinate
+    tuples, and ``radii``, in family order.  The constructor fills them
+    from the balls it is given, and keeps those balls; a family made by
+    :meth:`from_columns` (as a parsed scene is) or as a subset of a
+    family builds its ``balls`` on first use.  Equality, hash, pickle
+    and repr read ``balls``, so a family equals the one the constructor
+    makes from the same balls.
     """
 
     _fields = ("space", "balls")
-    __slots__ = ("space", "balls", "_coords", "_radii")
+    __slots__ = ("space", "balls", "coords", "radii")
 
     def __init__(self, space: Space, balls):
         balls = tuple(balls)
@@ -84,6 +85,8 @@ class BallFamily(Record):
                 )
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "balls", balls)
+        object.__setattr__(self, "coords", tuple([b.center.coords for b in balls]))
+        object.__setattr__(self, "radii", tuple([b.radius for b in balls]))
 
     @classmethod
     def from_columns(cls, space: Space, coords, radii) -> "BallFamily":
@@ -108,37 +111,28 @@ class BallFamily(Record):
     def _columns(cls, space, coords: tuple, radii: tuple) -> "BallFamily":
         family = object.__new__(cls)
         object.__setattr__(family, "space", space)
-        object.__setattr__(family, "_coords", coords)
-        object.__setattr__(family, "_radii", radii)
+        object.__setattr__(family, "coords", coords)
+        object.__setattr__(family, "radii", radii)
         return family
 
     def __getattr__(self, name):
-        # reached only for an unset slot: build one form from the other
-        if name == "balls":
-            value = tuple(map(Ball, map(Point, self._coords), self._radii))
-        elif name == "_coords":
-            value = tuple([b.center.coords for b in self.balls])
-        elif name == "_radii":
-            value = tuple([b.radius for b in self.balls])
-        else:
+        # reached only for an unset slot: the balls of a column family
+        if name != "balls":
             raise AttributeError(name)
-        object.__setattr__(self, name, value)
-        return value
+        balls = tuple(map(Ball, map(Point, self.coords), self.radii))
+        object.__setattr__(self, "balls", balls)
+        return balls
 
     def _subset(self, indices) -> "BallFamily":
         """The balls at ``indices``, in that order, as a column family."""
         return BallFamily._columns(
             self.space,
-            tuple(map(self._coords.__getitem__, indices)),
-            tuple(map(self._radii.__getitem__, indices)),
+            tuple(map(self.coords.__getitem__, indices)),
+            tuple(map(self.radii.__getitem__, indices)),
         )
 
     def __len__(self):
-        try:
-            balls = object.__getattribute__(self, "balls")
-        except AttributeError:  # a column family that has not built its balls
-            return len(self._radii)
-        return len(balls)
+        return len(self.radii)
 
     def __iter__(self):
         return iter(self.balls)
@@ -147,18 +141,9 @@ class BallFamily(Record):
         return self.balls[i]
 
     @property
-    def centers(self):
-        return [b.center for b in self.balls]
-
-    @property
-    def coords(self) -> tuple:
-        """The center coordinate tuples, in family order."""
-        return self._coords
-
-    @property
-    def radii(self) -> tuple:
-        """The radii, in family order."""
-        return self._radii
+    def centers(self) -> list:
+        """The centers as points, in family order, built from ``coords``."""
+        return list(map(Point, self.coords))
 
 
 class QuasiRoundSet(Record):
@@ -289,14 +274,12 @@ def _pair_violation(family: BallFamily, tol: Optional[float]) -> Optional[Verdic
     """The first ordered pair (i, j), i major, where center i lies in
     ball j or, when ``tol`` is given, where j > i and the balls are apart
     by more than ``tol``, as an INVALID verdict; None if there is none."""
-    space = family.space
-    for i, bi in enumerate(family):
-        ri = bi.radius
-        for j, bj in enumerate(family):
+    space, centers, radii = family.space, family.centers, family.radii
+    for i, (ci, ri) in enumerate(zip(centers, radii)):
+        for j, (cj, rj) in enumerate(zip(centers, radii)):
             if i == j:
                 continue
-            rj = bj.radius
-            d = distance(space, bi.center, bj.center)
+            d = distance(space, ci, cj)
             if not d > rj:
                 return Verdict(
                     INVALID,
@@ -331,7 +314,7 @@ def is_besicovitch_family(
         return contained
     n = len(family)
     if n <= 1:
-        witness = family[0].center if n == 1 else None
+        witness = Point(family.coords[0]) if n == 1 else None
         return Verdict(VALID, witness=witness)
     feas = find_common_point(family, tol=tol, max_iter=max_iter)
     if feas.point is not None:
@@ -376,19 +359,19 @@ def is_alpha_configuration(
         raise InputError(f"alpha must lie in (1/2, 1), got {alpha}")
     space = family.space
     r = target.radius
-    for i, b in enumerate(family):
-        d = distance(space, b.center, target.center)
-        if d > b.radius + r + tol * (1.0 + b.radius + r):
+    for i, (c, ri) in enumerate(zip(family.centers, family.radii)):
+        d = distance(space, c, target.center)
+        if d > ri + r + tol * (1.0 + ri + r):
             return Verdict(
                 INVALID,
                 reason="ball %d does not meet the target" % i,
                 witness=i,
             )
-        if not r < alpha * b.radius:
+        if not r < alpha * ri:
             return Verdict(
                 INVALID,
                 reason="target radius %g is not below alpha * r_%d = %g"
-                % (r, i, alpha * b.radius),
+                % (r, i, alpha * ri),
                 witness=i,
             )
     return Verdict(VALID)
@@ -505,8 +488,8 @@ def overlap_profile(
             )
         if len(family) == 0:
             return OverlapProfile(0, None, {})
-        lefts = [b.center.coords[0] - b.radius for b in family]
-        rights = [b.center.coords[0] + b.radius for b in family]
+        lefts = [c[0] - r for c, r in zip(family.coords, family.radii)]
+        rights = [c[0] + r for c, r in zip(family.coords, family.radii)]
         # closed intervals: openings (0) first at a shared coordinate, then input order
         depth = max_overlap = 0
         for x, kind in sorted([(x, 0) for x in lefts] + [(x, 1) for x in rights]):
@@ -520,16 +503,16 @@ def overlap_profile(
         raise InputError("either probes or exact_1d must be given")
     if len(family) == 0 or len(probes) == 0:
         return OverlapProfile(0, None, {})
-    space = family.space
-    reach = [b.radius + tol * (1.0 + b.radius) for b in family]
-    grid = _Grid(space, family.centers + list(probes), max(reach))
-    for j, b in enumerate(family):
-        grid.add(b.center.coords, reach[j], j)
+    space, centers = family.space, family.centers
+    reach = [r + tol * (1.0 + r) for r in family.radii]
+    grid = _Grid(space, centers + list(probes), max(reach))
+    for j, c in enumerate(family.coords):
+        grid.add(c, reach[j], j)
     best_depth = -1
     best_probe = None
     histogram: dict = {}
     for p in probes:
-        depth = sum(distance(space, p, family[j].center) <= reach[j]
+        depth = sum(distance(space, p, centers[j]) <= reach[j]
                     for j in grid.near(p.coords, 0.0))
         histogram[depth] = histogram.get(depth, 0) + 1
         if depth > best_depth:

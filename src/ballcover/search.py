@@ -473,11 +473,8 @@ def pack_unit_balls_radius5(dim: int, config: Optional[SearchConfig] = None) -> 
 # ---------------------------------------------------------------------------
 
 
-def _cip_verify(space, family, s, indices, z) -> bool:
-    return all(
-        distance(space, z, family[i].center) <= s * family[i].radius + 1e-9
-        for i in indices
-    )
+def _cip_verify(space, centers, radii, s, indices, z) -> bool:
+    return all(distance(space, z, centers[i]) <= s * radii[i] + 1e-9 for i in indices)
 
 
 def cip_check(family: BallFamily, m: int, s: float) -> CipResult:
@@ -500,25 +497,26 @@ def cip_check(family: BallFamily, m: int, s: float) -> CipResult:
     n = len(family)
     if n < 2 * m + 1:
         raise InputError(f"need at least {2 * m + 1} balls, got {n}")
-    if any(b.radius <= 0.0 for b in family):
+    space, coords, radii = family.space, family.coords, family.radii
+    if any(r <= 0.0 for r in radii):
         raise InputError("all radii must be positive")
-    space = family.space
     feas = find_common_point(family, max_iter=20_000)
     if feas.point is None:
         raise InputError("the balls share no common point")
     y = feas.point
     target = m + 1
-    scale = 1.0 + max(b.radius for b in family)
+    scale = 1.0 + max(radii)
 
-    slack = [distance(space, y, b.center) - s * b.radius for b in family]
+    centers = family.centers
+    slack = [distance(space, y, c) - s * r for c, r in zip(centers, radii)]
     inside = [i for i in range(n) if slack[i] <= 1e-9 * scale]
     if len(inside) >= target:
         idx = tuple(inside[:target])
-        if _cip_verify(space, family, s, idx, y):
+        if _cip_verify(space, centers, radii, s, idx, y):
             return CipResult(True, idx, y)
 
     if space.is_flat and space.dim == 2 and space.pnorm == 2.0:
-        got = _cip_sector_route(space, family, s, y, target, scale)
+        got = _cip_sector_route(space, centers, radii, s, y, target, scale)
         if got is not None:
             return got
 
@@ -533,23 +531,23 @@ def cip_check(family: BallFamily, m: int, s: float) -> CipResult:
             tried += 1
             if tried > 5000:
                 break
-            shrunk = BallFamily(
-                space, tuple(Ball(family[i].center, s * family[i].radius) for i in subset)
+            shrunk = BallFamily._columns(
+                space, tuple(map(coords.__getitem__, subset)), tuple(s * radii[i] for i in subset)
             )
             sub = find_common_point(shrunk, max_iter=4000)
-            if sub.point is not None and _cip_verify(space, family, s, subset, sub.point):
+            if sub.point is not None and _cip_verify(space, centers, radii, s, subset, sub.point):
                 return CipResult(True, tuple(subset), sub.point)
         if tried > 5000:
             break
     return CipResult(False)
 
 
-def _cip_sector_route(space, family, s, y, target, scale):
+def _cip_sector_route(space, centers, radii, s, y, target, scale):
     """Planar analytic stage: tightest angular bundle plus a line search."""
     dirs = []
-    for i, b in enumerate(family):
-        dx = b.center.coords[0] - y.coords[0]
-        dy = b.center.coords[1] - y.coords[1]
+    for i, c in enumerate(centers):
+        dx = c.coords[0] - y.coords[0]
+        dy = c.coords[1] - y.coords[1]
         d = math.hypot(dx, dy)
         if d > 1e-15:
             dirs.append((math.atan2(dy, dx), i))
@@ -571,10 +569,7 @@ def _cip_sector_route(space, family, s, y, target, scale):
     mid = dirs[best_at][0] + best_span / 2.0
     ux, uy = math.cos(mid), math.sin(mid)
     dmax = max(
-        math.hypot(
-            family[i].center.coords[0] - y.coords[0],
-            family[i].center.coords[1] - y.coords[1],
-        )
+        math.hypot(centers[i].coords[0] - y.coords[0], centers[i].coords[1] - y.coords[1])
         for i in bundle
     )
     for t in range(1, 65):
@@ -582,12 +577,12 @@ def _cip_sector_route(space, family, s, y, target, scale):
         z = Point((y.coords[0] + delta * ux, y.coords[1] + delta * uy))
         hits = [
             i
-            for i, b in enumerate(family)
-            if distance(space, z, b.center) <= s * b.radius + 1e-12 * scale
+            for i, (c, r) in enumerate(zip(centers, radii))
+            if distance(space, z, c) <= s * r + 1e-12 * scale
         ]
         if len(hits) >= target:
             idx = tuple(hits[:target])
-            if _cip_verify(space, family, s, idx, z):
+            if _cip_verify(space, centers, radii, s, idx, z):
                 return CipResult(True, idx, z)
     return None
 

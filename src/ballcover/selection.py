@@ -1,6 +1,6 @@
 """Constructive covering selections over finite ball families.
 
-Four deterministic procedures share the same skeleton: group balls into
+Five deterministic procedures share the same skeleton: group balls into
 geometric scale bands, then select or color greedily inside each band,
 largest scales first.
 
@@ -160,11 +160,12 @@ def select_bounded_overlap_subcover(
     eligible; every listed center must have at least one such ball.
     """
     _check_ratio("beta", beta)
-    space = family.space
+    space, coords, radii = family.space, family.coords, family.radii
+    ball_centers = family.centers
     center_list = list(centers)
     by_coords = {}
-    for i, b in enumerate(family):
-        by_coords.setdefault(b.center.coords, []).append(i)
+    for i, c in enumerate(coords):
+        by_coords.setdefault(c, []).append(i)
     ball_to_center = {}
     for ci, p in enumerate(center_list):
         owners = by_coords.get(p.coords)
@@ -174,13 +175,10 @@ def select_bounded_overlap_subcover(
             ball_to_center.setdefault(bi, ci)
     covered = [False] * len(center_list)
 
-    candidates = sorted(
-        ball_to_center,
-        key=lambda i: (-family[i].radius, family[i].center.coords, i),
-    )
-    by_band = _assign_bands([(family[i].radius, i) for i in candidates], beta)
+    candidates = sorted(ball_to_center, key=lambda i: (-radii[i], coords[i], i))
+    by_band = _assign_bands([(radii[i], i) for i in candidates], beta)
 
-    reach = 2.0 * max(family.radii, default=0.0)
+    reach = 2.0 * max(radii, default=0.0)
     selected_idx = []
     selected_bands = []
     for band in sorted(by_band):
@@ -190,18 +188,18 @@ def select_bounded_overlap_subcover(
                 break
             chosen = _Grid(space, center_list, reach)  # this round's balls
             for i in pool:
-                c, r = family[i].center, family[i].radius
-                if all(distance(space, c, family[j].center) > r + family[j].radius
+                c, r = ball_centers[i], radii[i]
+                if all(distance(space, c, ball_centers[j]) > r + radii[j]
                        for j in chosen.near(c.coords, r)):
                     chosen.add(c.coords, r, i)
                     selected_idx.append(i)
                     selected_bands.append(band)
             for ci, p in enumerate(center_list):
-                if not covered[ci] and any(distance(space, p, family[j].center) <= family[j].radius
+                if not covered[ci] and any(distance(space, p, ball_centers[j]) <= radii[j]
                                            for j in chosen.near(p.coords, 0.0)):
                     covered[ci] = True
 
-    selected = BallFamily(space, tuple(family[i] for i in selected_idx))
+    selected = family._subset(selected_idx)
     profile = _profile_for(selected, center_list)
     return SubcoverResult(
         selected=selected,
@@ -216,8 +214,8 @@ def select_bounded_overlap_subcover(
 # ---------------------------------------------------------------------------
 
 
-def _first_fit(space: Space, balls, order) -> tuple:
-    """Greedy colouring of ``balls`` visited in ``order``.
+def _first_fit(family: BallFamily, order) -> tuple:
+    """Greedy colouring of the balls of ``family`` visited in ``order``.
 
     Each ball takes the lowest colour that no already coloured ball
     meeting it carries (closed balls meet when the center distance is at
@@ -226,15 +224,15 @@ def _first_fit(space: Space, balls, order) -> tuple:
     member, else a new family".  Returns the families, as input indices
     in colouring order, and the input-indexed colour assignment.
     """
-    radii = [b.radius for b in balls]
-    grid = _Grid(space, [b.center for b in balls], 2.0 * max(radii, default=0.0))
+    space, centers, radii = family.space, family.centers, family.radii
+    grid = _Grid(space, centers, 2.0 * max(radii, default=0.0))
     families: list[list[int]] = []
-    assignment = [-1] * len(balls)
+    assignment = [-1] * len(centers)
     for i in order:
-        c, r = balls[i].center, radii[i]
+        c, r = centers[i], radii[i]
         used = set()
         for j in grid.near(c.coords, r):
-            if assignment[j] not in used and not distance(space, c, balls[j].center) > r + radii[j]:
+            if assignment[j] not in used and not distance(space, c, centers[j]) > r + radii[j]:
                 used.add(assignment[j])
         f = min(set(range(len(families) + 1)) - used)
         if f == len(families):
@@ -263,24 +261,19 @@ def partition_into_disjoint_families(
     """
     if not 0.5 < alpha < 1.0:
         raise InputError(f"alpha must lie in (1/2, 1), got {alpha!r}")
-    space = family.space
+    space, coords, radii = family.space, family.coords, family.radii
     n = len(family)
-    order = sorted(
-        range(n), key=lambda i: (-family[i].radius, family[i].center.coords, i)
-    )
-    families, assignment = _first_fit(space, family.balls, order)
+    order = sorted(range(n), key=lambda i: (-radii[i], coords[i], i))
+    families, assignment = _first_fit(family, order)
 
     if n:
-        profile = _profile_for(family, [b.center for b in family])
+        profile = _profile_for(family, family.centers)
         exact = space.is_line
         bound = profile.max_overlap * strict_net_bound(alpha, space.dim) + 1
     else:
         exact, bound = True, 1
     return DisjointPartition(
-        families=tuple(
-            BallFamily(space, tuple(family[i] for i in members))
-            for members in families
-        ),
+        families=tuple(map(family._subset, families)),
         assignment=tuple(assignment),
         family_count_bound=bound,
         bound_is_empirical=not exact,
@@ -765,13 +758,13 @@ def besicovitch_cover_1d(
 
 def _check_separation(selected: BallFamily, s: float) -> None:
     """Raise unless ``distance(x_t, x_j) > s * max(r_t, r_j)`` on all pairs."""
-    space, balls = selected.space, selected.balls
-    grid = _Grid(space, selected.centers, 2.0 * s * max(selected.radii, default=0.0))
-    for j, b in enumerate(balls):
-        for t in grid.near(b.center.coords, s * b.radius):
-            if not distance(space, balls[t].center, b.center) > s * max(balls[t].radius, b.radius):
+    space, centers, radii = selected.space, selected.centers, selected.radii
+    grid = _Grid(space, centers, 2.0 * s * max(radii, default=0.0))
+    for j, (c, r) in enumerate(zip(centers, radii)):
+        for t in grid.near(c.coords, s * r):
+            if not distance(space, centers[t], c) > s * max(radii[t], r):
                 raise InternalError("selection lost its separation guarantee")
-        grid.add(b.center.coords, s * b.radius, j)
+        grid.add(c.coords, s * r, j)
 
 
 def cip_subcover(
@@ -795,12 +788,11 @@ def cip_subcover(
         raise InputError(f"m must be a positive integer, got {m!r}")
     _check_ratio("s", s)
     _check_ratio("beta", beta)
-    space = family.space
+    space, coords, radii = family.space, family.coords, family.radii
+    centers = family.centers
     n = len(family)
-    order = sorted(
-        range(n), key=lambda i: (-family[i].radius, family[i].center.coords, i)
-    )
-    by_band = _assign_bands([(family[i].radius, i) for i in order], beta)
+    order = sorted(range(n), key=lambda i: (-radii[i], coords[i], i))
+    by_band = _assign_bands([(radii[i], i) for i in order], beta)
 
     covered = [False] * n
     selected_idx: list[int] = []
@@ -813,16 +805,13 @@ def cip_subcover(
                 break
             selected_idx.append(pick)
             selected_bands.append(band)
-            chosen = family[pick]
             for i in range(n):
-                if not covered[i] and (
-                    distance(space, family[i].center, chosen.center) <= chosen.radius
-                ):
+                if not covered[i] and distance(space, centers[i], centers[pick]) <= radii[pick]:
                     covered[i] = True
 
-    selected = BallFamily(space, tuple(family[i] for i in selected_idx))
+    selected = family._subset(selected_idx)
     _check_separation(selected, s)
-    profile = _profile_for(selected, [b.center for b in family])
+    profile = _profile_for(selected, centers)
     return SubcoverResult(
         selected=selected,
         covered_centers=tuple(covered),
@@ -879,21 +868,19 @@ def morse_partition(
                     f"{cap / (4.0 * lam + 1.0)}"
                 )
 
-    outer = [Ball(qs.anchor, lam * qs.inner_radius) for qs in sets]
+    outer = BallFamily(space, [Ball(qs.anchor, lam * qs.inner_radius) for qs in sets])
     order = sorted(
         range(len(sets)),
         key=lambda k: (-sets[k].diameter, sets[k].anchor.coords, k),
     )
-    families, assignment = _first_fit(space, outer, order)
+    families, assignment = _first_fit(outer, order)
 
     dim = space.dim
     bound = math.ceil((4.0 * lam * tau + 1.0) ** dim) + math.ceil(
         (2.0 * lam * tau + 1.0) ** dim
     ) * math.ceil((2.0 * lam + 3.0) ** dim)
     return DisjointPartition(
-        families=tuple(
-            BallFamily(space, tuple(outer[k] for k in ms)) for ms in families
-        ),
+        families=tuple(map(outer._subset, families)),
         assignment=tuple(assignment),
         family_count_bound=bound,
         bound_is_empirical=True,

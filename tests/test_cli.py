@@ -107,6 +107,19 @@ def scenes(tmp_path):
             ],
         },
     )
+    # a target ball (index 0) below 0.75 times the radius of each other ball
+    paths["alpha"] = write(
+        "alpha.json",
+        {
+            "version": 1,
+            "space": {"kind": "euclidean", "dim": 1},
+            "balls": [
+                {"center": [0.0], "radius": 0.7},
+                {"center": [0.5], "radius": 1.0},
+                {"center": [-0.5], "radius": 1.0},
+            ],
+        },
+    )
     paths["tmp"] = tmp_path
     return paths
 
@@ -292,6 +305,15 @@ class TestCip:
 
     def test_needs_scene_or_trials(self):
         assert run_command(["cip", "--m", "1"]) == 2
+
+    @pytest.mark.parametrize("scene", ["{cip_hard}", "{tmp}/missing.json"], ids=["found", "missing"])
+    def test_a_scene_with_trials_exits_two(self, scene, scenes, capsys):
+        # before, the scene was ignored without being read, and the trials ran
+        path = scene.format(**scenes)
+        assert run_command(["cip", path, "--m", "2", "--trials", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cip takes a scene path or --trials, not both: {path!r}\n"
 
 
 class TestConstants:
@@ -673,9 +695,10 @@ class TestTolIsValidateOnly:
 
 
 class TestFlagsApplyOnlyWhereRead:
-    """A ``search`` or ``volume`` flag given with a ``--what`` or ``--space``
-    that does not read it exits 2 and names the flag; before, it was
-    accepted and ignored (``search --what pack5 --rmin -5`` exited 0)."""
+    """A ``search``, ``validate`` or ``volume`` flag given with a ``--what``
+    or ``--space`` that does not read it exits 2 and names the flag;
+    before, it was accepted and ignored (``search --what pack5 --rmin -5``
+    and ``validate --what besicovitch --alpha 7`` exited 0)."""
 
     @pytest.mark.parametrize("argv, flag", [
         (["search", "--what", "pack5", "--dim", "2", "--rmin", "-5"], "--rmin"),
@@ -699,12 +722,26 @@ class TestFlagsApplyOnlyWhereRead:
         (["volume", "--space", "sphere", "--dim", "2", "--r", "1", "--pnorm", "3"], "--pnorm"),
         (["volume", "--space", "euclidean", "--dim", "2", "--r", "1",
           "--sphere-radius", "2"], "--sphere-radius"),
-    ], ids=lambda v: "-".join(v) if isinstance(v, list) else v)
-    def test_a_flag_that_is_not_read_exits_two(self, argv, flag, capsys):
+        (["validate", "{valid_1d}", "--what", "besicovitch", "--alpha", "7", "--tau", "-3",
+          "--target-index", "99"], "--alpha"),
+        (["validate", "{valid_1d}", "--what", "besicovitch", "--target-index", "99"],
+         "--target-index"),
+        (["validate", "{valid_1d}", "--what", "besicovitch", "--tau", "-3"], "--tau"),
+        (["validate", "{valid_1d}", "--what", "k-config", "--alpha", "0.75"], "--alpha"),
+        (["validate", "{valid_1d}", "--what", "k-config", "--target-index", "0"],
+         "--target-index"),
+        (["validate", "{valid_1d}", "--what", "k-config", "--tau", "1.5"], "--tau"),
+        (["validate", "{alpha}", "--what", "alpha-config", "--tau", "1.5"], "--tau"),
+        (["validate", "{satellite}", "--what", "satellite", "--alpha", "0.75"], "--alpha"),
+        (["validate", "{satellite}", "--what", "satellite", "--target-index", "0"],
+         "--target-index"),
+    ], ids=lambda v: "-".join(v).replace("{", "").replace("}", "") if isinstance(v, list) else v)
+    def test_a_flag_that_is_not_read_exits_two(self, argv, flag, scenes, capsys):
+        argv = [a.format(**scenes) for a in argv]
         assert run_command(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        choice = argv[argv.index("--what" if argv[0] == "search" else "--space") + 1]
+        choice = argv[argv.index("--space" if argv[0] == "volume" else "--what") + 1]
         assert f"error: {flag} does not apply to " in captured.err
         assert captured.err.rstrip().endswith(choice)
 
@@ -718,9 +755,14 @@ class TestFlagsApplyOnlyWhereRead:
         (["search", "--what", "hadwiger", "--dim", "3"], ["--seed", "0"]),
         (["volume", "--space", "euclidean", "--dim", "2", "--r", "1"], ["--pnorm", "2"]),
         (["volume", "--space", "sphere", "--dim", "2", "--r", "1"], ["--sphere-radius", "1"]),
-    ], ids=["wbcp", "pack5", "satellite", "hadwiger", "euclidean", "sphere"])
-    def test_a_flag_that_is_read_keeps_its_default(self, argv, defaults, capsys):
+        (["validate", "{alpha}", "--what", "alpha-config"],
+         ["--alpha", "0.75", "--target-index", "0"]),
+        (["validate", "{satellite}", "--what", "satellite"], ["--tau", "1.5"]),
+    ], ids=["wbcp", "pack5", "satellite", "hadwiger", "euclidean", "sphere",
+            "validate-alpha-config", "validate-satellite"])
+    def test_a_flag_that_is_read_keeps_its_default(self, argv, defaults, scenes, capsys):
         # the report echoes argv, so only the payloads are compared
+        argv = [a.format(**scenes) for a in argv]
         assert run_command(argv) == 0
         implicit = json.loads(capsys.readouterr().out)
         assert run_command(argv + defaults) == 0
