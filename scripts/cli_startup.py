@@ -1,0 +1,98 @@
+"""Time fresh CLI processes: interpreter start, the CLI import and three calls.
+
+Five children are timed, each run ``--rounds`` times, in an order that
+reverses from round to round, so host drift falls on all of them alike:
+
+* ``pass``: ``python -c pass``, the interpreter alone;
+* ``import``: ``python -c "import ballcover.cli"``;
+* ``volume``: ``python -m ballcover.cli volume`` on a Euclidean 3-ball;
+* ``validate``: the first ``validate`` command of the benchmark's
+  ``validate-batch`` workload at ``--seed``;
+* ``oned``: the ``oned-bounded`` command of its ``line-1d`` workload
+  (30,000 intervals).
+
+The scenes are built with ``bench/workloads.build`` into a temporary
+directory, and nothing is written under ``bench/``.  Each child gets the
+benchmark's environment (``PYTHONPATH``, ``PYTHONHASHSEED=0``, buffered
+output), with its report sent to ``/dev/null``.  With ``--src`` given more
+than once, the trees' children alternate within each round, so two source
+trees can be compared.  One JSON object goes to standard output, with the
+min and median wall time of each child per tree, in seconds:
+
+    python scripts/cli_startup.py [--rounds 15] [--seed 601] [--src DIR ...]
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.dont_write_bytecode = True  # read bench/, write nothing there
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+from workloads import build  # noqa: E402
+
+
+def children(seed: int, workdir: str) -> dict:
+    """The argv after ``python`` of each child."""
+    validate = next(op for op in build("validate-batch", seed, workdir).ops
+                    if op.argv[0] == "validate")
+    oned = next(op for op in build("line-1d", seed, workdir).ops if op.name == "oned-bounded")
+    cli = ["-m", "ballcover.cli"]
+    return {
+        "pass": ["-c", "pass"],
+        "import": ["-c", "import ballcover.cli"],
+        "volume": [*cli, "volume", "--space", "euclidean", "--dim", "3", "--r", "1.5"],
+        "validate": [*cli, *validate.argv],
+        "oned": [*cli, *oned.argv],
+    }
+
+
+def wall(argv, src: str) -> float:
+    env = {"PATH": os.environ.get("PATH", "/usr/bin:/bin"), "PYTHONPATH": src,
+           "PYTHONHASHSEED": "0"}
+    start = time.perf_counter()
+    code = subprocess.run([sys.executable, *argv], env=env, cwd=ROOT,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    elapsed = time.perf_counter() - start
+    if code not in (0, 1):
+        raise RuntimeError(f"{argv} exited {code} with PYTHONPATH={src}")
+    return elapsed
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--rounds", type=int, default=15)
+    ap.add_argument("--seed", type=int, default=601)
+    ap.add_argument("--src", action="append",
+                    help="a source tree's src directory (default: this tree's)")
+    args = ap.parse_args()
+    trees = [os.path.abspath(s) for s in args.src or [os.path.join(ROOT, "src")]]
+    with tempfile.TemporaryDirectory(prefix="cli-startup-") as workdir:
+        argvs = children(args.seed, workdir)
+        runs = [(src, name) for name in argvs for src in trees]
+        samples = {run: [] for run in runs}
+        for k in range(args.rounds):
+            for src, name in runs if k % 2 == 0 else reversed(runs):
+                samples[src, name].append(wall(argvs[name], src))
+    print(json.dumps({
+        "seed": args.seed,
+        "rounds": args.rounds,
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "trees": [{"src": src, "children": {
+            name: {"min_s": round(min(samples[src, name]), 4),
+                   "median_s": round(statistics.median(samples[src, name]), 4)}
+            for name in argvs}} for src in trees],
+    }, indent=2))
+
+
+if __name__ == "__main__":
+    main()

@@ -3,7 +3,8 @@
 Exit codes: 0 means the command succeeded and every asserted property
 held; 1 means a verified property violation (a validator rejected, a
 witness was not found, or a result failed re-certification); 2 means an
-input or usage error, including a report that cannot be written; 3
+input or usage error, including a report that cannot be written (a
+closed or failing standard output too); 3
 means a defect, not a property of the input: an internal guarantee of
 the algorithms failed, or any other exception was raised.  Reports are
 JSON documents written to standard output or, with ``--out``,
@@ -13,12 +14,15 @@ null unless ``--timing`` is passed, so re-runs with identical inputs
 produce byte-identical reports.  No subcommand imports numpy: ``search``,
 ``cip --trials`` and ``constants`` draw from ``ballcover._rng``, a pure-Python
 copy of numpy's ``default_rng`` stream, so their seeded reports are pinned in
-this package and do not depend on the installed numpy.
+this package and do not depend on the installed numpy.  Importing this
+module loads neither ``search`` nor ``selection``: a handler imports them
+when it calls them.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import stat
@@ -43,23 +47,29 @@ from .sceneio import (
     render_report,
     scene_digest,
 )
-from .search import (
-    SearchConfig,
-    cip_check,
-    constants_markdown,
-    constants_report,
-    construct_strict_hadwiger,
-    pack_unit_balls_radius5,
-    satellite_max_search,
-    search_max_besicovitch_family,
-)
-from .selection import (
-    besicovitch_cover_1d,
-    partition_into_disjoint_families,
-    select_bounded_overlap_subcover,
-)
 
 __all__ = ["run_command", "main"]
+
+# The names of ``search`` and ``selection`` that the handlers call, imported
+# on first use: ``validate`` and ``volume`` read neither module.
+_DEFERRED = frozenset("""SearchConfig cip_check constants_markdown constants_report
+    construct_strict_hadwiger pack_unit_balls_radius5 satellite_max_search
+    search_max_besicovitch_family besicovitch_cover_1d partition_into_disjoint_families
+    select_bounded_overlap_subcover""".split())
+
+
+def __getattr__(name):
+    """A deferred name, read from the package, which imports its module:
+    ``cli.<name>`` is that module's current binding until one is set on
+    this module."""
+    if name in _DEFERRED:
+        return getattr(sys.modules[__package__], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# The handlers call the deferred names through this module, so a binding set
+# on it (a test's patch) wins, and any other is read when the call is made.
+_cli = sys.modules[__name__]
 
 
 def _jsonable(value):
@@ -70,85 +80,90 @@ def _jsonable(value):
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(first: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI's parser for an argv whose first word is ``first``.
+
+    Every subcommand is registered, so usage lines and top-level errors
+    list all nine.  When ``first`` names a subcommand, argparse parses the
+    rest with that subcommand's parser alone, so only it gets its arguments.
+    """
     parser = argparse.ArgumentParser(
         prog="ballcover",
         description="Covering, selection, and packing algorithms for ball families.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, scene=True):
+    def add_subcommand(name, help_text, scene=True):
+        """The parser of ``name`` with its common arguments, or None when
+        ``first`` names another subcommand."""
+        p = sub.add_parser(name, help=help_text)
+        if first in _HANDLERS and first != name:
+            return None
         if scene:
             p.add_argument("scene", help="path to a scene JSON document")
         p.add_argument("--out", help="write the report to this path instead of stdout")
         p.add_argument("--timing", action="store_true", help="record wall time in the report")
+        return p
 
-    p = sub.add_parser("validate", help="run a configuration validator on a scene")
-    add_common(p)
-    p.add_argument("--tol", type=float, default=None, help="tolerance override")
-    p.add_argument(
-        "--what",
-        required=True,
-        choices=["besicovitch", "alpha-config", "satellite", "k-config"],
-    )
-    p.add_argument("--alpha", type=float, help="alpha-config: ratio (default 0.75)")
-    p.add_argument("--tau", type=float, help="satellite: ratio (default 1.5)")
-    p.add_argument(
-        "--target-index", type=int, help="alpha-config: index of the target ball (default 0)"
-    )
+    if p := add_subcommand("validate", "run a configuration validator on a scene"):
+        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+        p.add_argument(
+            "--what",
+            required=True,
+            choices=["besicovitch", "alpha-config", "satellite", "k-config"],
+        )
+        p.add_argument("--alpha", type=float, help="alpha-config: ratio (default 0.75)")
+        p.add_argument("--tau", type=float, help="satellite: ratio (default 1.5)")
+        p.add_argument(
+            "--target-index", type=int, help="alpha-config: index of the target ball (default 0)"
+        )
 
-    p = sub.add_parser("select", help="bounded-overlap subcover selection")
-    add_common(p)
-    p.add_argument("--beta", type=float, default=0.5, help="radius band ratio")
+    if p := add_subcommand("select", "bounded-overlap subcover selection"):
+        p.add_argument("--beta", type=float, default=0.5, help="radius band ratio")
 
-    p = sub.add_parser("partition", help="partition into pairwise-disjoint families")
-    add_common(p)
-    p.add_argument("--alpha", type=float, default=0.75, help="radius band ratio")
+    if p := add_subcommand("partition", "partition into pairwise-disjoint families"):
+        p.add_argument("--alpha", type=float, default=0.75, help="radius band ratio")
 
-    p = sub.add_parser("oned", help="two-family disjoint cover on the line")
-    add_common(p)
-    p.add_argument("--mode", choices=["auto", "bounded", "scattered"], default="auto")
+    if p := add_subcommand("oned", "two-family disjoint cover on the line"):
+        p.add_argument("--mode", choices=["auto", "bounded", "scattered"], default="auto")
 
-    p = sub.add_parser("net", help="greedy separated subset of the scene points")
-    add_common(p)
-    p.add_argument("--eps", type=float, required=True, help="separation distance")
-    p.add_argument("--strict", action="store_true", help="require strictly greater separation")
+    if p := add_subcommand("net", "greedy separated subset of the scene points"):
+        p.add_argument("--eps", type=float, required=True, help="separation distance")
+        p.add_argument("--strict", action="store_true", help="require strictly greater separation")
 
-    p = sub.add_parser("search", help="randomized configuration search")
-    add_common(p, scene=False)
-    p.add_argument(
-        "--what", required=True, choices=["wbcp", "hadwiger", "pack5", "satellite"]
-    )
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, help="not hadwiger: proposals (default 10000)")
-    p.add_argument("--restarts", type=int, help="not hadwiger: restarts (default 4)")
-    p.add_argument("--rmin", type=float, help="wbcp: smallest radius (default 0.5)")
-    p.add_argument("--rmax", type=float, help="wbcp: largest radius (default 1.5)")
-    p.add_argument("--tau", type=float, help="satellite: diameter ratio (default 1.5)")
-    p.add_argument("--lam", type=float, help="satellite: roundness (default 1.0)")
+    if p := add_subcommand("search", "randomized configuration search", scene=False):
+        p.add_argument(
+            "--what", required=True, choices=["wbcp", "hadwiger", "pack5", "satellite"]
+        )
+        p.add_argument("--dim", type=int, required=True)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--budget", type=int, help="not hadwiger: proposals (default 10000)")
+        p.add_argument("--restarts", type=int, help="not hadwiger: restarts (default 4)")
+        p.add_argument("--rmin", type=float, help="wbcp: smallest radius (default 0.5)")
+        p.add_argument("--rmax", type=float, help="wbcp: largest radius (default 1.5)")
+        p.add_argument("--tau", type=float, help="satellite: diameter ratio (default 1.5)")
+        p.add_argument("--lam", type=float, help="satellite: roundness (default 1.0)")
 
-    p = sub.add_parser("cip", help="shrunk-common-point search")
-    add_common(p, scene=False)
-    p.add_argument("scene", nargs="?", default=None, help="scene to check (omit with --trials)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--shrink", type=float, default=0.95)
-    p.add_argument("--trials", type=int, default=None, help="run on random configurations instead")
-    p.add_argument("--seed", type=int, default=0)
+    if p := add_subcommand("cip", "shrunk-common-point search", scene=False):
+        p.add_argument("scene", nargs="?", default=None, help="scene to check (omit with --trials)")
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--shrink", type=float, default=0.95)
+        p.add_argument(
+            "--trials", type=int, default=None, help="run on random configurations instead"
+        )
+        p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("constants", help="extremal-constants report")
-    add_common(p, scene=False)
-    p.add_argument("--dims", default="1,2", help="comma-separated dimensions")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=4000)
+    if p := add_subcommand("constants", "extremal-constants report", scene=False):
+        p.add_argument("--dims", default="1,2", help="comma-separated dimensions")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--budget", type=int, default=4000)
 
-    p = sub.add_parser("volume", help="geodesic ball volume")
-    add_common(p, scene=False)
-    p.add_argument("--space", choices=list(SPACE_KINDS), required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--pnorm", type=float, help="euclidean: the p of the norm (default 2)")
-    p.add_argument("--sphere-radius", type=float, help="sphere: its radius (default 1)")
+    if p := add_subcommand("volume", "geodesic ball volume", scene=False):
+        p.add_argument("--space", choices=list(SPACE_KINDS), required=True)
+        p.add_argument("--dim", type=int, required=True)
+        p.add_argument("--r", type=float, required=True)
+        p.add_argument("--pnorm", type=float, help="euclidean: the p of the norm (default 2)")
+        p.add_argument("--sphere-radius", type=float, help="sphere: its radius (default 1)")
 
     return parser
 
@@ -165,7 +180,11 @@ def _load_scene(path: str):
 def _emit(report: dict, out: Optional[str]) -> None:
     text = render_report(report)
     if out is None:
+        if sys.stdout is None:  # the process started with standard output closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        # flushed here, so a failed write is reported and exits 2
         sys.stdout.write(text)
+        sys.stdout.flush()
         return
     try:
         special = not stat.S_ISREG(os.stat(out).st_mode)
@@ -270,7 +289,7 @@ def _scene_center_coords(scene):
 
 def _cmd_select(args):
     scene, digest = _load_scene(args.scene)
-    result = select_bounded_overlap_subcover(
+    result = _cli.select_bounded_overlap_subcover(
         scene.family, list(map(Point, _scene_center_coords(scene))), args.beta
     )
     payload = {
@@ -285,7 +304,7 @@ def _cmd_select(args):
 
 def _cmd_partition(args):
     scene, digest = _load_scene(args.scene)
-    result = partition_into_disjoint_families(scene.family, args.alpha)
+    result = _cli.partition_into_disjoint_families(scene.family, args.alpha)
     payload = {
         "family_count": len(result.families),
         "families": [ball_docs(fam) for fam in result.families],
@@ -299,7 +318,7 @@ def _cmd_partition(args):
 def _cmd_oned(args):
     scene, digest = _load_scene(args.scene)
     centers = [c[0] for c in _scene_center_coords(scene)]
-    result = besicovitch_cover_1d(scene.family, centers, mode=args.mode)
+    result = _cli.besicovitch_cover_1d(scene.family, centers, mode=args.mode)
     payload = {
         "family_count": len(result.families),
         "families": [ball_docs(fam) for fam in result.families],
@@ -324,9 +343,9 @@ def _cmd_net(args):
 
 def _cmd_search(args):
     _apply_flags(args, _SEARCH_FLAGS, "--what", args.what)
-    config = SearchConfig(seed=args.seed, budget=args.budget, restarts=args.restarts)
+    config = _cli.SearchConfig(seed=args.seed, budget=args.budget, restarts=args.restarts)
     if args.what == "hadwiger":
-        fam = construct_strict_hadwiger(args.dim)
+        fam = _cli.construct_strict_hadwiger(args.dim)
         payload = {
             "what": args.what,
             "score": len(fam),
@@ -335,13 +354,13 @@ def _cmd_search(args):
         }
         return payload, None, args.seed, 0
     if args.what == "wbcp":
-        res = search_max_besicovitch_family(
+        res = _cli.search_max_besicovitch_family(
             Space.euclidean(args.dim), (args.rmin, args.rmax), config
         )
     elif args.what == "pack5":
-        res = pack_unit_balls_radius5(args.dim, config)
+        res = _cli.pack_unit_balls_radius5(args.dim, config)
     else:
-        res = satellite_max_search(Space.euclidean(args.dim), args.tau, args.lam, config)
+        res = _cli.satellite_max_search(Space.euclidean(args.dim), args.tau, args.lam, config)
     payload = {
         "what": args.what,
         "score": res.score,
@@ -376,7 +395,7 @@ def _cmd_cip(args):
         found = 0
         for _ in range(args.trials):
             fam = _random_cip_family(rng, args.m)
-            if cip_check(fam, args.m, args.shrink).found:
+            if _cli.cip_check(fam, args.m, args.shrink).found:
                 found += 1
         payload = {
             "m": args.m,
@@ -389,7 +408,7 @@ def _cmd_cip(args):
     if args.scene is None:
         raise InputError("cip needs a scene path or --trials")
     scene, digest = _load_scene(args.scene)
-    res = cip_check(scene.family, args.m, args.shrink)
+    res = _cli.cip_check(scene.family, args.m, args.shrink)
     payload = {
         "m": args.m,
         "shrink": args.shrink,
@@ -405,8 +424,8 @@ def _cmd_constants(args):
         dims = [int(tok) for tok in args.dims.split(",") if tok.strip()]
     except ValueError as exc:
         raise InputError(f"cannot parse --dims {args.dims!r}") from exc
-    config = SearchConfig(seed=args.seed, budget=args.budget, restarts=2)
-    rows = constants_report(dims, config)
+    config = _cli.SearchConfig(seed=args.seed, budget=args.budget, restarts=2)
+    rows = _cli.constants_report(dims, config)
     payload = {
         "rows": [
             {
@@ -418,7 +437,7 @@ def _cmd_constants(args):
             }
             for r in rows
         ],
-        "markdown": constants_markdown(rows),
+        "markdown": _cli.constants_markdown(rows),
     }
     return payload, None, args.seed, 0
 
@@ -446,9 +465,10 @@ _HANDLERS = {
 
 def run_command(argv) -> int:
     """Execute one CLI invocation; returns the process exit code."""
-    parser = _build_parser()
+    argv = list(argv)
+    parser = _build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(list(argv))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     started = time.perf_counter()
@@ -466,7 +486,7 @@ def run_command(argv) -> int:
         return 3
     wall = time.perf_counter() - started if args.timing else None
     report = build_report(
-        command=list(argv),
+        command=argv,
         payload=payload,
         input_digest=digest,
         seed=seed,
@@ -482,7 +502,26 @@ def run_command(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    """The console entry point: runs one command and ends the process.
+
+    It ends with ``os._exit``, which skips the interpreter's teardown
+    (freeing every module and object, a large share of a short command's
+    time) and anything else that would run after it, so in-process callers
+    use ``run_command``.  The teardown's flush of the standard streams is
+    done here: argparse leaves its -h text in stdout's buffer.
+    """
+    code = run_command(sys.argv[1:])
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError:  # help text, or a report whose write has already failed
+        code = 2
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

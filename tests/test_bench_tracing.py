@@ -9,15 +9,20 @@ by removing a measured function or by routing calls around the module
 attribute the tracer patches.  This test installs the tracer over the
 package, runs small versions of the ``validate-batch`` and
 ``search-anneal`` commands in process, and asks the tracer whether every
-expected layer was reached.  ``bench/tracing.py`` is read, not imported,
-so nothing is written under ``bench/``.
+expected layer was reached, and once more in a fresh interpreter that,
+like ``bench/run.py``, has imported only ``ballcover`` and
+``ballcover.cli`` when the tracer is built.  ``bench/tracing.py`` is read,
+not imported, so nothing is written under ``bench/``.
 """
 
 import contextlib
 import io
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import types
 
 import pytest
@@ -121,3 +126,48 @@ def test_a_missing_layer_is_reported(tracing):
         tracer.check_hit(tracing.EXPECTED["search-anneal"])
     with pytest.raises(tracing.MissingLayer, match="not found: covering.no_such_function"):
         tracer.install(tracing.MEASURED + ("covering.no_such_function",))
+
+
+FRESH = """
+import contextlib, io, json, sys, types
+import ballcover, ballcover.cli
+tracing = types.ModuleType("bench_tracing")
+exec(compile(open(sys.argv[1]).read(), sys.argv[1], "exec"), tracing.__dict__)
+tracer = tracing.Tracer(ballcover)
+holders = [ballcover, *tracer.mods.values()]
+before = [dict(vars(m)) for m in holders]
+tracer.install(tracing.MEASURED)
+codes = []
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in json.loads(sys.argv[2]):
+            codes.append(ballcover.cli.run_command(argv))
+finally:
+    tracer.uninstall()
+for name in json.loads(sys.argv[3]):
+    tracer.check_hit(tracing.EXPECTED[name])
+changed = sorted(f"{m.__name__}.{a}" for m, old in zip(holders, before)
+                 for a, o in vars(m).items() if a in old and old[a] is not o)
+print(json.dumps({"codes": codes, "changed": changed,
+                  "cli_binds": sorted(set(vars(ballcover.cli)) & set(ballcover.cli._DEFERRED)),
+                  "distance_calls": tracer.calls["geometry.distance"]}))
+"""
+
+
+def test_the_tracer_installs_over_a_fresh_import(tmp_path):
+    """``bench/run.py --trace 1`` imports ``ballcover`` and ``ballcover.cli``
+    alone before it builds the tracer, which reads every module it measures
+    from the package; the in-process tests above run after pytest has
+    imported them all, so this one starts a fresh interpreter."""
+    commands = validate_commands(tmp_path) + SEARCH_COMMANDS
+    src = str(TRACING.parent.parent / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", FRESH, str(TRACING), json.dumps([argv for argv, _ in commands]),
+         json.dumps(["validate-batch", "search-anneal"])],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout)
+    assert result["codes"] == [code for _argv, code in commands]
+    # every patch is undone, and no deferred name was bound to a wrapper
+    assert result["changed"] == [] and result["cli_binds"] == []
+    assert result["distance_calls"] > 0

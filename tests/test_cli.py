@@ -4,6 +4,9 @@ Each subcommand is exercised with a passing input, a violating input
 where the concept exists, and a malformed input.
 """
 
+import argparse
+import errno
+import io
 import json
 import math
 import os
@@ -769,3 +772,194 @@ class TestFlagsApplyOnlyWhereRead:
         explicit = json.loads(capsys.readouterr().out)
         assert implicit["payload"] == explicit["payload"]
         assert implicit["seed"] == explicit["seed"]
+
+
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
+VOLUME = ["volume", "--space", "euclidean", "--dim", "2", "--r", "1"]
+
+# per subcommand: a complete argv, then one missing a required argument, one
+# with a bad choice and one with a bad type (None where it has no such flag)
+PARSER_CASES = {
+    "validate": (["validate", "s.json", "--what", "besicovitch"], ["validate", "s.json"],
+                 ["validate", "s.json", "--what", "nope"],
+                 ["validate", "s.json", "--what", "besicovitch", "--tol", "x"]),
+    "select": (["select", "s.json"], ["select"], None, ["select", "s.json", "--beta", "x"]),
+    "partition": (["partition", "s.json"], ["partition", "--timing"], None,
+                  ["partition", "s.json", "--alpha", "x"]),
+    "oned": (["oned", "s.json", "--mode", "bounded"], ["oned", "--mode", "bounded"],
+             ["oned", "s.json", "--mode", "nope"], None),
+    "net": (["net", "s.json", "--eps", "0.5", "--strict"], ["net", "s.json"], None,
+            ["net", "s.json", "--eps", "x"]),
+    "search": (["search", "--what", "wbcp", "--dim", "2", "--rmin", "0.2"],
+               ["search", "--what", "wbcp"], ["search", "--what", "nope", "--dim", "2"],
+               ["search", "--what", "wbcp", "--dim", "x"]),
+    "cip": (["cip", "--m", "2", "--trials", "3"], ["cip", "s.json"], None,
+            ["cip", "--m", "2", "--trials", "x"]),
+    "constants": (["constants", "--dims", "1", "--out", "r.json"], None, None,
+                  ["constants", "--budget", "x"]),
+    "volume": (VOLUME + ["--pnorm", "3"], ["volume", "--space", "sphere", "--dim", "2"],
+               ["volume", "--space", "nope", "--dim", "2", "--r", "1"],
+               ["volume", "--space", "sphere", "--dim", "2", "--r", "x"]),
+}
+
+
+def _error_cases():
+    for name, (complete, missing, choice, bad_type) in PARSER_CASES.items():
+        yield [name, "-h"]
+        yield complete + ["--bogus", "1"]
+        yield from (argv for argv in (missing, choice, bad_type) if argv is not None)
+    yield from ([], ["-h"], ["--help"], ["nope"], ["--"], ["--", "volume"],
+                ["validate", "s.json", "--what", "besicovitch", "--bogus"])
+
+
+ERROR_CASES = list(_error_cases())
+
+
+def parse_outcome(parser, argv, capsys):
+    """(exit code or None, parsed arguments, stdout, stderr) of one parse."""
+    try:
+        parsed, code = vars(parser.parse_args(argv)), None
+    except SystemExit as exc:
+        parsed, code = None, exc.code
+    captured = capsys.readouterr()
+    return code, parsed, captured.out, captured.err
+
+
+class TestTrimmedParser:
+    """``run_command`` adds arguments only to the subcommand that ``argv[0]``
+    names; every parse must read as it does on the full parser."""
+
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def test_every_subcommand_has_cases(self):
+        assert list(PARSER_CASES) == list(cli._HANDLERS)
+
+    @pytest.mark.parametrize("argv", ERROR_CASES, ids=" ".join)
+    def test_run_command_prints_what_the_full_parser_prints(self, argv, capsys):
+        code, parsed, out, err = parse_outcome(cli._build_parser(), argv, capsys)
+        assert parsed is None and (out or err)
+        assert run_command(argv) == (0 if code == 0 else 2)
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (out, err)
+
+    @pytest.mark.parametrize("name", sorted(PARSER_CASES))
+    def test_a_complete_argv_parses_to_the_same_arguments(self, name, capsys):
+        argv = PARSER_CASES[name][0]
+        trimmed = parse_outcome(cli._build_parser(name), argv, capsys)
+        assert trimmed[1] is not None
+        assert trimmed == parse_outcome(cli._build_parser(), argv, capsys)
+
+    def test_only_the_named_subcommand_gets_its_arguments(self):
+        def argument_counts(parser):
+            sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            return {name: len(p._actions) for name, p in sub.choices.items()}
+
+        full = argument_counts(cli._build_parser())
+        trimmed = argument_counts(cli._build_parser("volume"))
+        assert list(trimmed) == list(full) == list(cli._HANDLERS)
+        assert trimmed["volume"] == full["volume"] > 1
+        assert all(trimmed[name] == 1 for name in full if name != "volume")  # only -h
+        assert argument_counts(cli._build_parser("-h")) == full
+
+    def test_help_survives_the_hard_exit(self):
+        # main ends with os._exit, which would drop the buffered help text
+        for argv in (["-h"], ["validate", "-h"]):
+            out = fresh_cli(argv, stdout=subprocess.PIPE)
+            assert out.returncode == 0 and out.stderr == ""
+            assert out.stdout.startswith("usage: ballcover") and out.stdout.endswith("\n")
+            assert "show this help message and exit" in out.stdout
+
+
+class TestDeferredNames:
+    """The search and selection names the CLI calls load on first use, and
+    stay readable and patchable as attributes of ``cli``."""
+
+    def test_every_deferred_name_reads_as_its_modules_binding(self):
+        import ballcover.search
+        import ballcover.selection
+
+        assert len(cli._DEFERRED) == 11
+        for name in cli._DEFERRED:
+            module = getattr(ballcover, name).__module__
+            assert module in ("ballcover.search", "ballcover.selection"), name
+            assert getattr(cli, name) is getattr(sys.modules[module], name), name
+        with pytest.raises(AttributeError, match="no_such_name"):
+            cli.no_such_name  # noqa: B018
+
+    def test_a_patch_on_the_module_is_called(self, scenes, monkeypatch):
+        import ballcover.selection
+
+        calls = []
+        real = ballcover.selection.partition_into_disjoint_families
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.delitem(vars(cli), "partition_into_disjoint_families", raising=False)
+        monkeypatch.setattr(ballcover.selection, "partition_into_disjoint_families", counted)
+        out = os.devnull
+        assert run_command(["partition", scenes["bands"], "--out", out]) == 0
+        assert len(calls) == 1
+        assert "partition_into_disjoint_families" not in vars(cli)
+
+
+def fresh_cli(argv, closed_stdout=False, **kwargs):
+    """``python -m ballcover.cli argv`` in a fresh process whose standard
+    output is block-buffered, as it is under the benchmark; with
+    ``closed_stdout``, a shell starts it with descriptor 1 closed."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    cmd = [sys.executable, "-m", "ballcover.cli", *argv]
+    if closed_stdout:
+        cmd = ["sh", "-c", 'exec "$@" >&-', "sh", *cmd]
+    return subprocess.run(cmd, env=env, stderr=subprocess.PIPE, text=True, timeout=60,
+                          **kwargs)
+
+
+def cannot_write(errno_code):
+    return f"error: cannot write the report to standard output: {os.strerror(errno_code)}\n"
+
+
+class TestUnwritableStdout:
+    """A report that cannot be written to standard output exits 2, with one
+    line on stderr, however the stream fails."""
+
+    def test_closed_stdout(self):
+        out = fresh_cli(VOLUME, closed_stdout=True)  # sys.stdout is None
+        assert (out.returncode, out.stderr) == (2, cannot_write(errno.EBADF))
+
+    def test_closed_pipe(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            out = fresh_cli(VOLUME, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert (out.returncode, out.stderr) == (2, cannot_write(errno.EPIPE))
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device(self):
+        with open("/dev/full", "w") as full:
+            out = fresh_cli(VOLUME, stdout=full)
+        assert (out.returncode, out.stderr) == (2, cannot_write(errno.ENOSPC))
+
+    def test_a_report_to_a_file_needs_no_stdout(self, tmp_path):
+        report = tmp_path / "r.json"
+        out = fresh_cli([*VOLUME, "--out", str(report)], closed_stdout=True)
+        assert (out.returncode, out.stderr) == (0, "")
+        assert read(str(report))["payload"]["volume"] == pytest.approx(math.pi)
+
+    def test_a_failed_flush_in_process(self, monkeypatch, capsys):
+        class Full(io.StringIO):
+            def flush(self):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(sys, "stdout", Full())
+        assert run_command(VOLUME) == 2
+        assert capsys.readouterr().err == cannot_write(errno.ENOSPC)
+        monkeypatch.setattr(sys, "stdout", None)
+        assert run_command(VOLUME) == 2
+        assert capsys.readouterr().err == cannot_write(errno.EBADF)

@@ -15,6 +15,11 @@ The package's records are plain classes, so neither ``dataclasses`` nor
 the ``inspect`` module it imports is loaded either.  numpy imports
 ``inspect`` itself, so that check applies to the runs that leave numpy
 out.
+
+The package imports each public name from its submodule on first use,
+and the CLI imports the search and selection names it calls when it calls
+them, so importing the CLI, ``validate``, ``volume`` and ``-h`` load none
+of ``ballcover.search``, ``ballcover.selection`` and ``ballcover._rng``.
 """
 
 import json
@@ -35,19 +40,25 @@ with contextlib.redirect_stdout(io.StringIO()):
     for argv in json.loads(sys.argv[1]):
         codes.append(run_command(argv))
 print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules,
-                  "records": [m for m in ("dataclasses", "inspect") if m in sys.modules]}))
+                  "records": [m for m in ("dataclasses", "inspect") if m in sys.modules],
+                  "deferred": [m for m in ("ballcover.search", "ballcover.selection",
+                                           "ballcover._rng") if m in sys.modules]}))
 """
+
+
+def child_result(commands, prelude=""):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", prelude + CHILD, json.dumps(commands)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
 
 
 def run_fresh(commands, prelude=""):
     """Exit codes of the commands, and whether numpy got imported, in a
     fresh interpreter that first runs ``prelude``; one that leaves numpy
     out must leave ``dataclasses`` and ``inspect`` out too."""
-    env = dict(os.environ, PYTHONPATH=SRC)
-    out = subprocess.run([sys.executable, "-c", prelude + CHILD, json.dumps(commands)], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    result = json.loads(out.stdout)
+    result = child_result(commands, prelude)
     if not result["numpy"]:
         assert result["records"] == [], f"{commands} loaded {result['records']}"
     return result["codes"], result["numpy"]
@@ -216,3 +227,48 @@ def test_importing_the_cli_leaves_openssl_out():
         pytest.skip("this interpreter loads _hashlib at start-up")
     assert "_hashlib" not in modules_after("import ballcover.cli")
     assert "_hashlib" in modules_after("from ballcover.sceneio import scene_digest; scene_digest('')")
+
+
+def deferred_loaded(commands):
+    """Exit codes of the commands, and which of ``ballcover.search``,
+    ``ballcover.selection`` and ``ballcover._rng`` they loaded, in a fresh
+    interpreter that imported the CLI."""
+    result = child_result(commands)
+    return result["codes"], result["deferred"]
+
+
+def test_importing_the_cli_leaves_search_and_selection_out():
+    assert deferred_loaded([]) == ([], [])
+
+
+def test_validate_volume_and_help_leave_search_and_selection_out(tmp_path):
+    scene = tmp_path / "l2.json"
+    scene.write_text(json.dumps(planted(SPACES["l2"], 4, 0.2)))
+    satellite = tmp_path / "satellite.json"
+    satellite.write_text(json.dumps({
+        "version": 1, "space": {"kind": "euclidean", "dim": 2}, "balls": [],
+        "sets": [{"anchor": [0.0, 0.0], "inner_radius": 1.0, "lambda": 1.0, "diameter": 2.0}],
+    }))
+    commands = [["validate", str(scene), "--what", what]
+                for what in ("besicovitch", "k-config", "alpha-config")]
+    commands += [
+        ["validate", str(satellite), "--what", "satellite"],
+        ["volume", "--space", "sphere", "--dim", "2", "--r", "1.0"],
+        ["-h"], ["validate", "-h"], ["search", "-h"], ["select", "-h"], ["nope"],
+    ]
+    codes, loaded = deferred_loaded(commands)
+    assert codes[3:] == [0, 0, 0, 0, 0, 0, 2]
+    assert loaded == []
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["search", "--what", "hadwiger", "--dim", "2"], ["ballcover.search"]),
+    (["cip", "--m", "2", "--trials", "2"], ["ballcover.search", "ballcover._rng"]),
+    (["partition", "{scene}"], ["ballcover.selection"]),
+], ids=["search", "cip", "partition"])
+def test_the_deferred_check_sees_what_a_command_loads(argv, loaded, tmp_path):
+    scene = tmp_path / "l2.json"
+    scene.write_text(json.dumps(planted(SPACES["l2"], 4, 0.2)))
+    codes, got = deferred_loaded([[a.format(scene=scene) for a in argv]])
+    assert codes == [0]
+    assert set(loaded) <= set(got)
