@@ -1,6 +1,6 @@
-"""Time fresh CLI processes: interpreter start, the CLI import and three calls.
+"""Time fresh CLI processes: interpreter start, the CLI import and five calls.
 
-Five children are timed, each run ``--rounds`` times, in an order that
+Seven children are timed, each run ``--rounds`` times, in an order that
 reverses from round to round, so host drift falls on all of them alike:
 
 * ``pass``: ``python -c pass``, the interpreter alone;
@@ -9,7 +9,10 @@ reverses from round to round, so host drift falls on all of them alike:
 * ``validate``: the first ``validate`` command of the benchmark's
   ``validate-batch`` workload at ``--seed``;
 * ``oned``: the ``oned-bounded`` command of its ``line-1d`` workload
-  (30,000 intervals).
+  (30,000 intervals);
+* ``help``: ``python -m ballcover.cli -h``, which goes through argparse;
+* ``search``: ``search --what hadwiger --dim 3``, a well-formed argv of a
+  subcommand without a scene, read without argparse.
 
 The scenes are built with ``bench/workloads.build`` into a temporary
 directory, and nothing is written under ``bench/``.  Each child gets the
@@ -51,6 +54,8 @@ def children(seed: int, workdir: str) -> dict:
         "volume": [*cli, "volume", "--space", "euclidean", "--dim", "3", "--r", "1.5"],
         "validate": [*cli, *validate.argv],
         "oned": [*cli, *oned.argv],
+        "help": [*cli, "-h"],
+        "search": [*cli, "search", "--what", "hadwiger", "--dim", "3"],
     }
 
 

@@ -16,18 +16,20 @@ produce byte-identical reports.  No subcommand imports numpy: ``search``,
 copy of numpy's ``default_rng`` stream, so their seeded reports are pinned in
 this package and do not depend on the installed numpy.  Importing this
 module loads neither ``search`` nor ``selection``: a handler imports them
-when it calls them.
+when it calls them.  A well-formed argv is read from the argument table
+``_COMMANDS`` without argparse; help, and any argv of another form, goes
+to argparse, which is imported for it.
 """
 
 from __future__ import annotations
 
-import argparse
 import errno
 import math
 import os
 import stat
 import sys
 import time
+from types import SimpleNamespace
 from typing import Optional
 
 from .covering import (
@@ -81,91 +83,91 @@ def _jsonable(value):
 
 
 def _build_parser(first: Optional[str] = None) -> argparse.ArgumentParser:
-    """The CLI's parser for an argv whose first word is ``first``.
+    """The CLI's argparse parser for an argv whose first word is ``first``.
 
     Every subcommand is registered, so usage lines and top-level errors
     list all nine.  When ``first`` names a subcommand, argparse parses the
     rest with that subcommand's parser alone, so only it gets its arguments.
+    Help that cannot be written exits 2 with one line on stderr.
     """
-    parser = argparse.ArgumentParser(
+    import argparse  # here only: a well-formed argv is read by _parse_fast
+
+    class Parser(argparse.ArgumentParser):
+        def print_help(self, file=None):
+            file = sys.stdout if file is None else file
+            try:
+                if file is None:  # the process started with standard output closed
+                    raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+                file.write(self.format_help())
+                file.flush()
+            except OSError as exc:
+                self.exit(2, f"error: cannot write to standard output: {exc.strerror or exc}\n")
+
+    parser = Parser(
         prog="ballcover",
         description="Covering, selection, and packing algorithms for ball families.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_subcommand(name, help_text, scene=True):
-        """The parser of ``name`` with its common arguments, or None when
-        ``first`` names another subcommand."""
+    for name, (_handler, help_text, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if first in _HANDLERS and first != name:
-            return None
-        if scene:
-            p.add_argument("scene", help="path to a scene JSON document")
-        p.add_argument("--out", help="write the report to this path instead of stdout")
-        p.add_argument("--timing", action="store_true", help="record wall time in the report")
-        return p
-
-    if p := add_subcommand("validate", "run a configuration validator on a scene"):
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
-        p.add_argument(
-            "--what",
-            required=True,
-            choices=["besicovitch", "alpha-config", "satellite", "k-config"],
-        )
-        p.add_argument("--alpha", type=float, help="alpha-config: ratio (default 0.75)")
-        p.add_argument("--tau", type=float, help="satellite: ratio (default 1.5)")
-        p.add_argument(
-            "--target-index", type=int, help="alpha-config: index of the target ball (default 0)"
-        )
-
-    if p := add_subcommand("select", "bounded-overlap subcover selection"):
-        p.add_argument("--beta", type=float, default=0.5, help="radius band ratio")
-
-    if p := add_subcommand("partition", "partition into pairwise-disjoint families"):
-        p.add_argument("--alpha", type=float, default=0.75, help="radius band ratio")
-
-    if p := add_subcommand("oned", "two-family disjoint cover on the line"):
-        p.add_argument("--mode", choices=["auto", "bounded", "scattered"], default="auto")
-
-    if p := add_subcommand("net", "greedy separated subset of the scene points"):
-        p.add_argument("--eps", type=float, required=True, help="separation distance")
-        p.add_argument("--strict", action="store_true", help="require strictly greater separation")
-
-    if p := add_subcommand("search", "randomized configuration search", scene=False):
-        p.add_argument(
-            "--what", required=True, choices=["wbcp", "hadwiger", "pack5", "satellite"]
-        )
-        p.add_argument("--dim", type=int, required=True)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, help="not hadwiger: proposals (default 10000)")
-        p.add_argument("--restarts", type=int, help="not hadwiger: restarts (default 4)")
-        p.add_argument("--rmin", type=float, help="wbcp: smallest radius (default 0.5)")
-        p.add_argument("--rmax", type=float, help="wbcp: largest radius (default 1.5)")
-        p.add_argument("--tau", type=float, help="satellite: diameter ratio (default 1.5)")
-        p.add_argument("--lam", type=float, help="satellite: roundness (default 1.0)")
-
-    if p := add_subcommand("cip", "shrunk-common-point search", scene=False):
-        p.add_argument("scene", nargs="?", default=None, help="scene to check (omit with --trials)")
-        p.add_argument("--m", type=int, required=True)
-        p.add_argument("--shrink", type=float, default=0.95)
-        p.add_argument(
-            "--trials", type=int, default=None, help="run on random configurations instead"
-        )
-        p.add_argument("--seed", type=int, default=0)
-
-    if p := add_subcommand("constants", "extremal-constants report", scene=False):
-        p.add_argument("--dims", default="1,2", help="comma-separated dimensions")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=4000)
-
-    if p := add_subcommand("volume", "geodesic ball volume", scene=False):
-        p.add_argument("--space", choices=list(SPACE_KINDS), required=True)
-        p.add_argument("--dim", type=int, required=True)
-        p.add_argument("--r", type=float, required=True)
-        p.add_argument("--pnorm", type=float, help="euclidean: the p of the norm (default 2)")
-        p.add_argument("--sphere-radius", type=float, help="sphere: its radius (default 1)")
-
+        if first not in _COMMANDS or first == name:
+            for flag, kw, *_reads in arguments:
+                p.add_argument(flag, **kw)
     return parser
+
+
+def _dest(flag: str) -> str:
+    return flag.lstrip("-").replace("-", "_")
+
+
+def _parse_fast(argv) -> Optional[SimpleNamespace]:
+    """The namespace argparse gives a well-formed ``argv``, without argparse;
+    None for any other argv.
+
+    Well formed: ``argv[0]`` names a subcommand, and every other word is
+    the positional, a ``store_true`` flag, or an option spelled out in full
+    followed by one value that does not start with ``-``; no option comes
+    twice, each value converts with its option's type into its choices,
+    and every required argument is there.  Help, abbreviations,
+    ``--opt=value``, ``--`` and every error are left to argparse.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    arguments = {flag: kw for flag, kw, *_reads in _COMMANDS[argv[0]][2]}
+    values = {_dest(flag): False if kw.get("action") == "store_true" else kw.get("default")
+              for flag, kw in arguments.items()}
+    values["subcommand"] = argv[0]
+    words, seen, positionals = iter(argv[1:]), set(), []
+    for word in words:
+        if not word.startswith("-"):
+            positionals.append(word)
+            continue
+        kw = arguments.get(word)
+        if kw is None or word in seen:
+            return None
+        seen.add(word)
+        if kw.get("action") == "store_true":
+            values[_dest(word)] = True
+            continue
+        value = next(words, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            value = kw.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        values[_dest(word)] = value
+    if any(kw.get("required") and flag not in seen for flag, kw in arguments.items()):
+        return None
+    scene = arguments.get("scene")
+    fewest = 0 if scene is None or scene.get("nargs") == "?" else 1
+    if not fewest <= len(positionals) <= (scene is not None):
+        return None
+    if positionals:
+        values["scene"] = positionals[0]
+    return SimpleNamespace(**values)
 
 
 def _load_scene(path: str):
@@ -216,33 +218,18 @@ def _emit(report: dict, out: Optional[str]) -> None:
         raise
 
 
-# per subcommand: each optional flag's default and the --what or --space
-# values that read it; any other value refuses the flag
-_SEARCH_FLAGS = {
-    "budget": (10_000, ("wbcp", "pack5", "satellite")),
-    "restarts": (4, ("wbcp", "pack5", "satellite")),
-    "rmin": (0.5, ("wbcp",)),
-    "rmax": (1.5, ("wbcp",)),
-    "tau": (1.5, ("satellite",)),
-    "lam": (1.0, ("satellite",)),
-}
-_VOLUME_FLAGS = {"pnorm": (2.0, ("euclidean",)), "sphere_radius": (1.0, ("sphere",))}
-_VALIDATE_FLAGS = {
-    "alpha": (0.75, ("alpha-config",)),
-    "target_index": (0, ("alpha-config",)),
-    "tau": (1.5, ("satellite",)),
-}
-
-
-def _apply_flags(args, flags, option, choice) -> None:
-    """Refuse a flag that ``option choice`` does not read; give every flag
-    left unset its default."""
-    for dest, (default, readers) in flags.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
-        elif choice not in readers:
-            flag = "--" + dest.replace("_", "-")
-            raise InputError(f"{flag} does not apply to {option} {choice}")
+def _apply_flags(args, option) -> None:
+    """Refuse a flag that the value of ``option`` (``--what`` or
+    ``--space``) does not read; give every such flag left unset its
+    default."""
+    choice = getattr(args, _dest(option))
+    for flag, _kw, *reads in _COMMANDS[args.subcommand][2]:
+        if reads:
+            (default, readers), dest = reads[0], _dest(flag)
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
+            elif choice not in readers:
+                raise InputError(f"{flag} does not apply to {option} {choice}")
 
 
 def _tolkw(args) -> dict:
@@ -250,7 +237,7 @@ def _tolkw(args) -> dict:
 
 
 def _cmd_validate(args):
-    _apply_flags(args, _VALIDATE_FLAGS, "--what", args.what)
+    _apply_flags(args, "--what")
     scene, digest = _load_scene(args.scene)
     if args.what == "besicovitch":
         verdict = is_besicovitch_family(scene.family, **_tolkw(args))
@@ -342,7 +329,7 @@ def _cmd_net(args):
 
 
 def _cmd_search(args):
-    _apply_flags(args, _SEARCH_FLAGS, "--what", args.what)
+    _apply_flags(args, "--what")
     config = _cli.SearchConfig(seed=args.seed, budget=args.budget, restarts=args.restarts)
     if args.what == "hadwiger":
         fam = _cli.construct_strict_hadwiger(args.dim)
@@ -371,7 +358,7 @@ def _cmd_search(args):
     return payload, None, args.seed, (0 if res.feasible else 1)
 
 
-def _random_cip_family(rng, m):
+def _random_cip_family(rng, m, plane):
     y = rng.uniform(-1.0, 1.0, 2)
     coords, radii = [], []
     for _ in range(2 * m + 1):
@@ -380,7 +367,7 @@ def _random_cip_family(rng, m):
         d = r * rng.uniform(0.0, 1.0)
         coords.append((y[0] + d * math.cos(ang), y[1] + d * math.sin(ang)))
         radii.append(r)
-    return BallFamily.from_columns(Space.euclidean(2), coords, radii)
+    return BallFamily.from_columns(plane, coords, radii)
 
 
 def _cmd_cip(args):
@@ -392,10 +379,10 @@ def _cmd_cip(args):
         from ._rng import Generator
 
         rng = Generator([args.seed & 0xFFFFFFFF, 0xC19])
-        found = 0
+        # read once per command: a binding set on this module before the call wins
+        check, plane, found = _cli.cip_check, Space.euclidean(2), 0
         for _ in range(args.trials):
-            fam = _random_cip_family(rng, args.m)
-            if _cli.cip_check(fam, args.m, args.shrink).found:
+            if check(_random_cip_family(rng, args.m, plane), args.m, args.shrink).found:
                 found += 1
         payload = {
             "m": args.m,
@@ -443,34 +430,99 @@ def _cmd_constants(args):
 
 
 def _cmd_volume(args):
-    _apply_flags(args, _VOLUME_FLAGS, "--space", args.space)
+    _apply_flags(args, "--space")
     space = Space(args.space, args.dim, pnorm=args.pnorm, radius=args.sphere_radius)
     payload = {"space": args.space, "dim": args.dim, "r": args.r,
                "volume": ball_volume(space, args.r)}
     return payload, None, None, 0
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "select": _cmd_select,
-    "partition": _cmd_partition,
-    "oned": _cmd_oned,
-    "net": _cmd_net,
-    "search": _cmd_search,
-    "cip": _cmd_cip,
-    "constants": _cmd_constants,
-    "volume": _cmd_volume,
+_SCENE = ("scene", {"help": "path to a scene JSON document"})
+_OUT = ("--out", {"help": "write the report to this path instead of stdout"})
+_TIMING = ("--timing", {"action": "store_true", "help": "record wall time in the report"})
+_SEED = ("--seed", {"type": int, "default": 0})
+_SEARCHES = ("wbcp", "pack5", "satellite")
+
+# Every subcommand, in registration order: its handler, its help and its
+# arguments, each a name and its argparse keywords.  A flag that only some
+# values of --what or --space read has a third entry: the default it gets
+# when left unset, and those values (_apply_flags refuses it for the rest).
+_COMMANDS = {
+    "validate": (_cmd_validate, "run a configuration validator on a scene", (
+        _SCENE, _OUT, _TIMING,
+        ("--tol", {"type": float, "default": None, "help": "tolerance override"}),
+        ("--what", {"required": True,
+                    "choices": ["besicovitch", "alpha-config", "satellite", "k-config"]}),
+        ("--alpha", {"type": float, "help": "alpha-config: ratio (default 0.75)"},
+         (0.75, ("alpha-config",))),
+        ("--tau", {"type": float, "help": "satellite: ratio (default 1.5)"}, (1.5, ("satellite",))),
+        ("--target-index",
+         {"type": int, "help": "alpha-config: index of the target ball (default 0)"},
+         (0, ("alpha-config",))))),
+    "select": (_cmd_select, "bounded-overlap subcover selection", (
+        _SCENE, _OUT, _TIMING,
+        ("--beta", {"type": float, "default": 0.5, "help": "radius band ratio"}))),
+    "partition": (_cmd_partition, "partition into pairwise-disjoint families", (
+        _SCENE, _OUT, _TIMING,
+        ("--alpha", {"type": float, "default": 0.75, "help": "radius band ratio"}))),
+    "oned": (_cmd_oned, "two-family disjoint cover on the line", (
+        _SCENE, _OUT, _TIMING,
+        ("--mode", {"choices": ["auto", "bounded", "scattered"], "default": "auto"}))),
+    "net": (_cmd_net, "greedy separated subset of the scene points", (
+        _SCENE, _OUT, _TIMING,
+        ("--eps", {"type": float, "required": True, "help": "separation distance"}),
+        ("--strict", {"action": "store_true", "help": "require strictly greater separation"}))),
+    "search": (_cmd_search, "randomized configuration search", (
+        _OUT, _TIMING,
+        ("--what", {"required": True, "choices": ["wbcp", "hadwiger", "pack5", "satellite"]}),
+        ("--dim", {"type": int, "required": True}),
+        _SEED,
+        ("--budget", {"type": int, "help": "not hadwiger: proposals (default 10000)"},
+         (10_000, _SEARCHES)),
+        ("--restarts", {"type": int, "help": "not hadwiger: restarts (default 4)"}, (4, _SEARCHES)),
+        ("--rmin", {"type": float, "help": "wbcp: smallest radius (default 0.5)"},
+         (0.5, ("wbcp",))),
+        ("--rmax", {"type": float, "help": "wbcp: largest radius (default 1.5)"},
+         (1.5, ("wbcp",))),
+        ("--tau", {"type": float, "help": "satellite: diameter ratio (default 1.5)"},
+         (1.5, ("satellite",))),
+        ("--lam", {"type": float, "help": "satellite: roundness (default 1.0)"},
+         (1.0, ("satellite",))))),
+    "cip": (_cmd_cip, "shrunk-common-point search", (
+        _OUT, _TIMING,
+        ("scene", {"nargs": "?", "default": None, "help": "scene to check (omit with --trials)"}),
+        ("--m", {"type": int, "required": True}),
+        ("--shrink", {"type": float, "default": 0.95}),
+        ("--trials",
+         {"type": int, "default": None, "help": "run on random configurations instead"}),
+        _SEED)),
+    "constants": (_cmd_constants, "extremal-constants report", (
+        _OUT, _TIMING,
+        ("--dims", {"default": "1,2", "help": "comma-separated dimensions"}),
+        _SEED,
+        ("--budget", {"type": int, "default": 4000}))),
+    "volume": (_cmd_volume, "geodesic ball volume", (
+        _OUT, _TIMING,
+        ("--space", {"choices": list(SPACE_KINDS), "required": True}),
+        ("--dim", {"type": int, "required": True}),
+        ("--r", {"type": float, "required": True}),
+        ("--pnorm", {"type": float, "help": "euclidean: the p of the norm (default 2)"},
+         (2.0, ("euclidean",))),
+        ("--sphere-radius", {"type": float, "help": "sphere: its radius (default 1)"},
+         (1.0, ("sphere",))))),
 }
+_HANDLERS = {name: command[0] for name, command in _COMMANDS.items()}
 
 
 def run_command(argv) -> int:
     """Execute one CLI invocation; returns the process exit code."""
     argv = list(argv)
-    parser = _build_parser(argv[0] if argv else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
+    args = _parse_fast(argv)
+    if args is None:
+        try:
+            args = _build_parser(argv[0] if argv else None).parse_args(argv)
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else 2
     started = time.perf_counter()
     try:
         payload, digest, seed, code = _HANDLERS[args.subcommand](args)
@@ -508,7 +560,7 @@ def main() -> None:
     (freeing every module and object, a large share of a short command's
     time) and anything else that would run after it, so in-process callers
     use ``run_command``.  The teardown's flush of the standard streams is
-    done here: argparse leaves its -h text in stdout's buffer.
+    done here.
     """
     code = run_command(sys.argv[1:])
     try:

@@ -214,8 +214,10 @@ def find_common_point(
 
     Runs cyclic projection onto the ball constraints from several starts:
     the center of the smallest ball, the centroid of the centers (l^p
-    spaces only) and the first six centers, in that order.  Each start
-    gets ``max_iter // len(family)`` sweeps (at least two) of the space
+    spaces only) and the first six centers but the smallest ball's, in
+    that order (a sweep is a function of its start, so sweeping that
+    center again could change nothing).  Each start gets
+    ``max_iter // len(family)`` sweeps (at least two) of the space
     model's ``sweep``, which stops once a sweep moves the point by less
     than ``threshold * (1 + max radius)``.  The first point whose largest
     violation ``max(d(x, c) - r)`` is at most ``tol * (1 + max radius)``
@@ -240,13 +242,15 @@ def find_common_point(
         return FeasibilityResult(space.origin(), 0.0, True)
     model = space._model
     kernel = model.kernel
-    balls = list(zip(family.coords, family.radii))
-    scale = 1.0 + max(family.radii)
-    starts = [min(balls, key=lambda b: b[1])[0]]
-    centroid = model.centroid(family.coords)
+    coords, radii = family.coords, family.radii
+    balls = list(zip(coords, radii))
+    scale = 1.0 + max(radii)
+    smallest = min(range(len(radii)), key=radii.__getitem__)
+    starts = [coords[smallest]]
+    centroid = model.centroid(coords)
     if centroid is not None:
         starts.append(centroid)
-    starts.extend(family.coords[:6])
+    starts.extend(c for i, c in enumerate(coords[:6]) if i != smallest)
     stop = threshold * scale
     best: Optional[tuple] = None
     best_v = math.inf

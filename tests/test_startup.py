@@ -20,6 +20,11 @@ The package imports each public name from its submodule on first use,
 and the CLI imports the search and selection names it calls when it calls
 them, so importing the CLI, ``validate``, ``volume`` and ``-h`` load none
 of ``ballcover.search``, ``ballcover.selection`` and ``ballcover._rng``.
+
+A well-formed argv is read without argparse, so a well-formed call of
+each of the nine subcommands loads none of ``argparse``, ``gettext`` and
+``locale`` (unless a bare interpreter loads them); ``-h`` and a usage
+error, which go to argparse, show that the check sees it.
 """
 
 import json
@@ -272,3 +277,59 @@ def test_the_deferred_check_sees_what_a_command_loads(argv, loaded, tmp_path):
     codes, got = deferred_loaded([[a.format(scene=scene) for a in argv]])
     assert codes == [0]
     assert set(loaded) <= set(got)
+
+
+PARSER_MODULES = ("argparse", "gettext", "locale")
+PARSERS_CHILD = """
+import contextlib, io, json, sys
+from ballcover.cli import run_command
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [run_command(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "loaded": [m for m in %r if m in sys.modules]}))
+""" % (PARSER_MODULES,)
+
+
+def parsers_loaded(commands):
+    """Exit codes of the commands, and which of argparse, gettext and
+    locale they loaded beyond what a bare interpreter loads, in a fresh
+    interpreter that imported the CLI."""
+    bare = set(modules_after(""))
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", PARSERS_CHILD, json.dumps(commands)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout)
+    return result["codes"], [m for m in result["loaded"] if m not in bare]
+
+
+def test_well_formed_calls_leave_argparse_out(tmp_path):
+    scene = tmp_path / "l2.json"
+    scene.write_text(json.dumps(planted(SPACES["l2"], 5, 0.2)))
+    tight = tmp_path / "tight.json"
+    tight.write_text(json.dumps(planted(SPACES["l2"], 4, 1e-6)))
+    line = tmp_path / "line.json"
+    line.write_text(json.dumps(line_scene()))
+    commands = [
+        ["validate", str(tight), "--what", "besicovitch", "--tol", "1e-9"],
+        ["select", str(scene), "--beta", "0.5"],
+        ["partition", str(scene), "--alpha", "0.75", "--timing"],
+        ["oned", str(line), "--mode", "bounded"],
+        ["net", str(scene), "--eps", "0.5", "--strict"],
+        ["search", "--what", "wbcp", "--dim", "2", "--budget", "50", "--restarts", "1"],
+        ["cip", str(scene), "--m", "2"],
+        ["constants", "--dims", "1", "--budget", "50"],
+        ["volume", "--space", "sphere", "--dim", "2", "--r", "1.0", "--out", os.devnull],
+    ]
+    assert sorted({argv[0] for argv in commands}) == sorted(
+        ["validate", "select", "partition", "oned", "net", "search", "cip", "constants",
+         "volume"])
+    codes, loaded = parsers_loaded(commands)
+    assert codes == [0] * 9
+    assert loaded == []
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["volume", "--space", "sphere"]], ids=" ".join)
+def test_help_and_usage_errors_load_argparse(argv):
+    codes, loaded = parsers_loaded([argv])
+    assert codes == [0 if argv == ["-h"] else 2]
+    assert "argparse" in loaded
