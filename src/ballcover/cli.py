@@ -52,28 +52,6 @@ from .sceneio import (
 
 __all__ = ["run_command", "main"]
 
-# The names of ``search`` and ``selection`` that the handlers call, imported
-# on first use: ``validate`` and ``volume`` read neither module.
-_DEFERRED = frozenset("""SearchConfig cip_check constants_markdown constants_report
-    construct_strict_hadwiger pack_unit_balls_radius5 satellite_max_search
-    search_max_besicovitch_family besicovitch_cover_1d partition_into_disjoint_families
-    select_bounded_overlap_subcover""".split())
-
-
-def __getattr__(name):
-    """A deferred name, read from the package, which imports its module:
-    ``cli.<name>`` is that module's current binding until one is set on
-    this module."""
-    if name in _DEFERRED:
-        return getattr(sys.modules[__package__], name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-# The handlers call the deferred names through this module, so a binding set
-# on it (a test's patch) wins, and any other is read when the call is made.
-_cli = sys.modules[__name__]
-
-
 def _jsonable(value):
     if isinstance(value, Point):
         return list(value.coords)
@@ -275,8 +253,10 @@ def _scene_center_coords(scene):
 
 
 def _cmd_select(args):
+    from .selection import select_bounded_overlap_subcover
+
     scene, digest = _load_scene(args.scene)
-    result = _cli.select_bounded_overlap_subcover(
+    result = select_bounded_overlap_subcover(
         scene.family, list(map(Point, _scene_center_coords(scene))), args.beta
     )
     payload = {
@@ -290,8 +270,10 @@ def _cmd_select(args):
 
 
 def _cmd_partition(args):
+    from .selection import partition_into_disjoint_families
+
     scene, digest = _load_scene(args.scene)
-    result = _cli.partition_into_disjoint_families(scene.family, args.alpha)
+    result = partition_into_disjoint_families(scene.family, args.alpha)
     payload = {
         "family_count": len(result.families),
         "families": [ball_docs(fam) for fam in result.families],
@@ -303,9 +285,11 @@ def _cmd_partition(args):
 
 
 def _cmd_oned(args):
+    from .selection import besicovitch_cover_1d
+
     scene, digest = _load_scene(args.scene)
     centers = [c[0] for c in _scene_center_coords(scene)]
-    result = _cli.besicovitch_cover_1d(scene.family, centers, mode=args.mode)
+    result = besicovitch_cover_1d(scene.family, centers, mode=args.mode)
     payload = {
         "family_count": len(result.families),
         "families": [ball_docs(fam) for fam in result.families],
@@ -329,10 +313,13 @@ def _cmd_net(args):
 
 
 def _cmd_search(args):
+    from .search import (SearchConfig, construct_strict_hadwiger, pack_unit_balls_radius5,
+                         satellite_max_search, search_max_besicovitch_family)
+
     _apply_flags(args, "--what")
-    config = _cli.SearchConfig(seed=args.seed, budget=args.budget, restarts=args.restarts)
+    config = SearchConfig(seed=args.seed, budget=args.budget, restarts=args.restarts)
     if args.what == "hadwiger":
-        fam = _cli.construct_strict_hadwiger(args.dim)
+        fam = construct_strict_hadwiger(args.dim)
         payload = {
             "what": args.what,
             "score": len(fam),
@@ -341,13 +328,13 @@ def _cmd_search(args):
         }
         return payload, None, args.seed, 0
     if args.what == "wbcp":
-        res = _cli.search_max_besicovitch_family(
+        res = search_max_besicovitch_family(
             Space.euclidean(args.dim), (args.rmin, args.rmax), config
         )
     elif args.what == "pack5":
-        res = _cli.pack_unit_balls_radius5(args.dim, config)
+        res = pack_unit_balls_radius5(args.dim, config)
     else:
-        res = _cli.satellite_max_search(Space.euclidean(args.dim), args.tau, args.lam, config)
+        res = satellite_max_search(Space.euclidean(args.dim), args.tau, args.lam, config)
     payload = {
         "what": args.what,
         "score": res.score,
@@ -371,6 +358,8 @@ def _random_cip_family(rng, m, plane):
 
 
 def _cmd_cip(args):
+    from .search import cip_check
+
     if args.trials is not None:
         if args.scene is not None:
             raise InputError(f"cip takes a scene path or --trials, not both: {args.scene!r}")
@@ -379,10 +368,9 @@ def _cmd_cip(args):
         from ._rng import Generator
 
         rng = Generator([args.seed & 0xFFFFFFFF, 0xC19])
-        # read once per command: a binding set on this module before the call wins
-        check, plane, found = _cli.cip_check, Space.euclidean(2), 0
+        plane, found = Space.euclidean(2), 0
         for _ in range(args.trials):
-            if check(_random_cip_family(rng, args.m, plane), args.m, args.shrink).found:
+            if cip_check(_random_cip_family(rng, args.m, plane), args.m, args.shrink).found:
                 found += 1
         payload = {
             "m": args.m,
@@ -395,7 +383,7 @@ def _cmd_cip(args):
     if args.scene is None:
         raise InputError("cip needs a scene path or --trials")
     scene, digest = _load_scene(args.scene)
-    res = _cli.cip_check(scene.family, args.m, args.shrink)
+    res = cip_check(scene.family, args.m, args.shrink)
     payload = {
         "m": args.m,
         "shrink": args.shrink,
@@ -407,12 +395,14 @@ def _cmd_cip(args):
 
 
 def _cmd_constants(args):
+    from .search import SearchConfig, constants_markdown, constants_report
+
     try:
         dims = [int(tok) for tok in args.dims.split(",") if tok.strip()]
     except ValueError as exc:
         raise InputError(f"cannot parse --dims {args.dims!r}") from exc
-    config = _cli.SearchConfig(seed=args.seed, budget=args.budget, restarts=2)
-    rows = _cli.constants_report(dims, config)
+    config = SearchConfig(seed=args.seed, budget=args.budget, restarts=2)
+    rows = constants_report(dims, config)
     payload = {
         "rows": [
             {
@@ -424,7 +414,7 @@ def _cmd_constants(args):
             }
             for r in rows
         ],
-        "markdown": _cli.constants_markdown(rows),
+        "markdown": constants_markdown(rows),
     }
     return payload, None, args.seed, 0
 

@@ -34,15 +34,7 @@ from .covering import (
 )
 from .covering import QuasiRoundSet
 from .errors import DomainError, InputError, InternalError, UnsupportedFeatureError
-from .geometry import (
-    Ball,
-    Point,
-    Space,
-    distance,
-    exp_map,
-    injectivity_radius,
-    project_tangent,
-)
+from .geometry import Point, Space
 
 __all__ = [
     "SearchConfig",
@@ -204,7 +196,9 @@ def _kissing_directions(dim: int):
 
 
 def _besicovitch_warm_start(space: Space, rmin: float, rmax: float):
-    """A known valid family, scaled so all radii equal min(rmax, fit)."""
+    """A known valid family, scaled so all radii equal min(rmax, fit): its
+    center coordinates, its radii and a common point."""
+    model = space._model
     if space.is_flat:
         r = rmax
         if space.dim <= 3:
@@ -217,31 +211,31 @@ def _besicovitch_warm_start(space: Space, rmin: float, rmax: float):
                 for axis in range(space.dim)
                 for sign in (1.0, -1.0)
             ]
-        return [Ball(Point(c), r) for c in centers], space.origin()
+        return centers, [r] * len(centers), model.origin
     # curved spaces: two balls along a geodesic through the base point
-    inj = injectivity_radius(space)
-    r = min(rmax, 0.45 * inj) if math.isfinite(inj) else rmax
+    r = min(rmax, 0.45 * model.inj) if math.isfinite(model.inj) else rmax
     if r < rmin:
         r = rmin
-    base = space.origin()
-    out = []
+    base = model.origin
+    centers = []
     for sign in (1.0, -1.0):
-        v = [0.0] * space.ambient_dim
+        v = [0.0] * model.width
         v[0] = sign * 0.75 * r
-        p = exp_map(space, project_tangent(space, base, v))
-        out.append(Ball(p, r))
-    return out, base
+        centers.append(model.exp(base, model.project(base, tuple(v))))
+    return centers, [r, r], base
 
 
-def _incremental_family_ok(space, balls, candidate):
-    """Cheap feasibility gate for adding one ball to a valid family: the
-    new common point, or None."""
-    for b in balls:
-        d = distance(space, candidate.center, b.center)
-        if not (d > b.radius and d > candidate.radius):
+def _added_common_point(space, coords, radii, center, radius):
+    """Cheap feasibility gate for adding the ball ``B(center, radius)`` to
+    a valid family: the new common point's coordinates, or None."""
+    kernel = space._model.kernel
+    for c, r in zip(coords, radii):
+        d = kernel(center, c)
+        if not (d > r and d > radius):
             return None
-    trial = BallFamily(space, tuple(balls) + (candidate,))
-    return find_common_point(trial, max_iter=_ADD_SWEEPS * len(trial)).point
+    trial = BallFamily._columns(space, (*coords, center), (*radii, radius))
+    point = find_common_point(trial, max_iter=_ADD_SWEEPS * len(trial)).point
+    return None if point is None else point.coords
 
 
 def search_max_besicovitch_family(
@@ -257,73 +251,80 @@ def search_max_besicovitch_family(
     of centers and log-radii.  Moves are accepted only when the family
     validator still certifies the configuration, so the final score is a
     certified lower bound for this space.  A restart stops early once
-    proposals stall.
+    proposals stall.  The radii range must satisfy
+    ``0 < rmin <= rmax < inf``.
     """
     config = config or SearchConfig()
     rmin, rmax = float(radii_range[0]), float(radii_range[1])
-    if not rmin > 0.0 or rmin > rmax:
-        raise InputError(f"infeasible radii range [{rmin}, {rmax}]")
-    dim = space.ambient_dim
+    if not 0.0 < rmin <= rmax < math.inf:
+        raise InputError(f"infeasible radii range [{rmin}, {rmax}]: need 0 < rmin <= rmax < inf")
+    model = space._model
+    dim = model.width
+
+    def moved(base, scale, offsets):
+        """The end of the geodesic from ``base`` along ``scale * offsets``,
+        projected onto the tangent space there."""
+        return model.exp(base, model.project(base, tuple(scale * o for o in offsets)))
 
     def start(restart, rng):
         if restart > 0:
             r0 = math.exp(rng.uniform(math.log(rmin), math.log(rmax)))
-            return SimpleNamespace(balls=[Ball(space.origin(), r0)], witness=space.origin())
-        balls, witness = _besicovitch_warm_start(space, rmin, rmax)
-        if any(not rmin <= b.radius <= rmax for b in balls):
-            balls, witness = balls[:1], balls[0].center
-        if not is_besicovitch_family(BallFamily(space, tuple(balls))).is_valid:
-            balls, witness = [balls[0]], balls[0].center
-        return SimpleNamespace(balls=balls, witness=witness)
+            return SimpleNamespace(coords=[model.origin], radii=[r0], witness=model.origin)
+        coords, radii, witness = _besicovitch_warm_start(space, rmin, rmax)
+        if any(not rmin <= r <= rmax for r in radii):
+            coords, radii, witness = coords[:1], radii[:1], coords[0]
+        family = BallFamily._columns(space, tuple(coords), tuple(radii))
+        if not is_besicovitch_family(family).is_valid:
+            coords, radii, witness = coords[:1], radii[:1], coords[0]
+        return SimpleNamespace(coords=coords, radii=radii, witness=witness)
 
     def propose(state, temp, rng):
-        balls = state.balls
+        coords, radii = state.coords, state.radii
         sigma = config.perturbation_scale * rmax * max(temp, 0.05)
         offsets = rng.normal(0.0, 1.0, dim)
         u_radius = rng.uniform()
         u_kind = rng.uniform()
-        j = rng.integers(0, max(1, len(balls)))
+        j = rng.integers(0, max(1, len(radii)))
         radius = math.exp(
             math.log(rmin) + u_radius * (math.log(rmax) - math.log(rmin))
         )
         if u_kind < 0.7:
-            v = tuple(sigma * o for o in offsets)
             try:
-                center = exp_map(space, project_tangent(space, state.witness, v))
+                center = moved(state.witness, sigma, offsets)
             except DomainError:
                 return False
-            cand = Ball(center, radius)
-            new_witness = _incremental_family_ok(space, balls, cand)
-            if new_witness is None:
+            witness = _added_common_point(space, coords, radii, center, radius)
+            if witness is None:
                 return False
-            balls.append(cand)
-            state.witness = new_witness
+            coords.append(center)
+            radii.append(radius)
+            state.witness = witness
             return True
-        if len(balls) <= 1:
+        if len(radii) <= 1:
             return False
-        old = balls[j]
-        v = tuple(0.3 * sigma * o for o in offsets)
         try:
-            center = exp_map(space, project_tangent(space, old.center, v))
+            center = moved(coords[j], 0.3 * sigma, offsets)
         except DomainError:
             return False
-        new_r = min(rmax, max(rmin, old.radius * math.exp(0.2 * (u_radius - 0.5))))
-        trial = list(balls)
-        trial[j] = Ball(center, new_r)
-        verdict = is_besicovitch_family(BallFamily(space, tuple(trial)), max_iter=3000)
+        trial_coords, trial_radii = list(coords), list(radii)
+        trial_coords[j] = center
+        trial_radii[j] = min(rmax, max(rmin, radii[j] * math.exp(0.2 * (u_radius - 0.5))))
+        trial = BallFamily._columns(space, tuple(trial_coords), tuple(trial_radii))
+        verdict = is_besicovitch_family(trial, max_iter=3000)
         if verdict.is_valid:
-            state.balls = trial
-            state.witness = verdict.witness
+            state.coords, state.radii = trial_coords, trial_radii
+            state.witness = verdict.witness.coords
         return False
 
     finals = _anneal(config, start, propose)
-    family = BallFamily(space, tuple(max(finals, key=lambda f: len(f.balls)).balls))
+    best = max(finals, key=lambda f: len(f.radii))
+    family = BallFamily._columns(space, tuple(best.coords), tuple(best.radii))
     verdict = is_besicovitch_family(family)
     return SearchResult(
         best=family,
         score=len(family),
         feasible=verdict.is_valid,
-        trace=tuple(len(f.balls) for f in finals),
+        trace=tuple(len(f.radii) for f in finals),
     )
 
 
@@ -348,19 +349,17 @@ def construct_strict_hadwiger(dim: int) -> BallFamily:
             "strict tangent configurations are built for dimensions 1-3 only"
         )
     space = Space.euclidean(dim)
-    balls = tuple(
-        Ball(Point(tuple(2.0 * x for x in u)), 1.0) for u in _kissing_directions(dim)
-    )
-    for i, b in enumerate(balls):
-        d = math.sqrt(sum(x * x for x in b.center.coords))
+    coords = tuple(tuple(2.0 * x for x in u) for u in _kissing_directions(dim))
+    for i, c in enumerate(coords):
+        d = math.sqrt(sum(x * x for x in c))
         if abs(d - 2.0) >= 1e-12:
             raise InternalError(f"tangent ball {i} lost tangency ({d})")
-    for i in range(len(balls)):
-        for j in range(i + 1, len(balls)):
-            d = distance(space, balls[i].center, balls[j].center)
-            if not d > 2.0:
+    dist = space._kernel
+    for i in range(len(coords)):
+        for j in range(i + 1, len(coords)):
+            if not dist(coords[i], coords[j]) > 2.0:
                 raise InternalError(f"tangent balls {i} and {j} are not strictly disjoint")
-    return BallFamily(space, balls)
+    return BallFamily._columns(space, coords, (1.0,) * len(coords))
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +387,17 @@ def _pack_warm_start(dim: int):
             a = math.pi * k / 6.0
             pts.append(_clamp_to_radius((4.0 * math.cos(a), 4.0 * math.sin(a))))
         return pts
-    # slice of the spacing-2 cubic lattice inside the radius-4 ball; its
-    # coordinates and their squares are small integers, so sums are exact
+    # slice of the spacing-2 cubic lattice inside the radius-4 ball: the
+    # points 2c with c in {-2, ..., 2}^dim and |c|^2 <= 4, that is one entry
+    # +-2 or up to four entries +-1; its coordinates and their squares are
+    # small integers, so sums are exact
+    combos = [{axis: sign} for axis in range(dim) for sign in (-2, 2)]
+    for k in range(5):
+        for axes in itertools.combinations(range(dim), k):
+            combos += [dict(zip(axes, signs)) for signs in itertools.product((-1, 1), repeat=k)]
     pts = [
-        _clamp_to_radius(tuple([2.0 * c for c in combo]))
-        for combo in itertools.product(range(-2, 3), repeat=dim)
-        if sum(c * c for c in combo) <= 4
+        _clamp_to_radius(tuple([2.0 * combo.get(axis, 0) for axis in range(dim)]))
+        for combo in combos
     ]
     pts.sort(key=lambda v: (sum(x * x for x in v), tuple(v)))
     if any(pts[0]):
@@ -421,8 +425,7 @@ def pack_unit_balls_radius5(dim: int, config: Optional[SearchConfig] = None) -> 
     config = config or SearchConfig()
     space = Space.euclidean(dim)
     if dim == 1:
-        centers = [(0.0,), (-2.0,), (2.0,), (-4.0,), (4.0,)]
-        fam = BallFamily(space, tuple(Ball(Point(c), 1.0) for c in centers))
+        fam = BallFamily._columns(space, ((0.0,), (-2.0,), (2.0,), (-4.0,), (4.0,)), (1.0,) * 5)
         return SearchResult(best=fam, score=5, feasible=True, trace=(5,))
 
     # the l2 kernel sums its squares left to right, as _length does
@@ -451,11 +454,12 @@ def pack_unit_balls_radius5(dim: int, config: Optional[SearchConfig] = None) -> 
             pts[j] = cand
         return False
 
-    finals = _anneal(config, lambda restart, rng: _pack_warm_start(dim), propose)
+    warm = _pack_warm_start(dim)
+    finals = _anneal(config, lambda restart, rng: list(warm), propose)
     best = max(finals, key=len)
     if len(best) > 5 ** dim:
         raise InternalError(f"packing of {len(best)} balls exceeds the volume cap {5 ** dim}")
-    fam = BallFamily(space, tuple(Ball(Point(p), 1.0) for p in best))
+    fam = BallFamily._columns(space, tuple(best), (1.0,) * len(best))
     feasible = all(
         _length(p) <= 4.0 for p in best
     ) and all(
@@ -473,8 +477,8 @@ def pack_unit_balls_radius5(dim: int, config: Optional[SearchConfig] = None) -> 
 # ---------------------------------------------------------------------------
 
 
-def _cip_verify(space, centers, radii, s, indices, z) -> bool:
-    return all(distance(space, z, centers[i]) <= s * radii[i] + 1e-9 for i in indices)
+def _cip_verify(kernel, coords, radii, s, indices, z) -> bool:
+    return all(kernel(z, coords[i]) <= s * radii[i] + 1e-9 for i in indices)
 
 
 def cip_check(family: BallFamily, m: int, s: float) -> CipResult:
@@ -503,20 +507,20 @@ def cip_check(family: BallFamily, m: int, s: float) -> CipResult:
     feas = find_common_point(family, max_iter=20_000)
     if feas.point is None:
         raise InputError("the balls share no common point")
-    y = feas.point
+    y = feas.point.coords
     target = m + 1
     scale = 1.0 + max(radii)
+    kernel = space._kernel
 
-    centers = family.centers
-    slack = [distance(space, y, c) - s * r for c, r in zip(centers, radii)]
+    slack = [kernel(y, c) - s * r for c, r in zip(coords, radii)]
     inside = [i for i in range(n) if slack[i] <= 1e-9 * scale]
     if len(inside) >= target:
         idx = tuple(inside[:target])
-        if _cip_verify(space, centers, radii, s, idx, y):
-            return CipResult(True, idx, y)
+        if _cip_verify(kernel, coords, radii, s, idx, y):
+            return CipResult(True, idx, feas.point)
 
     if space.is_flat and space.dim == 2 and space.pnorm == 2.0:
-        got = _cip_sector_route(space, centers, radii, s, y, target, scale)
+        got = _cip_sector_route(kernel, coords, radii, s, y, target, scale)
         if got is not None:
             return got
 
@@ -534,20 +538,20 @@ def cip_check(family: BallFamily, m: int, s: float) -> CipResult:
             shrunk = BallFamily._columns(
                 space, tuple(map(coords.__getitem__, subset)), tuple(s * radii[i] for i in subset)
             )
-            sub = find_common_point(shrunk, max_iter=4000)
-            if sub.point is not None and _cip_verify(space, centers, radii, s, subset, sub.point):
-                return CipResult(True, tuple(subset), sub.point)
+            sub = find_common_point(shrunk, max_iter=4000).point
+            if sub is not None and _cip_verify(kernel, coords, radii, s, subset, sub.coords):
+                return CipResult(True, tuple(subset), sub)
         if tried > 5000:
             break
     return CipResult(False)
 
 
-def _cip_sector_route(space, centers, radii, s, y, target, scale):
+def _cip_sector_route(kernel, coords, radii, s, y, target, scale):
     """Planar analytic stage: tightest angular bundle plus a line search."""
     dirs = []
-    for i, c in enumerate(centers):
-        dx = c.coords[0] - y.coords[0]
-        dy = c.coords[1] - y.coords[1]
+    for i, c in enumerate(coords):
+        dx = c[0] - y[0]
+        dy = c[1] - y[1]
         d = math.hypot(dx, dy)
         if d > 1e-15:
             dirs.append((math.atan2(dy, dx), i))
@@ -568,22 +572,19 @@ def _cip_sector_route(space, centers, radii, s, y, target, scale):
     bundle = [dirs[(best_at + t) % k][1] for t in range(target)]
     mid = dirs[best_at][0] + best_span / 2.0
     ux, uy = math.cos(mid), math.sin(mid)
-    dmax = max(
-        math.hypot(centers[i].coords[0] - y.coords[0], centers[i].coords[1] - y.coords[1])
-        for i in bundle
-    )
+    dmax = max(math.hypot(coords[i][0] - y[0], coords[i][1] - y[1]) for i in bundle)
     for t in range(1, 65):
         delta = dmax * t / 64.0
-        z = Point((y.coords[0] + delta * ux, y.coords[1] + delta * uy))
+        z = (y[0] + delta * ux, y[1] + delta * uy)
         hits = [
             i
-            for i, (c, r) in enumerate(zip(centers, radii))
-            if distance(space, z, c) <= s * r + 1e-12 * scale
+            for i, (c, r) in enumerate(zip(coords, radii))
+            if kernel(z, c) <= s * r + 1e-12 * scale
         ]
         if len(hits) >= target:
             idx = tuple(hits[:target])
-            if _cip_verify(space, centers, radii, s, idx, z):
-                return CipResult(True, idx, z)
+            if _cip_verify(kernel, coords, radii, s, idx, z):
+                return CipResult(True, idx, Point(z))
     return None
 
 
@@ -605,14 +606,16 @@ def satellite_max_search(
     and keeps it only when the full ordered-configuration validator
     accepts.  The score is an empirical lower bound for the largest
     configuration size; ``best`` packs each set's outer ball so the
-    result can be serialized like any family.
+    result can be serialized like any family.  ``tau`` must lie in
+    (1, 2] and ``lam`` in [1, inf).
     """
     if not 1.0 < tau <= 2.0:
         raise InputError(f"tau must lie in (1, 2], got {tau!r}")
-    if lam < 1.0:
-        raise InputError(f"lam must be >= 1, got {lam!r}")
+    if not 1.0 <= lam < math.inf:
+        raise InputError(f"lam must be finite and >= 1, got {lam!r}")
     config = config or SearchConfig()
-    dim = space.ambient_dim
+    model = space._model
+    dim = model.width
 
     def propose(sets, temp, rng):
         offsets = rng.normal(0.0, 1.0, dim)
@@ -620,13 +623,13 @@ def satellite_max_search(
         u_diam = rng.uniform()
         u_round = rng.uniform()
         j = rng.integers(0, len(sets))
-        anchor_j = sets[j].anchor
+        anchor_j = sets[j].anchor.coords
         rj = sets[j].inner_radius
         reach = rj * (0.6 + 1.6 * u_dist)
         norm = _length(offsets) or 1.0
         v = tuple(reach * o / norm for o in offsets)
         try:
-            anchor = exp_map(space, project_tangent(space, anchor_j, v))
+            anchor = Point(model.exp(anchor_j, model.project(anchor_j, v)))
         except DomainError:
             return False
         min_diam = min(qs.diameter for qs in sets)
@@ -653,9 +656,10 @@ def satellite_max_search(
     verdict = is_tau_satellite_configuration(
         space, best_sets, [qs.anchor for qs in best_sets], tau
     )
-    fam = BallFamily(
+    fam = BallFamily._columns(
         space,
-        tuple(Ball(qs.anchor, qs.lam * qs.inner_radius) for qs in best_sets),
+        tuple(qs.anchor.coords for qs in best_sets),
+        tuple(qs.lam * qs.inner_radius for qs in best_sets),
     )
     return SearchResult(
         best=fam,

@@ -214,8 +214,9 @@ def select_bounded_overlap_subcover(
 # ---------------------------------------------------------------------------
 
 
-def _first_fit(family: BallFamily, order) -> tuple:
-    """Greedy colouring of the balls of ``family`` visited in ``order``.
+def _first_fit(space: Space, centers, radii, order) -> tuple:
+    """Greedy colouring of the balls ``B(centers[i], radii[i])`` visited in
+    ``order``.
 
     Each ball takes the lowest colour that no already coloured ball
     meeting it carries (closed balls meet when the center distance is at
@@ -224,7 +225,6 @@ def _first_fit(family: BallFamily, order) -> tuple:
     member, else a new family".  Returns the families, as input indices
     in colouring order, and the input-indexed colour assignment.
     """
-    space, centers, radii = family.space, family.centers, family.radii
     grid = _Grid(space, centers, 2.0 * max(radii, default=0.0))
     families: list[list[int]] = []
     assignment = [-1] * len(centers)
@@ -264,10 +264,11 @@ def partition_into_disjoint_families(
     space, coords, radii = family.space, family.coords, family.radii
     n = len(family)
     order = sorted(range(n), key=lambda i: (-radii[i], coords[i], i))
-    families, assignment = _first_fit(family, order)
+    centers = family.centers
+    families, assignment = _first_fit(space, centers, radii, order)
 
     if n:
-        profile = _profile_for(family, family.centers)
+        profile = _profile_for(family, centers)
         exact = space.is_line
         bound = profile.max_overlap * strict_net_bound(alpha, space.dim) + 1
     else:
@@ -873,7 +874,7 @@ def morse_partition(
         range(len(sets)),
         key=lambda k: (-sets[k].diameter, sets[k].anchor.coords, k),
     )
-    families, assignment = _first_fit(outer, order)
+    families, assignment = _first_fit(space, [qs.anchor for qs in sets], outer.radii, order)
 
     dim = space.dim
     bound = math.ceil((4.0 * lam * tau + 1.0) ** dim) + math.ceil(

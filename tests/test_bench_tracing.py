@@ -149,7 +149,8 @@ for name in json.loads(sys.argv[3]):
 changed = sorted(f"{m.__name__}.{a}" for m, old in zip(holders, before)
                  for a, o in vars(m).items() if a in old and old[a] is not o)
 print(json.dumps({"codes": codes, "changed": changed,
-                  "cli_binds": sorted(set(vars(ballcover.cli)) & set(ballcover.cli._DEFERRED)),
+                  "cli_binds": sorted(n for n in vars(ballcover.cli)
+                                      if ballcover._SUBMODULE.get(n) in ("search", "selection")),
                   "distance_calls": tracer.calls["geometry.distance"]}))
 """
 

@@ -407,14 +407,16 @@ class TestInternalError:
 
 class TestSelectCoverage:
     def test_covered_centers_counts_only_covered(self, scenes, tmp_path, monkeypatch):
-        real = cli.select_bounded_overlap_subcover
+        import ballcover.selection
+
+        real = ballcover.selection.select_bounded_overlap_subcover
 
         def one_uncovered(family, centers, beta):
             res = real(family, centers, beta)
             flags = (True,) * (len(centers) - 1) + (False,)
             return res._replace(covered_centers=flags)
 
-        monkeypatch.setattr(cli, "select_bounded_overlap_subcover", one_uncovered)
+        monkeypatch.setattr(ballcover.selection, "select_bounded_overlap_subcover", one_uncovered)
         out = str(tmp_path / "r.json")
         assert run_command(["select", scenes["bands"], "--out", out]) == 0
         assert read(out)["payload"]["covered_centers"] == 4
@@ -873,20 +875,26 @@ class TestTrimmedParser:
 
 
 class TestDeferredNames:
-    """The search and selection names the CLI calls load on first use, and
-    stay readable and patchable as attributes of ``cli``."""
+    """The search and selection names the CLI calls are imported by the
+    handler that calls them: ``cli`` binds none of them, and a patch on
+    their module is the function called."""
 
-    def test_every_deferred_name_reads_as_its_modules_binding(self):
-        import ballcover.search
-        import ballcover.selection
+    def test_cli_binds_no_deferred_name(self, scenes, tmp_path):
+        import ballcover
 
-        assert len(cli._DEFERRED) == 11
-        for name in cli._DEFERRED:
-            module = getattr(ballcover, name).__module__
-            assert module in ("ballcover.search", "ballcover.selection"), name
-            assert getattr(cli, name) is getattr(sys.modules[module], name), name
-        with pytest.raises(AttributeError, match="no_such_name"):
-            cli.no_such_name  # noqa: B018
+        out = str(tmp_path / "r.json")
+        for argv in (["select", scenes["bands"]], ["partition", scenes["bands"]],
+                     ["oned", scenes["bands"]], ["cip", "--m", "1", "--trials", "2"],
+                     ["search", "--what", "hadwiger", "--dim", "2"],
+                     ["search", "--what", "pack5", "--dim", "2", "--budget", "20"],
+                     ["constants", "--dims", "1", "--budget", "20"]):
+            assert run_command(argv + ["--out", out]) in (0, 1), argv
+        deferred = {name for name, module in ballcover._SUBMODULE.items()
+                    if module in ("search", "selection")}
+        assert len(deferred) == 19
+        assert not deferred & set(vars(cli))
+        with pytest.raises(AttributeError, match="cip_check"):
+            cli.cip_check  # noqa: B018
 
     def test_a_patch_on_the_module_is_called(self, scenes, monkeypatch):
         import ballcover.selection
@@ -898,7 +906,6 @@ class TestDeferredNames:
             calls.append(args)
             return real(*args)
 
-        monkeypatch.delitem(vars(cli), "partition_into_disjoint_families", raising=False)
         monkeypatch.setattr(ballcover.selection, "partition_into_disjoint_families", counted)
         out = os.devnull
         assert run_command(["partition", scenes["bands"], "--out", out]) == 0

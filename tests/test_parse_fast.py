@@ -28,7 +28,7 @@ import types
 
 import pytest
 
-from ballcover import cli
+from ballcover import cli, search
 from ballcover.cli import _parse_fast, run_command
 from ballcover.covering import BallFamily, find_common_point
 from ballcover.geometry import SPACE_KINDS, Space
@@ -348,19 +348,19 @@ def test_seeded_fuzz():
 
 
 # ---------------------------------------------------------------------------
-# the cip trials read the common-point check once per command
+# the cip trials call the common-point check bound on ``search``
 # ---------------------------------------------------------------------------
 
 
 def test_a_cip_patch_set_before_the_call_is_called_on_every_trial(monkeypatch, capsys):
-    real = cli.cip_check
+    real = search.cip_check
     calls = []
 
     def counted(family, m, s):
         calls.append(family.space)
         return real(family, m, s)
 
-    monkeypatch.setattr(cli, "cip_check", counted)
+    monkeypatch.setattr(search, "cip_check", counted)
     assert run_command(["cip", "--m", "2", "--trials", "4", "--seed", "3"]) in (0, 1)
     assert len(calls) == 4 and all(space is calls[0] for space in calls)
     assert json.loads(capsys.readouterr().out)["payload"]["trials"] == 4

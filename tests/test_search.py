@@ -1,9 +1,11 @@
 """Tests for randomized searches, explicit constructions, and the report."""
 
+import itertools
 import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from ballcover.covering import (
     is_tau_satellite_configuration,
 )
 from ballcover.errors import InputError, InternalError, UnsupportedFeatureError
-from ballcover.geometry import Ball, Point, Space, distance
+from ballcover.cli import run_command
+from ballcover.geometry import Ball, Point, Space, Tangent, distance
 from ballcover.search import (
     CipResult,
     ConstantsRow,
@@ -301,6 +304,9 @@ class TestSatelliteSearch:
             satellite_max_search(Space.euclidean(1), 2.5, 1.0, cfg)
         with pytest.raises(InputError):
             satellite_max_search(Space.euclidean(1), 1.5, 0.5, cfg)
+        for lam in (math.inf, math.nan):
+            with pytest.raises(InputError, match="lam must be finite and >= 1"):
+                satellite_max_search(Space.euclidean(1), 1.5, lam, cfg)
 
     def test_finds_nontrivial_configuration(self):
         cfg = SearchConfig(seed=0, budget=1200, restarts=2)
@@ -481,3 +487,123 @@ class TestInternalGuards:
         out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                              capture_output=True, text=True, timeout=60)
         assert out.stdout == "raised: classical chain broken at dim 1\n", out.stderr
+
+
+# ---------------------------------------------------------------------------
+# input ranges are checked before the first proposal
+# ---------------------------------------------------------------------------
+
+
+class TestRangesCheckedUpFront:
+    """An infinite or NaN radius bound or roundness is refused before the
+    search starts.  Before, ``--rmax inf|nan`` was refused only by the
+    first ``Ball`` built, and ``--lam inf`` only by the result family's
+    ``Ball``s, after the whole search had run."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--what", "wbcp", "--rmax", "inf"],
+         "infeasible radii range [0.5, inf]: need 0 < rmin <= rmax < inf"),
+        (["--what", "wbcp", "--rmax", "nan"],
+         "infeasible radii range [0.5, nan]: need 0 < rmin <= rmax < inf"),
+        (["--what", "wbcp", "--rmin", "nan"],
+         "infeasible radii range [nan, 1.5]: need 0 < rmin <= rmax < inf"),
+        (["--what", "satellite", "--lam", "inf"], "lam must be finite and >= 1, got inf"),
+        (["--what", "satellite", "--lam", "nan"], "lam must be finite and >= 1, got nan"),
+    ], ids=["rmax-inf", "rmax-nan", "rmin-nan", "lam-inf", "lam-nan"])
+    def test_exit_two_before_the_first_proposal(self, argv, message, monkeypatch, capsys):
+        started = []
+        monkeypatch.setattr(search, "_anneal", lambda *args: started.append(args))
+        assert run_command(["search", "--dim", "2", "--budget", "100", *argv]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert started == []
+
+    @pytest.mark.parametrize("radii", [(0.5, math.inf), (0.5, math.nan), (math.inf, math.inf)])
+    def test_the_family_search_refuses_a_non_finite_range(self, radii):
+        with pytest.raises(InputError, match="infeasible radii range"):
+            search_max_besicovitch_family(Space.euclidean(2), radii, FAST)
+
+
+# ---------------------------------------------------------------------------
+# the searches build no Ball, Tangent or checked family per proposal
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def records_built(monkeypatch):
+    """The class name of every ``Ball``, ``Tangent`` and checked
+    ``BallFamily(space, balls)`` built while the test runs."""
+    made = []
+
+    def counting(cls):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            made.append(cls.__name__)
+            init(self, *args, **kwargs)
+
+        return counted
+
+    for cls in (Ball, Tangent, BallFamily):
+        monkeypatch.setattr(cls, "__init__", counting(cls))
+    return made
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--what", "wbcp", "--dim", "2", "--budget", "600", "--restarts", "2"],
+    ["search", "--what", "wbcp", "--dim", "3", "--budget", "300", "--restarts", "1"],
+    ["search", "--what", "pack5", "--dim", "3", "--budget", "600", "--restarts", "2"],
+    ["search", "--what", "satellite", "--dim", "2", "--budget", "600", "--restarts", "2"],
+    ["search", "--what", "hadwiger", "--dim", "3"],
+    ["cip", "--m", "2", "--trials", "100"],
+], ids=lambda argv: "-".join(argv[:3:2] if argv[0] == "search" else argv[:1]) + "-" + argv[4])
+def test_a_seeded_search_builds_no_ball_tangent_or_checked_family(argv, records_built):
+    assert run_command([*argv, "--seed", "1", "--out", os.devnull]) == 0
+    assert records_built == []
+
+
+def test_the_counter_sees_a_checked_family(records_built):
+    BallFamily(Space.euclidean(1), [Ball(Point((0.0,)), 1.0)])
+    assert records_built == ["Ball", "BallFamily"]
+
+
+# ---------------------------------------------------------------------------
+# the packing warm start
+# ---------------------------------------------------------------------------
+
+
+def brute_force_lattice_slice(dim):
+    """Every point 2c, c in {-2, ..., 2}^dim, with |2c| <= 4, in the
+    order of the warm start: by squared length, then coordinates."""
+    pts = [
+        tuple([2.0 * c for c in combo])
+        for combo in itertools.product(range(-2, 3), repeat=dim)
+        if sum(c * c for c in combo) <= 4
+    ]
+    return sorted(pts, key=lambda v: (sum(x * x for x in v), v))
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 6])
+def test_the_pack_warm_start_is_the_lattice_slice(dim):
+    got, want = search._pack_warm_start(dim), brute_force_lattice_slice(dim)
+    assert got == want and repr(got) == repr(want)
+
+
+def test_the_pack_warm_start_in_twelve_dimensions_is_quick():
+    started = time.perf_counter()
+    pts = search._pack_warm_start(12)
+    assert time.perf_counter() - started < 1.0
+    # the origin, one entry +-2, or one to four entries +-1
+    assert len(pts) == 1 + 2 * 12 + sum(math.comb(12, k) * 2 ** k for k in range(1, 5))
+
+
+def test_a_packing_search_builds_its_warm_start_once(monkeypatch):
+    real, calls = search._pack_warm_start, []
+
+    def counted(dim):
+        calls.append(dim)
+        return real(dim)
+
+    monkeypatch.setattr(search, "_pack_warm_start", counted)
+    res = pack_unit_balls_radius5(3, SearchConfig(seed=0, budget=60, restarts=3))
+    assert calls == [3] and len(res.trace) == 3

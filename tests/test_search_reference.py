@@ -1,4 +1,4 @@
-"""The three annealed searches against frozen copies of their predecessors.
+"""The searches and the cip check against frozen copies of their predecessors.
 
 ``reference_besicovitch_search``, ``reference_pack_radius5`` and
 ``reference_satellite_search`` below are ``search_max_besicovitch_family``,
@@ -13,10 +13,17 @@ equality on whole ``SearchResult``s: the best family, score, feasibility
 and trace, over spaces, dimensions and configurations that reach the
 plateau cutoff, run fewer proposals than restarts, move the temperature
 schedule and draw with a seed of 2**32 or more.
+
+``reference_cip_check`` is ``cip_check`` as it stood while it read the
+centers as ``Point``s through ``distance``, with its two helpers; it is
+compared on random families with a common point in the Euclidean plane
+(where the sector route runs), in the l1 plane and on the sphere, with
+shrink factors that find a witness and ones that do not.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Optional
 
@@ -42,6 +49,7 @@ from ballcover.geometry import (
 )
 from ballcover.search import (
     _PACK_TOL,
+    CipResult,
     SearchConfig,
     SearchResult,
     _clamp_to_radius,
@@ -50,6 +58,7 @@ from ballcover.search import (
     _pack_valid_add,
     _pack_warm_start,
     _restart_rng,
+    cip_check,
     pack_unit_balls_radius5,
     satellite_max_search,
     search_max_besicovitch_family,
@@ -387,6 +396,111 @@ def reference_satellite_search(
     )
 
 
+def _reference_cip_verify(space, centers, radii, s, indices, z) -> bool:
+    return all(distance(space, z, centers[i]) <= s * radii[i] + 1e-9 for i in indices)
+
+
+def reference_cip_check(family: BallFamily, m: int, s: float) -> CipResult:
+    """Search m+1 balls whose s-shrunk copies still share a point."""
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+        raise InputError(f"m must be a positive integer, got {m!r}")
+    if not 0.0 < s < 1.0:
+        raise InputError(f"s must lie in (0, 1), got {s!r}")
+    n = len(family)
+    if n < 2 * m + 1:
+        raise InputError(f"need at least {2 * m + 1} balls, got {n}")
+    space, coords, radii = family.space, family.coords, family.radii
+    if any(r <= 0.0 for r in radii):
+        raise InputError("all radii must be positive")
+    feas = find_common_point(family, max_iter=20_000)
+    if feas.point is None:
+        raise InputError("the balls share no common point")
+    y = feas.point
+    target = m + 1
+    scale = 1.0 + max(radii)
+
+    centers = family.centers
+    slack = [distance(space, y, c) - s * r for c, r in zip(centers, radii)]
+    inside = [i for i in range(n) if slack[i] <= 1e-9 * scale]
+    if len(inside) >= target:
+        idx = tuple(inside[:target])
+        if _reference_cip_verify(space, centers, radii, s, idx, y):
+            return CipResult(True, idx, y)
+
+    if space.is_flat and space.dim == 2 and space.pnorm == 2.0:
+        got = _reference_cip_sector_route(space, centers, radii, s, y, target, scale)
+        if got is not None:
+            return got
+
+    # subset feasibility: restrict to the 2m+1 tightest balls, then widen
+    by_slack = sorted(range(n), key=lambda i: (slack[i], i))
+    pools = [by_slack[: 2 * m + 1]]
+    if n > 2 * m + 1:
+        pools.append(by_slack)
+    tried = 0
+    for pool in pools:
+        for subset in itertools.combinations(sorted(pool), target):
+            tried += 1
+            if tried > 5000:
+                break
+            shrunk = BallFamily._columns(
+                space, tuple(map(coords.__getitem__, subset)), tuple(s * radii[i] for i in subset)
+            )
+            sub = find_common_point(shrunk, max_iter=4000)
+            if sub.point is not None and _reference_cip_verify(
+                space, centers, radii, s, subset, sub.point
+            ):
+                return CipResult(True, tuple(subset), sub.point)
+        if tried > 5000:
+            break
+    return CipResult(False)
+
+
+def _reference_cip_sector_route(space, centers, radii, s, y, target, scale):
+    """Planar analytic stage: tightest angular bundle plus a line search."""
+    dirs = []
+    for i, c in enumerate(centers):
+        dx = c.coords[0] - y.coords[0]
+        dy = c.coords[1] - y.coords[1]
+        d = math.hypot(dx, dy)
+        if d > 1e-15:
+            dirs.append((math.atan2(dy, dx), i))
+    if len(dirs) < target:
+        return None
+    dirs.sort()
+    k = len(dirs)
+    best_span, best_at = math.inf, 0
+    for a in range(k):
+        b = a + target - 1
+        ang_a = dirs[a][0]
+        ang_b = dirs[b % k][0] + (2.0 * math.pi if b >= k else 0.0)
+        span = ang_b - ang_a
+        if span < best_span:
+            best_span, best_at = span, a
+    if best_span >= math.pi:
+        return None
+    bundle = [dirs[(best_at + t) % k][1] for t in range(target)]
+    mid = dirs[best_at][0] + best_span / 2.0
+    ux, uy = math.cos(mid), math.sin(mid)
+    dmax = max(
+        math.hypot(centers[i].coords[0] - y.coords[0], centers[i].coords[1] - y.coords[1])
+        for i in bundle
+    )
+    for t in range(1, 65):
+        delta = dmax * t / 64.0
+        z = Point((y.coords[0] + delta * ux, y.coords[1] + delta * uy))
+        hits = [
+            i
+            for i, (c, r) in enumerate(zip(centers, radii))
+            if distance(space, z, c) <= s * r + 1e-12 * scale
+        ]
+        if len(hits) >= target:
+            idx = tuple(hits[:target])
+            if _reference_cip_verify(space, centers, radii, s, idx, z):
+                return CipResult(True, idx, z)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # the comparisons
 # ---------------------------------------------------------------------------
@@ -469,3 +583,63 @@ def test_the_grid_reaches_the_plateau_cutoff(monkeypatch):
     counts.clear()
     search_max_besicovitch_family(WBCP_SPACES["l2d2"], (0.5, 1.5), CONFIGS["tiny"])
     assert counts == [1, 1, 1, 1]
+
+
+CIP_SPACES = {
+    "l2": Space.euclidean(2),
+    "l1": Space.euclidean(2, pnorm=1.0),
+    "sphere": Space.sphere(2),
+}
+
+
+def planted_cip_family(space, rng, n):
+    """``n`` balls around a common point ``y``: each center at distance
+    ``d <= r`` from ``y``, in a uniform random direction."""
+    coords, radii = [], []
+    if space.is_flat:
+        y = (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+    else:
+        y = (0.0, 0.0, 1.0)
+    for _ in range(n):
+        r = rng.uniform(0.3, 1.2)
+        d = r * rng.uniform(0.3, 1.0)
+        a = rng.uniform(0.0, 2.0 * math.pi)
+        u = (math.cos(a), math.sin(a))
+        if not space.is_flat:
+            c = (math.sin(d) * u[0], math.sin(d) * u[1], math.cos(d))
+        elif space.pnorm == 1.0:
+            n = abs(u[0]) + abs(u[1])
+            c = (y[0] + d * u[0] / n, y[1] + d * u[1] / n)
+        else:
+            c = (y[0] + d * u[0], y[1] + d * u[1])
+        coords.append(c)
+        radii.append(r)
+    return BallFamily.from_columns(space, coords, radii)
+
+
+@pytest.mark.parametrize("space", sorted(CIP_SPACES))
+def test_cip_check_matches_the_reference(space, monkeypatch):
+    import random
+
+    real, routed = search._cip_sector_route, []
+
+    def sector_route(*args):
+        got = real(*args)
+        routed.append(got is not None)
+        return got
+
+    monkeypatch.setattr(search, "_cip_sector_route", sector_route)
+    rng = random.Random(f"cip-{space}")
+    outcomes = set()
+    for trial in range(12 if space == "sphere" else 40):  # sphere sweeps are slow
+        m = 1 + trial % 3
+        family = planted_cip_family(CIP_SPACES[space], rng, 2 * m + 1 + trial % 4)
+        for s in (0.3, 0.7, 0.95):
+            got, want = cip_check(family, m, s), reference_cip_check(family, m, s)
+            assert got == want and repr(got) == repr(want), (trial, s)
+            outcomes.add(got.found)
+    assert outcomes == {True, False}
+    if space == "l2":
+        assert True in routed and False in routed
+    else:
+        assert routed == []

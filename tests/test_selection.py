@@ -189,6 +189,22 @@ def test_partition_identical_balls():
     assert sorted(part.assignment) == [0, 1, 2, 3, 4]
 
 
+def test_partition_reads_the_centers_once(monkeypatch):
+    reads, real = [], BallFamily.centers
+
+    def counted(family):
+        reads.append(len(family))
+        return real.fget(family)
+
+    monkeypatch.setattr(BallFamily, "centers", property(counted))
+    plane = BallFamily.from_columns(E2, [(0.0, 0.0), (1.0, 0.5), (3.0, 0.0)], [1.0, 1.0, 0.5])
+    line = interval_family([(0.0, 1.0), (1.5, 1.0), (4.0, 0.5)])
+    assert len(partition_into_disjoint_families(line).families) == 2
+    assert reads == [3]  # the exact line profile takes no probes
+    assert len(partition_into_disjoint_families(plane).families) == 2
+    assert reads == [3, 3, 3]  # the second read is overlap_profile's own
+
+
 def test_partition_alpha_range():
     fam = interval_family([(0.0, 1.0)])
     for alpha in (0.5, 1.0, 0.2, 1.5):
