@@ -60,12 +60,9 @@ def _jsonable(value):
     return value
 
 
-def _build_parser(first: Optional[str] = None) -> argparse.ArgumentParser:
-    """The CLI's argparse parser for an argv whose first word is ``first``.
+def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's argparse parser, with every subcommand and its arguments.
 
-    Every subcommand is registered, so usage lines and top-level errors
-    list all nine.  When ``first`` names a subcommand, argparse parses the
-    rest with that subcommand's parser alone, so only it gets its arguments.
     Help that cannot be written exits 2 with one line on stderr.
     """
     import argparse  # here only: a well-formed argv is read by _parse_fast
@@ -88,9 +85,8 @@ def _build_parser(first: Optional[str] = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (_handler, help_text, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if first not in _COMMANDS or first == name:
-            for flag, kw, *_reads in arguments:
-                p.add_argument(flag, **kw)
+        for flag, kw, *_reads in arguments:
+            p.add_argument(flag, **kw)
     return parser
 
 
@@ -510,7 +506,7 @@ def run_command(argv) -> int:
     args = _parse_fast(argv)
     if args is None:
         try:
-            args = _build_parser(argv[0] if argv else None).parse_args(argv)
+            args = _build_parser().parse_args(argv)
         except SystemExit as exc:
             return 0 if exc.code in (0, None) else 2
     started = time.perf_counter()

@@ -15,9 +15,8 @@ Each :class:`Space` builds one model and keeps it (:class:`_Flat`,
 :class:`_Sphere` or :class:`_Hyperboloid`), that owns every formula that
 depends on the kind of space; the public functions delegate to it.
 
-numpy is imported by the functions that build arrays (the row form of
-:func:`distance`) and nowhere at module level, so scalar work never
-loads it.
+This module never imports numpy: the samplers take a numpy
+``Generator`` (or anything with its methods) from the caller.
 """
 
 from __future__ import annotations
@@ -98,16 +97,11 @@ class Space(Record):
         """R^dim with an l^p norm, as opposed to the sphere or the hyperboloid."""
         return self._model.flat
 
-    @property
-    def _kernel(self):
-        """The scalar distance of this space on raw coordinate tuples."""
-        return self._model.kernel
-
-    def point(self, coords, tol: float = SURFACE_TOL) -> "Point":
+    def point(self, coords) -> "Point":
         """Validate raw coordinates and return a :class:`Point`.
 
         Curved-space coordinates may be off the constraint surface by at
-        most ``tol``; they are re-projected exactly onto it.
+        most ``SURFACE_TOL``; they are re-projected exactly onto it.
         """
         c = tuple(float(v) for v in coords)
         if len(c) != self.ambient_dim:
@@ -116,7 +110,7 @@ class Space(Record):
             )
         if not all(math.isfinite(v) for v in c):
             raise InputError(f"non-finite coordinate in {c}")
-        return Point(self._model.surface(c, tol))
+        return Point(self._model.surface(c))
 
     def origin(self) -> "Point":
         """A canonical base point of the space."""
@@ -354,14 +348,14 @@ class _Model:
     in the dimension), ``inj`` (the injectivity radius), ``kernel``,
     ``parameter``, the Space field it reads, and ``grid``: the
     :class:`_Grid` axes and least cell side.  Its methods work on
-    coordinate tuples: ``surface`` re-projects checked coordinates onto
-    the space, ``norm``/``project``/``exp``/``log`` handle tangent
-    vectors (``log(b, q, d)`` takes the distance ``d`` from ``b`` to
-    ``q``, or None to compute it), ``step(x, c, r, d)`` moves ``x``, at
-    distance ``d > r`` from the center ``c``, onto the ball of radius
-    ``r``, ``sweep`` runs the common-point sweep on those steps, and
-    ``volume``, ``random`` and ``uniform`` serve the functions of those
-    purposes.
+    coordinate tuples: ``surface`` re-projects checked coordinates within
+    ``SURFACE_TOL`` of the space onto it, ``norm``/``project``/``exp``/
+    ``log`` handle tangent vectors (``log(b, q, d)`` takes the distance
+    ``d`` from ``b`` to ``q``, or None to compute it), ``step(x, c, r,
+    d)`` moves ``x``, at distance ``d > r`` from the center ``c``, onto
+    the ball of radius ``r``, ``sweep`` runs the common-point sweep on
+    those steps, and ``volume``, ``random`` and ``uniform`` serve the
+    functions of those purposes.
     """
 
     flat = False
@@ -417,7 +411,7 @@ class _Flat(_Model):
         else:
             self.kernel = partial(_lp, p, 1.0 / p)
 
-    def surface(self, c, tol):
+    def surface(self, c):
         return c
 
     def norm(self, v):
@@ -522,10 +516,10 @@ class _Sphere(_Curved):
         # the arc is at least the chord, whose squares underflow as l2's do
         self.grid = (min(3, self.width), 2.0 ** -500)
 
-    def surface(self, c, tol):
+    def surface(self, c):
         R = self.R
         norm = math.sqrt(sum(v * v for v in c))
-        if abs(norm - R) > tol * (1.0 + R):
+        if abs(norm - R) > SURFACE_TOL * (1.0 + R):
             raise InputError(f"point with |x| = {norm} is not on the sphere of radius {R}")
         return tuple(v * R / norm for v in c)
 
@@ -574,11 +568,11 @@ class _Hyperboloid(_Curved):
     kernel = staticmethod(_hyperboloid)
     grid = (0, 0.0)  # no coordinate gap bounds the distance: every pair is tested
 
-    def surface(self, c, tol):
+    def surface(self, c):
         if c[-1] <= 0.0:
             raise InputError("hyperboloid points need a positive last coordinate")
         q = _mdot(c, c)
-        if abs(q + 1.0) > tol:
+        if abs(q + 1.0) > SURFACE_TOL:
             raise InputError(f"point with <x,x>_M = {q} is not on the hyperboloid")
         return self._lift(c[:-1])
 
@@ -626,28 +620,12 @@ def injectivity_radius(space: Space) -> float:
     return space._model.inj
 
 
-def distance(space: Space, p: Point, q):
-    """Geodesic distance between two points.
-
-    ``q`` is a :class:`Point`, giving a float, or an ``(n, ambient_dim)``
-    array of point coordinates, giving the ``(n,)`` array of distances
-    from ``p`` to each row.  Both forms call the space's one cached
-    kernel, on the coordinate tuples or on each row, so every array entry
-    equals the float that the scalar form returns for that row, bit for
-    bit.
-    """
+def distance(space: Space, p: Point, q: Point) -> float:
+    """Geodesic distance between two points, by the space's one cached kernel."""
     model = space._model
     a = p.coords
     if len(a) != model.width:
         _check_point(space, p, "p")  # raises
-    if not isinstance(q, Point):
-        import numpy as np
-
-        if isinstance(q, np.ndarray):
-            rows = np.asarray(q, dtype=float)
-            if rows.ndim != 2 or rows.shape[1] != model.width:
-                raise InputError(f"q has shape {rows.shape}, expected (n, {model.width})")
-            return np.fromiter((model.kernel(a, r) for r in rows.tolist()), float, len(rows))
     b = q.coords
     if len(b) != model.width:
         _check_point(space, q, "q")  # raises

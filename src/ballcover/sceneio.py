@@ -38,7 +38,7 @@ from typing import NamedTuple, Optional
 
 from .covering import BallFamily, QuasiRoundSet
 from .errors import InputError
-from .geometry import SPACE_KINDS, SURFACE_TOL, Ball, Point, Space
+from .geometry import SPACE_KINDS, Ball, Point, Space
 
 __all__ = [
     "SceneFile",
@@ -144,7 +144,7 @@ def _bulk(space, raw, fields, build):
         return None
     surface = space._model.surface
     try:
-        return build([surface(tuple(c), SURFACE_TOL) for c in rows], *numbers)
+        return build([surface(tuple(c)) for c in rows], *numbers)
     except InputError:
         return None
 

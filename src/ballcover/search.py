@@ -52,35 +52,21 @@ __all__ = [
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 _ADD_SWEEPS = 60  # convex-feasibility sweeps per ball when an add move is checked
+_DECAY = 0.95  # the annealing temperature's factor per 2 % of a restart
+_STEP_SCALE = 0.3  # a perturbation's step at temperature 1 (times rmax for wbcp)
 
 
 class SearchConfig(Record):
     """Reproducibility and effort envelope for the randomized searches."""
 
-    __slots__ = _fields = (
-        "seed", "budget", "restarts", "initial_temperature", "decay", "perturbation_scale",
-    )
+    __slots__ = _fields = ("seed", "budget", "restarts")
 
-    def __init__(
-        self,
-        seed: int = 0,
-        budget: int = 100_000,
-        restarts: int = 8,
-        initial_temperature: float = 1.0,
-        decay: float = 0.95,
-        perturbation_scale: float = 0.3,
-    ):
+    def __init__(self, seed: int = 0, budget: int = 100_000, restarts: int = 8):
         if budget < 1:
             raise InputError(f"budget must be >= 1, got {budget}")
         if restarts < 1:
             raise InputError(f"restarts must be >= 1, got {restarts}")
-        if not 0.0 < decay < 1.0:
-            raise InputError(f"decay must lie in (0, 1), got {decay}")
-        if not initial_temperature > 0.0:
-            raise InputError("initial temperature must be positive")
-        if not perturbation_scale > 0.0:
-            raise InputError("perturbation scale must be positive")
-        self._set(seed, budget, restarts, initial_temperature, decay, perturbation_scale)
+        self._set(seed, budget, restarts)
 
 
 class SearchResult(NamedTuple):
@@ -145,9 +131,10 @@ def _anneal(config: SearchConfig, start, propose) -> list:
     A restart builds its state with ``start(restart, rng)`` and then makes
     up to ``budget // restarts`` proposals ``propose(state, temp, rng)``,
     which update ``state`` in place and return True only when they grew
-    it.  The temperature decays geometrically over the restart's budget,
-    and a restart stops once ``max(200, budget // restarts // 5)``
-    proposals in a row have not grown its state.
+    it.  The temperature falls geometrically over the restart's budget,
+    from 1 to ``_DECAY ** 50``, and a restart stops once
+    ``max(200, budget // restarts // 5)`` proposals in a row have not
+    grown its state.
     """
     per_restart = max(1, config.budget // config.restarts)
     cutoff = max(200, per_restart // 5)
@@ -159,7 +146,7 @@ def _anneal(config: SearchConfig, start, propose) -> list:
         for step in range(per_restart):
             if stalled >= cutoff:
                 break
-            temp = config.initial_temperature * config.decay ** (50.0 * step / per_restart)
+            temp = _DECAY ** (50.0 * step / per_restart)
             stalled = 0 if propose(state, temp, rng) else stalled + 1
         finals.append(state)
     if not finals:
@@ -280,7 +267,7 @@ def search_max_besicovitch_family(
 
     def propose(state, temp, rng):
         coords, radii = state.coords, state.radii
-        sigma = config.perturbation_scale * rmax * max(temp, 0.05)
+        sigma = _STEP_SCALE * rmax * max(temp, 0.05)
         offsets = rng.normal(0.0, 1.0, dim)
         u_radius = rng.uniform()
         u_kind = rng.uniform()
@@ -354,7 +341,7 @@ def construct_strict_hadwiger(dim: int) -> BallFamily:
         d = math.sqrt(sum(x * x for x in c))
         if abs(d - 2.0) >= 1e-12:
             raise InternalError(f"tangent ball {i} lost tangency ({d})")
-    dist = space._kernel
+    dist = space._model.kernel
     for i in range(len(coords)):
         for j in range(i + 1, len(coords)):
             if not dist(coords[i], coords[j]) > 2.0:
@@ -429,7 +416,7 @@ def pack_unit_balls_radius5(dim: int, config: Optional[SearchConfig] = None) -> 
         return SearchResult(best=fam, score=5, feasible=True, trace=(5,))
 
     # the l2 kernel sums its squares left to right, as _length does
-    dist = space._kernel
+    dist = space._model.kernel
 
     def propose(pts, temp, rng):
         u_kind = rng.uniform()
@@ -448,7 +435,7 @@ def pack_unit_balls_radius5(dim: int, config: Optional[SearchConfig] = None) -> 
             return True
         if j == 0:
             return False  # the pinned center never moves
-        sigma = config.perturbation_scale * max(temp, 0.02)
+        sigma = _STEP_SCALE * max(temp, 0.02)
         cand = _clamp_to_radius(tuple([p + sigma * x for p, x in zip(pts[j], direction)]))
         if _pack_valid_add(dist, pts[:j] + pts[j + 1 :], cand):
             pts[j] = cand
@@ -510,7 +497,7 @@ def cip_check(family: BallFamily, m: int, s: float) -> CipResult:
     y = feas.point.coords
     target = m + 1
     scale = 1.0 + max(radii)
-    kernel = space._kernel
+    kernel = space._model.kernel
 
     slack = [kernel(y, c) - s * r for c, r in zip(coords, radii)]
     inside = [i for i in range(n) if slack[i] <= 1e-9 * scale]
@@ -706,11 +693,9 @@ def constants_report(dims: Sequence[int], config: Optional[SearchConfig] = None)
         w_res = search_max_besicovitch_family(space, (0.5, 1.5), config)
         if not w_res.feasible:
             raise InternalError(f"the w family for dim {dim} failed re-certification")
-        w_ach = w_res.score
-        if is_k_configuration(w_res.best).is_valid:
-            k_ach = w_ach
-        else:  # pragma: no cover - a valid family always qualifies
-            k_ach = 0
+        if not is_k_configuration(w_res.best).is_valid:
+            raise InternalError(f"the w family for dim {dim} failed is_k_configuration")
+        w_ach = k_ach = w_res.score
         beta_res = pack_unit_balls_radius5(dim, config)
         if not beta_res.feasible:
             raise InternalError(f"the radius-5 packing for dim {dim} failed re-certification")

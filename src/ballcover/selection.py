@@ -234,7 +234,9 @@ def _first_fit(space: Space, centers, radii, order) -> tuple:
         for j in grid.near(c.coords, r):
             if assignment[j] not in used and not distance(space, c, centers[j]) > r + radii[j]:
                 used.add(assignment[j])
-        f = min(set(range(len(families) + 1)) - used)
+        f = 0
+        while f in used:
+            f += 1
         if f == len(families):
             families.append([])
         families[f].append(i)

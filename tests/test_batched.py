@@ -1,9 +1,9 @@
-"""The row form of ``geometry.distance`` and the loops built on it.
+"""The grid-indexed loops of selection and covering against scalar loops.
 
-Every routine that measures one point against many rows must decide
-exactly as a loop over scalar ``distance`` calls does.  The references
-below are those loops, written out again with the scalar form, and the
-comparisons use ``==`` with no tolerance.
+Every routine that measures one point against many balls through the
+grid index must decide exactly as a loop over every pair of ``distance``
+calls does.  The references below are those loops, and the comparisons
+use ``==`` with no tolerance.
 """
 
 import math
@@ -14,7 +14,6 @@ import pytest
 from ballcover import (
     Ball,
     BallFamily,
-    InputError,
     Point,
     QuasiRoundSet,
     Space,
@@ -30,69 +29,6 @@ from ballcover.selection import (
     partition_into_disjoint_families,
     select_bounded_overlap_subcover,
 )
-
-# ---------------------------------------------------------------------------
-# the row form equals the scalar form
-# ---------------------------------------------------------------------------
-
-SPACES = [
-    Space.euclidean(1),
-    Space.euclidean(2, 1.0),
-    Space.euclidean(2),
-    Space.euclidean(3, 3.0),
-    Space.euclidean(3, 1.5),
-    Space.euclidean(4, math.inf),
-    Space.sphere(2),
-    Space.sphere(3, radius=2.5),
-    Space.hyperbolic(2),
-    Space.hyperbolic(3),
-]
-
-
-def sample_points(space, rng, n=120):
-    pts = [random_point(space, rng, spread=s) for s in (1e-3, 1.0, 40.0) for _ in range(n // 3)]
-    if space.kind == "sphere":
-        base = pts[:30]
-        # antipodes and near-antipodes (acos branch near cos = -1) and
-        # close neighbours (chord branch near cos = 1)
-        pts += [Point(tuple(-x for x in b.coords)) for b in base]
-        pts += [space.point([-x + 1e-9 * rng.normal() for x in b.coords]) for b in base]
-        pts += [space.point([x + 1e-7 * rng.normal() for x in b.coords]) for b in base]
-    return pts
-
-
-@pytest.mark.parametrize("space", SPACES, ids=str)
-def test_rows_equal_scalar_distances_exactly(space):
-    rng = np.random.default_rng(31)
-    pts = sample_points(space, rng)
-    rows = np.array([q.coords for q in pts])
-    for p in pts[::5]:
-        got = distance(space, p, rows)
-        want = [distance(space, p, q) for q in pts]
-        assert got.shape == (len(pts),)
-        assert got.tolist() == want
-
-
-def test_sphere_rows_cover_both_branches():
-    space = Space.sphere(2)
-    rng = np.random.default_rng(32)
-    pts = sample_points(space, rng)
-    p = pts[0]
-    cos = [sum(a * b for a, b in zip(p.coords, q.coords)) for q in pts]
-    assert any(c > 0.5 for c in cos) and any(c < -0.999 for c in cos)
-
-
-def test_rows_empty_and_shape_errors():
-    space = Space.euclidean(2)
-    p = Point((0.0, 0.0))
-    assert distance(space, p, np.empty((0, 2))).shape == (0,)
-    with pytest.raises(InputError):
-        distance(space, p, np.zeros((3, 3)))
-    with pytest.raises(InputError):
-        distance(space, p, np.zeros(2))
-    with pytest.raises(InputError):
-        distance(space, Point((0.0,)), np.zeros((3, 2)))
-
 
 # ---------------------------------------------------------------------------
 # seeded scenes and scalar references

@@ -828,8 +828,8 @@ def parse_outcome(parser, argv, capsys):
 
 
 class TestTrimmedParser:
-    """``run_command`` adds arguments only to the subcommand that ``argv[0]``
-    names; every parse must read as it does on the full parser."""
+    """An argv that ``_parse_fast`` declines goes to argparse, and
+    ``run_command`` prints what the full parser prints."""
 
     @pytest.fixture(autouse=True)
     def fixed_width(self, monkeypatch):
@@ -848,22 +848,23 @@ class TestTrimmedParser:
 
     @pytest.mark.parametrize("name", sorted(PARSER_CASES))
     def test_a_complete_argv_parses_to_the_same_arguments(self, name, capsys):
+        # _parse_fast reads it, and gives what the full parser gives
         argv = PARSER_CASES[name][0]
-        trimmed = parse_outcome(cli._build_parser(name), argv, capsys)
-        assert trimmed[1] is not None
-        assert trimmed == parse_outcome(cli._build_parser(), argv, capsys)
+        code, parsed, out, err = parse_outcome(cli._build_parser(), argv, capsys)
+        assert (code, out, err) == (None, "", "")
+        fast = cli._parse_fast(argv)
+        assert fast is not None
+        assert {k: (type(v), v) for k, v in vars(fast).items()} == {
+            k: (type(v), v) for k, v in parsed.items()}
 
-    def test_only_the_named_subcommand_gets_its_arguments(self):
-        def argument_counts(parser):
-            sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-            return {name: len(p._actions) for name, p in sub.choices.items()}
-
-        full = argument_counts(cli._build_parser())
-        trimmed = argument_counts(cli._build_parser("volume"))
-        assert list(trimmed) == list(full) == list(cli._HANDLERS)
-        assert trimmed["volume"] == full["volume"] > 1
-        assert all(trimmed[name] == 1 for name in full if name != "volume")  # only -h
-        assert argument_counts(cli._build_parser("-h")) == full
+    def test_the_full_parser_holds_each_subcommand_with_its_arguments(self):
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(cli._COMMANDS) == list(cli._HANDLERS)
+        for name, (_handler, _help, arguments) in cli._COMMANDS.items():
+            actions = sub.choices[name]._actions[1:]  # after -h
+            assert [a.option_strings[0] if a.option_strings else a.dest
+                    for a in actions] == [flag for flag, *_ in arguments]
 
     def test_help_survives_the_hard_exit(self):
         # main ends with os._exit, which would drop the buffered help text

@@ -84,8 +84,22 @@ def test_point_validation():
 
 def test_dimension_mismatch_is_input_error():
     e2 = Space.euclidean(2)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^q has 3 coordinates, expected 2$"):
         distance(e2, Point((0.0, 0.0)), Point((0.0, 0.0, 0.0)))
+    with pytest.raises(InputError, match="^p has 1 coordinates, expected 2$"):
+        distance(e2, Point((0.0,)), Point((0.0, 0.0, 0.0)))
+
+
+@pytest.mark.parametrize("space", ALL_SPACES, ids=str)
+def test_distance_checks_the_width_of_p_then_q(space):
+    w = space.ambient_dim
+    good, short, long = (Point((0.0,) * n) for n in (w, w - 1, w + 1))
+    with pytest.raises(InputError, match=f"^p has {w - 1} coordinates, expected {w}$"):
+        distance(space, short, long)
+    with pytest.raises(InputError, match=f"^p has {w + 1} coordinates, expected {w}$"):
+        distance(space, long, good)
+    with pytest.raises(InputError, match=f"^q has {w - 1} coordinates, expected {w}$"):
+        distance(space, space.origin(), short)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +248,23 @@ def test_project_tangent_is_tangent():
         elif space.kind == "hyperbolic":
             spatial = sum(a * b for a, b in zip(t.vector[:-1], base.coords[:-1]))
             assert abs(spatial - t.vector[-1] * base.coords[-1]) < 1e-9
+
+
+@pytest.mark.parametrize("space", ALL_SPACES, ids=str)
+def test_step_moves_onto_the_ball_along_the_geodesic(space):
+    # the common-point sweep's move: from x at distance d > r from c to a
+    # point at distance r from c and d - r from x
+    model = space._model
+    rng = np.random.default_rng(29)
+    for spread in (0.1, 1.0, 3.0):
+        for _ in range(40):
+            x, c = random_point(space, rng, spread).coords, random_point(space, rng, spread).coords
+            d = model.kernel(x, c)
+            r = d * float(rng.uniform(0.01, 0.99))
+            y = model.step(x, c, r, d)
+            assert len(y) == model.width
+            assert model.kernel(y, c) == pytest.approx(r, rel=1e-9, abs=1e-12)
+            assert model.kernel(x, y) == pytest.approx(d - r, rel=1e-9, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -283,7 +283,7 @@ def test_other_forms_go_to_argparse_unchanged(argv, scene, capsys, monkeypatch):
     argv = [a.format(scene=scene) for a in argv]
     assert _parse_fast(argv) is None
     got = outcome(argv, capsys)
-    monkeypatch.setattr(cli, "_build_parser", lambda first=None: frozen_parser())
+    monkeypatch.setattr(cli, "_build_parser", frozen_parser)
     assert got == outcome(argv, capsys)
 
 

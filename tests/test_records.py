@@ -178,7 +178,6 @@ def test_a_pickled_space_rebuilds_its_model():
          "diameter 2.5 outside the sandwich range [1.0, 2.0]"),
         (lambda: SearchConfig(budget=0), "budget must be >= 1, got 0"),
         (lambda: SearchConfig(restarts=0), "restarts must be >= 1, got 0"),
-        (lambda: SearchConfig(decay=1.0), "decay must lie in (0, 1), got 1.0"),
         (lambda: ConstantsRow("zeta", 1, 2, 2, "x"), "unknown constant name 'zeta'"),
     ],
 )

@@ -12,8 +12,10 @@ import pytest
 
 from ballcover import search
 from ballcover.covering import (
+    INVALID,
     BallFamily,
     QuasiRoundSet,
+    Verdict,
     is_besicovitch_family,
     is_tau_satellite_configuration,
 )
@@ -56,18 +58,9 @@ class TestSearchConfig:
     def test_defaults_valid(self):
         cfg = SearchConfig()
         assert cfg.budget == 100_000 and cfg.restarts == 8
+        assert SearchConfig._fields == ("seed", "budget", "restarts")
 
-    @pytest.mark.parametrize(
-        "kw",
-        [
-            dict(budget=0),
-            dict(restarts=0),
-            dict(decay=0.0),
-            dict(decay=1.0),
-            dict(initial_temperature=0.0),
-            dict(perturbation_scale=0.0),
-        ],
-    )
+    @pytest.mark.parametrize("kw", [dict(budget=0), dict(restarts=0)])
     def test_rejects_bad_fields(self, kw):
         with pytest.raises(InputError):
             SearchConfig(**kw)
@@ -447,6 +440,16 @@ class TestInternalGuards:
         monkeypatch.setattr(search, "search_max_besicovitch_family", infeasible)
         with pytest.raises(InternalError, match="w family for dim 1"):
             constants_report([1], TINY)
+
+    def test_constants_w_family_not_a_k_configuration(self, monkeypatch, capsys):
+        monkeypatch.setattr(search, "is_k_configuration",
+                            lambda family: Verdict(INVALID, reason="planted"))
+        with pytest.raises(InternalError,
+                           match="^the w family for dim 1 failed is_k_configuration$"):
+            constants_report([1], TINY)
+        assert run_command(["constants", "--dims", "1", "--budget", "20"]) == 3
+        err = capsys.readouterr().err
+        assert err == "internal error: the w family for dim 1 failed is_k_configuration\n"
 
     def test_constants_packing_infeasible(self, monkeypatch):
         real = search.pack_unit_balls_radius5

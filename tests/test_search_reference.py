@@ -11,8 +11,9 @@ counter and the best-so-far tracking.  They are kept as they were
 cutoff helper it removed.  Every comparison is ``==`` and ``repr``
 equality on whole ``SearchResult``s: the best family, score, feasibility
 and trace, over spaces, dimensions and configurations that reach the
-plateau cutoff, run fewer proposals than restarts, move the temperature
-schedule and draw with a seed of 2**32 or more.
+plateau cutoff, run fewer proposals than restarts and draw with a seed
+of 2**32 or more.  The references read the fixed temperature schedule
+and step scale that the searches read.
 
 ``reference_cip_check`` is ``cip_check`` as it stood while it read the
 centers as ``Point``s through ``distance``, with its two helpers; it is
@@ -67,6 +68,9 @@ from ballcover.search import (
 # ---------------------------------------------------------------------------
 # the reference: the three searches as they were, each with its own loop
 # ---------------------------------------------------------------------------
+
+# the searches' fixed schedule: temperature 1, decaying by 0.95, and step scale 0.3
+INITIAL_TEMPERATURE, DECAY, PERTURBATION_SCALE = 1.0, 0.95, 0.3
 
 
 def _plateau_cutoff(per_restart_budget: int) -> int:
@@ -164,10 +168,10 @@ def reference_besicovitch_search(
         for step in range(per_restart):
             if stalled >= cutoff:
                 break
-            temp = config.initial_temperature * config.decay ** (
+            temp = INITIAL_TEMPERATURE * DECAY ** (
                 50.0 * step / per_restart
             )
-            sigma = config.perturbation_scale * rmax * max(temp, 0.05)
+            sigma = PERTURBATION_SCALE * rmax * max(temp, 0.05)
             offsets = rng.normal(0.0, 1.0, dim)
             u_radius = rng.uniform()
             u_kind = rng.uniform()
@@ -246,7 +250,7 @@ def reference_pack_radius5(dim: int, config: Optional[SearchConfig] = None) -> S
         return SearchResult(best=fam, score=5, feasible=True, trace=(5,))
 
     # the l2 kernel sums its squares left to right, as _length does
-    dist = space._kernel
+    dist = space._model.kernel
     per_restart = max(1, config.budget // config.restarts)
     cutoff = _plateau_cutoff(per_restart)
     best: Optional[list] = None
@@ -258,7 +262,7 @@ def reference_pack_radius5(dim: int, config: Optional[SearchConfig] = None) -> S
         for step in range(per_restart):
             if stalled >= cutoff:
                 break
-            temp = config.initial_temperature * config.decay ** (
+            temp = INITIAL_TEMPERATURE * DECAY ** (
                 50.0 * step / per_restart
             )
             u_kind = rng.uniform()
@@ -281,7 +285,7 @@ def reference_pack_radius5(dim: int, config: Optional[SearchConfig] = None) -> S
                 if j == 0:
                     stalled += 1
                     continue  # the pinned center never moves
-                sigma = config.perturbation_scale * max(temp, 0.02)
+                sigma = PERTURBATION_SCALE * max(temp, 0.02)
                 cand = _clamp_to_radius(tuple([p + sigma * x for p, x in zip(pts[j], direction)]))
                 others = pts[:j] + pts[j + 1 :]
                 if _pack_valid_add(dist, others, cand):
@@ -510,11 +514,8 @@ CONFIGS = {
     "plateau": SearchConfig(seed=3, budget=600, restarts=2),
     # fewer proposals than restarts: one proposal per restart
     "tiny": SearchConfig(seed=5, budget=3, restarts=4),
-    # another temperature schedule and step size, and a seed past 32 bits
-    "schedule": SearchConfig(
-        seed=2**32 + 7, budget=300, restarts=3,
-        initial_temperature=2.5, decay=0.8, perturbation_scale=0.6,
-    ),
+    # a seed past 32 bits, on three restarts of the fixed schedule
+    "schedule": SearchConfig(seed=2**32 + 7, budget=300, restarts=3),
 }
 
 WBCP_SPACES = {
