@@ -288,108 +288,6 @@ def partition_into_disjoint_families(
 # ---------------------------------------------------------------------------
 
 
-class _Iv:
-    __slots__ = ("left", "right", "idx", "tag", "node")
-
-    def __init__(self, left, right, idx):
-        self.left = left
-        self.right = right
-        self.idx = idx
-        self.tag = 0
-        self.node = -1
-
-
-class _Chains:
-    """Disjoint-set over kept intervals with taggable member lists."""
-
-    def __init__(self):
-        self.parent = []
-        self.size = []
-        self.members = []
-
-    def make(self, rec) -> int:
-        node = len(self.parent)
-        self.parent.append(node)
-        self.size.append(1)
-        self.members.append([rec])
-        rec.node = node
-        return node
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.members[ra].extend(self.members[rb])
-        self.members[rb] = []
-        return ra
-
-    def flip_smaller(self, a: int, b: int) -> None:
-        """Toggle every tag in the smaller of the two distinct chains."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            raise InternalError("conflicting constraints inside a single chain")
-        smaller = rb if self.size[rb] <= self.size[ra] else ra
-        for rec in self.members[smaller]:
-            rec.tag ^= 1
-
-
-class _RankSet:
-    """A set of integers in ``range(n)`` with predecessor queries.
-
-    A tree of 64-bit words: the bottom level has one bit per member and
-    each level above one bit per nonzero word below it, so adding,
-    discarding and finding the next member below a rank each cost
-    O(log_64 n).
-    """
-
-    def __init__(self, n: int):
-        self.levels = []
-        while True:
-            n = (n >> 6) + 1
-            self.levels.append([0] * n)
-            if n == 1:
-                break
-
-    def __contains__(self, k: int) -> bool:
-        return bool(self.levels[0][k >> 6] >> (k & 63) & 1)
-
-    def add(self, k: int) -> None:
-        for words in self.levels:
-            words[k >> 6] |= 1 << (k & 63)
-            k >>= 6
-
-    def discard(self, k: int) -> None:
-        for words in self.levels:
-            words[k >> 6] &= ~(1 << (k & 63))
-            if words[k >> 6]:
-                break
-            k >>= 6
-
-    def below(self, k: int) -> int:
-        """The largest member less than ``k``, or -1 when there is none."""
-        for depth, words in enumerate(self.levels):
-            low = words[k >> 6] & ((1 << (k & 63)) - 1)
-            if low:
-                k = (k & ~63) | (low.bit_length() - 1)
-                for words in reversed(self.levels[:depth]):
-                    k = (k << 6) | (words[k].bit_length() - 1)
-                return k
-            k >>= 6
-        return -1
-
-
 def _phase_a_greedy(cs, rs, ids):
     """Largest-radius-first selection until every center is covered.
 
@@ -399,12 +297,17 @@ def _phase_a_greedy(cs, rs, ids):
     descending radius, ties by center, which one stable sort of the
     center positions gives.  The chosen radius is always the maximum
     over uncovered centers, which satisfies the required
-    more-than-half-the-supremum rule, makes radii non-increasing along
-    the selection, and guarantees that no chosen interval contains
-    another chosen interval or its center.  So no point lies in three
+    more-than-half-the-supremum rule and makes radii non-increasing
+    along the selection.  A center is chosen only while no chosen
+    interval holds it, so it lies more than the earlier radius, and so
+    more than its own, from every earlier center: no chosen interval
+    holds the center of one chosen after it, and one chosen before it
+    only through the rounding of its ends (centers -(2**53 + 2) and
+    -2**53 + 1, both with radius 2.25, give the later interval the left
+    end -(2**53 + 2)).  So, but for rounding, no point lies in three
     chosen intervals (the middle center would lie in one of the outer
-    intervals), and marking the centers each one covers visits at most
-    2n positions in all.
+    intervals), which phase B checks, and marking the centers each one
+    covers visits at most 2n positions in all.
     """
     covered = bytearray(len(cs))
     remaining = len(cs)
@@ -423,79 +326,52 @@ def _phase_a_greedy(cs, rs, ids):
     return chosen
 
 
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
 def _phase_b_two_color(chosen):
-    """Incrementally maintain two disjoint families over the selection.
+    """Tag phase A's intervals with two families, in one sweep.
 
-    Each new interval can meet at most two kept intervals at each of its
-    endpoints; when an endpoint has two, the inner one is contained in
-    the union of the outer one and the new interval and is dropped.  The
-    survivors force the new interval's tag; when the two survivors carry
-    different tags they belong to different chains (the new interval's
-    center is covered by neither side), and all tags in the smaller
-    chain are flipped before the tag is assigned.
+    Lemma: sorted by left end, each interval ``ivs[i]`` ends before
+    ``ivs[i + 2]`` starts, so each meets at most its two neighbours by
+    left end.  For phase A's intervals this holds: were ``ivs[i + 2]`` to
+    start inside ``ivs[i]``, the interval between them would either hold
+    that point too, a point in three chosen intervals, or lie inside
+    ``ivs[i]`` with its center, and phase A makes neither but for
+    rounding.  So the lemma is checked, and its failure raises
+    :class:`InternalError`.
 
-    The kept intervals are a :class:`_RankSet` of the ranks of their
-    left ends among all of ``chosen`` (equal left ends in selection
-    order), so finding the nearest kept intervals left of a point and
-    adding or dropping one cost O(log_64 n), in the order a sorted list
-    of the kept intervals would give.
+    The intervals are placed in selection order, each at its position by
+    left end (equal left ends in selection order).  A run is a stretch of
+    placed positions, each meeting the next; ``run[lo] = hi`` and
+    ``run[hi] = lo`` hold at its ends, and tags alternate along it.  A
+    new interval meets a neighbour only when that neighbour is placed
+    and overlaps it, and joins the runs it meets.  When it meets two
+    runs whose end tags differ, the smaller run (the right one on a tie)
+    has its tags flipped first; a flipped position's run at least
+    doubles, so the sweep takes O(n log n).  The new tag differs from
+    its left neighbour's, else from its right neighbour's, else is 0.
+
+    Returns the (left, right, input_index) triples by left end and their
+    tags.
     """
     order = sorted(range(len(chosen)), key=lambda k: chosen[k][0])
-    lefts = [chosen[k][0] for k in order]
-    rank = [0] * len(chosen)
-    for r, k in enumerate(order):
-        rank[k] = r
-    by_rank = [None] * len(chosen)
-    kept = _RankSet(len(chosen))
-    chains = _Chains()
-
-    for k, (left, right, idx) in enumerate(chosen):
-        rec = _Iv(left, right, idx)
-        survivors = []
-        for end, x in enumerate((left, right)):
-            # the kept intervals with the three largest left ends <= x
-            near = []
-            t = bisect_right(lefts, x)
-            while len(near) < 3 and (t := kept.below(t)) >= 0:
-                near.append(by_rank[t])
-            if len(near) == 3 and not near[2].right < x:
-                raise InternalError("more than two kept intervals hit one endpoint")
-            hits = [h for h in near[:2] if h.right >= x and h not in survivors]
-            if len(hits) == 2:
-                # hits[0] has the larger left.  At the left endpoint that
-                # is the inner hit (reaching furthest into the new
-                # interval); at the right endpoint the inner hit is the
-                # one with the smaller left, hits[1].
-                inner = hits[0] if end == 0 else hits[1]
-                outer = hits[1] if end == 0 else hits[0]
-                # drop the first kept interval whose left end equals the
-                # inner one's, as a sorted list's bisect_left finds it
-                lo = bisect_left(lefts, inner.left)
-                at = kept.below(bisect_right(lefts, inner.left))
-                while (t := kept.below(at)) >= lo:
-                    at = t
-                kept.discard(at)
-                survivors.append(outer)
-            elif len(hits) == 1:
-                survivors.append(hits[0])
-
-        chains.make(rec)
-        if not survivors:
-            rec.tag = 0
-        elif len(survivors) == 1:
-            rec.tag = survivors[0].tag ^ 1
-            chains.union(rec.node, survivors[0].node)
-        else:
-            a, b = survivors
-            if a.tag != b.tag:
-                chains.flip_smaller(a.node, b.node)
-            rec.tag = a.tag ^ 1
-            chains.union(rec.node, a.node)
-            chains.union(rec.node, b.node)
-
-        by_rank[rank[k]] = rec
-        kept.add(rank[k])
-    return [by_rank[t] for t in range(len(chosen)) if t in kept]
+    ivs = [chosen[k] for k in order]
+    if not all(map(operator.lt, [iv[1] for iv in ivs], [iv[0] for iv in ivs[2:]])):
+        raise InternalError("more than two chosen intervals share a point")
+    n = len(ivs)
+    tags = bytearray(n)
+    run = [-1] * n  # -1 until placed
+    for p in sorted(range(n), key=order.__getitem__):
+        left, right, _idx = ivs[p]
+        lo = run[p - 1] if p and run[p - 1] >= 0 and ivs[p - 1][1] >= left else p
+        hi = run[p + 1] if p + 1 < n and run[p + 1] >= 0 and right >= ivs[p + 1][0] else p
+        if lo < p < hi and tags[p - 1] != tags[p + 1]:
+            a, b = (p + 1, hi + 1) if hi - p <= p - lo else (lo, p)
+            tags[a:b] = tags[a:b].translate(_FLIP)
+        tags[p] = tags[p - 1] ^ 1 if lo < p else tags[p + 1] ^ 1 if p < hi else 0
+        run[lo], run[hi] = hi, lo
+    return ivs, tags
 
 
 def _scattered_anchors(lefts, rights, ids):
@@ -663,8 +539,8 @@ def besicovitch_cover_1d(
     Only intervals centered exactly at a listed center participate; each
     center keeps its largest such interval.  ``mode`` selects the
     construction: ``"bounded"`` runs the greedy largest-radius selection
-    followed by incremental two-coloring with exchange and chain-flip
-    repairs; ``"scattered"`` runs the wide-spread decomposition (greedy
+    followed by a two-coloring sweep that flips the smaller of two chains
+    it joins; ``"scattered"`` runs the wide-spread decomposition (greedy
     disjoint anchors, reduction of each anchor's bundle to its leftmost
     and rightmost members plus the anchor, then a left-to-right point
     cover with alternating tags); ``"auto"`` picks ``"scattered"`` when
@@ -675,11 +551,10 @@ def besicovitch_cover_1d(
 
     Both modes take O(n log n) time for n intervals: every pass is a
     sort, a binary search per interval or center, a sweep that marks
-    each center or endpoint a bounded number of times, or, for the
-    intervals the bounded mode keeps, a bit tree with O(log_64 n)
-    operations.  The cover reads the family's ``coords`` and ``radii``
-    columns, and its families are column subsets of ``family``, so it
-    builds no ``Ball``.
+    each center or endpoint a bounded number of times, or the bounded
+    mode's flips, each of which at least doubles a chain.  The cover
+    reads the family's ``coords`` and ``radii`` columns, and its families
+    are column subsets of ``family``, so it builds no ``Ball``.
     """
     space = family.space
     if not space.is_line:
@@ -718,9 +593,7 @@ def besicovitch_cover_1d(
         mode = "scattered" if spread > 1000.0 * max_r and max_r > 0.0 else "bounded"
 
     if mode == "bounded":
-        kept = _phase_b_two_color(_phase_a_greedy(cs, rs, ids))
-        chosen = [(r.left, r.right, r.idx) for r in kept]
-        tags = [r.tag for r in kept]
+        chosen, tags = _phase_b_two_color(_phase_a_greedy(cs, rs, ids))
     else:
         chosen = _staircase_two_color(_scattered_candidates(cs, rs, ids), cs)
         # tags alternate in the order of choice; the intervals go by left end
@@ -844,11 +717,12 @@ def morse_partition(
     a quarter injectivity radius and inner radii under a quarter
     injectivity radius divided by ``4*lam + 1``.  The reported family
     bound is a heuristic volume-ratio count and is flagged empirical.
+    ``tau`` must lie in (1, 2] and ``lam`` in [1, inf).
     """
     if not 1.0 < tau <= 2.0:
         raise InputError(f"tau must lie in (1, 2], got {tau!r}")
-    if lam < 1.0:
-        raise InputError(f"lam must be >= 1, got {lam!r}")
+    if not 1.0 <= lam < math.inf:
+        raise InputError(f"lam must be finite and >= 1, got {lam!r}")
     sets = list(sets)
     for k, qs in enumerate(sets):
         if qs.lam > lam * (1.0 + 1e-12):

@@ -478,6 +478,17 @@ def test_morse_parameter_validation():
         morse_partition(E2, [rich], tau=1.5, lam=1.5)
 
 
+@pytest.mark.parametrize("lam", [math.inf, math.nan])
+def test_morse_refuses_a_non_finite_lam(lam):
+    # checked before the sets: an infinite outer radius in the plane, and
+    # an inner-radius cap of 0.0 on the sphere, reported other errors
+    s2 = Space.sphere(2)
+    for space, qs in ((E2, qset2(0.0, 0.0, 1.0)),
+                      (s2, QuasiRoundSet(s2.point([1.0, 0.0, 0.0]), 0.01, 1.0, 0.02))):
+        with pytest.raises(InputError, match=f"^lam must be finite and >= 1, got {lam!r}$"):
+            morse_partition(space, [qs], tau=1.5, lam=lam)
+
+
 def test_morse_two_far_sets_single_family():
     sets = [qset2(0.0, 0.0, 1.0), qset2(10.0, 0.0, 1.0)]
     part = morse_partition(E2, sets, tau=1.5, lam=1.0)
@@ -544,13 +555,6 @@ def test_morse_sphere_caps():
 # ---------------------------------------------------------------------------
 
 
-def test_flip_smaller_on_one_chain_raises():
-    chains = selection._Chains()
-    node = chains.make(selection._Iv(0.0, 1.0, 0))
-    with pytest.raises(InternalError, match="single chain"):
-        chains.flip_smaller(node, node)
-
-
 def test_phase_b_more_than_two_hits_raises():
     # (-5, 20) and (-3, 30) touch no endpoint of the intervals kept before
     # them, so three kept intervals contain the left end of (5, 6)
@@ -593,18 +597,25 @@ def _widen_first(chosen):
     return [(left, right + 6.0, idx), *rest]
 
 
-def _retag_third(kept, tag):
-    kept[2].tag = tag
-    return kept
+def _drop_second_tagged(ivs_tags):
+    ivs, tags = ivs_tags
+    return _drop_second(ivs), _drop_second(tags)
+
+
+def _retag_third(ivs_tags, tag):
+    ivs, tags = ivs_tags
+    tags[2] = tag
+    return ivs, tags
 
 
 # four chained intervals [-2, 2], [1, 5], [4, 8], [7, 11]: the cover keeps
 # all four, tagged 0, 1, 0, 1
 SELF_CHECK_CASES = [
-    ("bounded", "_phase_b_two_color", _drop_second, "center 3.0 is not covered by the line cover"),
-    ("bounded", "_phase_b_two_color", lambda kept: _retag_third(kept, 1),
+    ("bounded", "_phase_b_two_color", _drop_second_tagged,
+     "center 3.0 is not covered by the line cover"),
+    ("bounded", "_phase_b_two_color", lambda ivs_tags: _retag_third(ivs_tags, 1),
      "interval 2 meets an earlier interval of its family"),
-    ("bounded", "_phase_b_two_color", lambda kept: _retag_third(kept, 2),
+    ("bounded", "_phase_b_two_color", lambda ivs_tags: _retag_third(ivs_tags, 2),
      "the line cover uses 3 families"),
     ("scattered", "_staircase_two_color", _drop_second, "center 3.0 is not covered by the line cover"),
     ("scattered", "_staircase_two_color", _widen_first,
@@ -634,10 +645,9 @@ def test_oned_checks_its_own_cover(mode, stage, corrupt, message, tmp_path, monk
 def test_guards_survive_optimized_mode():
     code = (
         "from ballcover import InternalError, selection\n"
-        "c = selection._Chains()\n"
-        "n = c.make(selection._Iv(0.0, 1.0, 0))\n"
         "try:\n"
-        "    c.flip_smaller(n, n)\n"
+        "    selection._phase_b_two_color([(0.0, 10.0, 0), (-5.0, 20.0, 1),\n"
+        "                                  (-3.0, 30.0, 2), (5.0, 6.0, 3)])\n"
         "except InternalError:\n"
         "    print('raised')\n"
     )
