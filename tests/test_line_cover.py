@@ -553,6 +553,50 @@ def test_phase_b_matches_the_reference_on_chosen_lists():
     assert min(seen.values()) > 20 and len(seen) == 3, seen
 
 
+def _chain(order):
+    """Intervals ``[2k, 2k + 2.5]``, each meeting only the ones next to it
+    by left end, chosen with the positions ``order`` names."""
+    return [(2.0 * k, 2.0 * k + 2.5, idx) for idx, k in enumerate(order)]
+
+
+# a run at positions 0, 1, 2 or 3, 4 is placed first, and the interval
+# between the runs joins them; the runs' tags disagree, so one is flipped
+RUN_JOINS = {
+    # left run (0) tagged 0, right run (2, 3, 4) tagged 1, 0, 1
+    "left run smaller": ([0, 3, 2, 4, 1], [1, 0, 1, 0, 1]),
+    # left run (0, 1, 2) tagged 1, 0, 1, right run (4) tagged 0
+    "right run smaller": ([1, 0, 2, 4, 3], [1, 0, 1, 0, 1]),
+    # left run (0, 1) tagged 0, 1, right run (3, 4) tagged 0, 1
+    "equal runs, the right one flips": ([0, 1, 3, 4, 2], [0, 1, 0, 1, 0]),
+}
+
+
+@pytest.mark.parametrize("name", list(RUN_JOINS))
+def test_phase_b_flips_the_smaller_run_as_the_reference_does(name):
+    from ballcover import selection
+
+    order, want = RUN_JOINS[name]
+    chosen = _chain(order)
+    ivs, tags = selection._phase_b_two_color(chosen)
+    assert ivs == sorted(chosen)
+    assert list(tags) == want
+    assert list(tags) == [r.tag for r in _phase_b_two_color(chosen)]
+
+
+def test_phase_b_tags_one_long_chain_as_the_reference_does():
+    """Placed in random order, the 20,000 links of one chain join and
+    flip many runs; the tags still alternate, as the reference's do."""
+    from ballcover import selection
+
+    order = list(range(20_000))
+    random.Random(11).shuffle(order)
+    chosen = _chain(order)
+    ivs, tags = selection._phase_b_two_color(chosen)
+    assert ivs == sorted(chosen)
+    assert list(tags) == [r.tag for r in _phase_b_two_color(chosen)]
+    assert len(set(tags[0::2])) == len(set(tags[1::2])) == 1 and tags[0] != tags[1]
+
+
 # ---------------------------------------------------------------------------
 # oned builds no object per interval
 # ---------------------------------------------------------------------------

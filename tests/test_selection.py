@@ -479,14 +479,17 @@ def test_morse_parameter_validation():
 
 
 @pytest.mark.parametrize("lam", [math.inf, math.nan])
-def test_morse_refuses_a_non_finite_lam(lam):
+@pytest.mark.parametrize("where", ["plane", "sphere"])
+def test_morse_refuses_a_non_finite_lam(where, lam):
     # checked before the sets: an infinite outer radius in the plane, and
     # an inner-radius cap of 0.0 on the sphere, reported other errors
-    s2 = Space.sphere(2)
-    for space, qs in ((E2, qset2(0.0, 0.0, 1.0)),
-                      (s2, QuasiRoundSet(s2.point([1.0, 0.0, 0.0]), 0.01, 1.0, 0.02))):
-        with pytest.raises(InputError, match=f"^lam must be finite and >= 1, got {lam!r}$"):
-            morse_partition(space, [qs], tau=1.5, lam=lam)
+    if where == "plane":
+        space, qs = E2, qset2(0.0, 0.0, 1.0)
+    else:
+        space = Space.sphere(2)
+        qs = QuasiRoundSet(space.point([1.0, 0.0, 0.0]), 0.01, 1.0, 0.02)
+    with pytest.raises(InputError, match=f"^lam must be finite and >= 1, got {lam!r}$"):
+        morse_partition(space, [qs], tau=1.5, lam=lam)
 
 
 def test_morse_two_far_sets_single_family():
@@ -563,6 +566,19 @@ def test_phase_b_more_than_two_hits_raises():
         selection._phase_b_two_color(chosen)
 
 
+@pytest.mark.parametrize("gap, raises", [(0.0, True), (math.ulp(4.0), False)])
+def test_phase_b_guard_counts_a_shared_endpoint(gap, raises):
+    # (0, 4) and (4 + gap, 8) are two places apart by left end; with no
+    # gap the closed intervals share 4.0 with (2, 6) too
+    chosen = [(0.0, 4.0, 0), (4.0 + gap, 8.0, 1), (2.0, 6.0, 2)]
+    if raises:
+        with pytest.raises(InternalError, match="^more than two chosen intervals share a point$"):
+            selection._phase_b_two_color(chosen)
+    else:
+        ivs, tags = selection._phase_b_two_color(chosen)
+        assert [iv[2] for iv in ivs] == [0, 2, 1] and list(tags) == [0, 1, 0]
+
+
 def test_staircase_uncovered_coordinate_raises():
     with pytest.raises(InternalError, match="no candidate"):
         selection._staircase_two_color([(0.0, 1.0, 0)], [5.0])
@@ -586,8 +602,11 @@ def test_separation_check_raises_on_close_pair():
         )
 
 
-def _drop_second(chosen):
-    return chosen[:1] + chosen[2:]
+def _drop_second(out):
+    # phase B returns (intervals, tags), the staircase one list
+    if isinstance(out, tuple):
+        return tuple(map(_drop_second, out))
+    return out[:1] + out[2:]
 
 
 def _widen_first(chosen):
@@ -595,11 +614,6 @@ def _widen_first(chosen):
     # alternating tags give the same family
     (left, right, idx), *rest = chosen
     return [(left, right + 6.0, idx), *rest]
-
-
-def _drop_second_tagged(ivs_tags):
-    ivs, tags = ivs_tags
-    return _drop_second(ivs), _drop_second(tags)
 
 
 def _retag_third(ivs_tags, tag):
@@ -611,8 +625,7 @@ def _retag_third(ivs_tags, tag):
 # four chained intervals [-2, 2], [1, 5], [4, 8], [7, 11]: the cover keeps
 # all four, tagged 0, 1, 0, 1
 SELF_CHECK_CASES = [
-    ("bounded", "_phase_b_two_color", _drop_second_tagged,
-     "center 3.0 is not covered by the line cover"),
+    ("bounded", "_phase_b_two_color", _drop_second, "center 3.0 is not covered by the line cover"),
     ("bounded", "_phase_b_two_color", lambda ivs_tags: _retag_third(ivs_tags, 1),
      "interval 2 meets an earlier interval of its family"),
     ("bounded", "_phase_b_two_color", lambda ivs_tags: _retag_third(ivs_tags, 2),
