@@ -1,18 +1,22 @@
-"""Time the seven ``search-anneal`` commands in process.
+"""Time the commands of a benchmark workload in process.
 
 Each command of the benchmark's ``search-anneal`` workload (the
 ``SEARCH_COMMANDS`` table of ``bench/workloads.py``: ``search`` for
-wbcp, pack5 and satellite, ``cip --trials`` and ``constants``) runs
-through ``ballcover.cli.run_command`` ``--runs`` times, the commands
-taking turns, so a drift of the host's speed reaches them all alike.
-One JSON object goes to standard output, with each command's minimum and
-median time, its exit code and the SHA-256 of its report, which must be
-the same on every run:
+wbcp, pack5 and satellite, ``cip --trials`` and ``constants``), or of
+its ``validate-batch`` workload (31 ``validate`` calls, whose scenes
+``bench/workloads.build`` writes at ``--seed`` into ``--workdir``, a
+fixed temporary directory, so that two source trees give the same
+report digests), runs through ``ballcover.cli.run_command`` ``--runs``
+times, the commands taking turns, so a drift of the host's speed
+reaches them all alike.  One JSON object goes to standard output, with
+each command's minimum and median time, its exit code and the SHA-256
+of its report (or error message), which must be the same on every run:
 
     PYTHONPATH=src python scripts/search_inproc.py [--runs 7] [--only wbcp-d2,constants]
+    PYTHONPATH=src python scripts/search_inproc.py --workload validate-batch [--seed 601]
 
-Interpreter start-up is not timed, so these numbers show the search work
-that the benchmark's ``wall_s`` carries, without a 28-s benchmark run.
+Interpreter start-up is not timed, so these numbers show the work that
+the benchmark's ``wall_s`` carries, without a 28-s benchmark run.
 """
 
 import argparse
@@ -24,19 +28,20 @@ import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 
 sys.dont_write_bytecode = True  # read bench/, write nothing there
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench"))
 
-from workloads import SEARCH_COMMANDS  # noqa: E402
+from workloads import SEARCH_COMMANDS, build  # noqa: E402
 
 from ballcover.cli import run_command  # noqa: E402
 
 
 def run(argv):
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
         start = time.perf_counter()
         code = run_command(list(argv))
         elapsed = time.perf_counter() - start
@@ -47,10 +52,19 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--runs", type=int, default=7)
     ap.add_argument("--only", default="", help="comma-separated command names (default: all)")
+    ap.add_argument("--workload", choices=("search-anneal", "validate-batch"),
+                    default="search-anneal")
+    ap.add_argument("--seed", type=int, default=601, help="scene seed of validate-batch")
+    ap.add_argument("--workdir", default=os.path.join(tempfile.gettempdir(), "ballcover-inproc"),
+                    help="where validate-batch's scenes are written (default: %(default)s)")
     args = ap.parse_args()
     only = set(filter(None, args.only.split(",")))
-    commands = [(name, argv) for name, argv, _check, _items in SEARCH_COMMANDS
-                if not only or name in only]
+    if args.workload == "search-anneal":
+        commands = [(name, argv) for name, argv, _check, _items in SEARCH_COMMANDS]
+    else:
+        workdir = os.path.abspath(args.workdir)
+        commands = [(op.name, op.argv) for op in build(args.workload, args.seed, workdir).ops]
+    commands = [(name, argv) for name, argv in commands if not only or name in only]
     times = {name: [] for name, _ in commands}
     reports = {}
     for _ in range(args.runs):

@@ -229,12 +229,15 @@ def find_common_point(
 
     A sweep steps the point onto every ball it lies outside of, in family
     order: along the straight line toward the center in l^p spaces (the
-    metric projection for p = 2), along the geodesic through
-    ``log_map``/``exp_map`` in curved ones.  Sweeps run on plain
-    coordinate tuples with the space's scalar kernel, the one that
-    :func:`~ballcover.geometry.distance` calls, and for l2 in dimensions
-    2 and 3 as an unrolled loop on floats; every float equals that of a
-    loop over ``distance`` and ``Point`` steps.
+    metric projection for p = 2), along the geodesic in curved ones.
+    Sweeps run on plain coordinate tuples with the space's scalar kernel,
+    the one that :func:`~ballcover.geometry.distance` calls, and for l2
+    in dimensions 2 and 3 and on the sphere S^2 as an unrolled loop on
+    floats; the other spheres and the hyperboloid still step through
+    ``log_map``/``exp_map``, which the benchmark's layer trace expects
+    ``validate`` to call until its tracer changes (ROADMAP item 5).
+    Every float equals that of a loop over ``distance`` and ``Point``
+    steps.
     """
     _check_tol(tol)
     space = family.space

@@ -53,7 +53,8 @@ class Space(Record):
     pnorm : float
         Norm exponent for euclidean spaces (p >= 1).  Ignored otherwise.
     radius : float
-        Sphere radius (> 0).  Ignored otherwise.
+        Sphere radius, in [2**-500, 2**500] (see :meth:`sphere`).
+        Ignored otherwise.
 
     The space's model is built on construction (it checks ``pnorm`` or
     ``radius``) and kept in a slot that equality, hashing and pickling
@@ -77,6 +78,12 @@ class Space(Record):
 
     @classmethod
     def sphere(cls, dim: int, radius: float = 1.0) -> "Space":
+        """The round sphere S^dim of the given radius in R^(dim+1).
+
+        The radius must lie in [2**-500, 2**500] (InputError otherwise):
+        beyond that its square overflows, or the norm of a point on it
+        underflows, and the formulas cannot hold the sphere.
+        """
         return cls("sphere", dim, radius=radius)
 
     @classmethod
@@ -166,10 +173,6 @@ def _mdot(a, b) -> float:
     return s - a[-1] * b[-1]
 
 
-def _dot(a, b) -> float:
-    return sum(x * y for x, y in zip(a, b))
-
-
 def _check_point(space: Space, p: Point, name: str = "point") -> None:
     if len(p.coords) != space.ambient_dim:
         raise InputError(
@@ -177,14 +180,29 @@ def _check_point(space: Space, p: Point, name: str = "point") -> None:
         )
 
 
-# Scalar kernels on coordinate tuples.  Sums are written out as ``+``, left
-# to right from the int 0 as ``sum()`` starts (the Minkowski form from 0.0,
-# as ``_mdot`` does), instead of calling ``sum()``: the floats are those of
-# ``sum()`` up to Python 3.11, whose float sum is a plain left-to-right
-# loop, and they do not change on 3.12+, where ``sum()`` of floats is
-# compensated.  The unrolled l2 kernels drop the leading ``0 +``,
-# which cannot change a square.  Kernels are module-level functions, with
-# parameters bound by ``partial``, so a space that carries one pickles.
+# Scalar kernels and sums on coordinate tuples.  Sums are written out as
+# ``+``, left to right from the int 0 as ``sum()`` starts (the Minkowski
+# form from 0.0, as ``_mdot`` does), instead of calling ``sum()``: the
+# floats are those of ``sum()`` up to Python 3.11, whose float sum is a
+# plain left-to-right loop, and they do not change on 3.12+, where
+# ``sum()`` of floats is compensated.  The unrolled l2 kernels drop the
+# leading ``0 +``, which cannot change a square.  Kernels are module-level
+# functions, with parameters bound by ``partial``, so a space that carries
+# one pickles.
+
+
+def _dot(a, b) -> float:
+    s = 0
+    for x, y in zip(a, b):
+        s += x * y
+    return s
+
+
+def _sumsq(v) -> float:
+    s = 0
+    for x in v:
+        s += x * x
+    return s
 
 
 def _l2_1(a, b):
@@ -297,6 +315,64 @@ def _sphere(R, a, b):
     return R * math.acos(max(-1.0, min(1.0, cos_t)))
 
 
+# The common-point sweep of the sphere S^2 of radius R unrolled: one loop
+# that runs ``_sphere``, ``_Sphere.log``, the step scale ``(d - r) / d``
+# of ``_Curved.step`` and ``_Sphere.exp`` on floats, with their operations
+# in their order and their DomainError messages.  The log map's cosine
+# ``_dot(x, c) / (R * R)`` is the kernel's ``cos_t``, a sum ``0.0 + ...``
+# is the one from the int 0 (the int converts exactly), ``min``/``max``
+# are written as the comparisons they make, and radii are >= 0, as a Ball
+# keeps them, so a point outside a ball is off its center.
+
+
+def _sweep_s2(R, x, balls, sweeps, stop):
+    x0, x1, x2 = x
+    flat = [(c[0], c[1], c[2], r) for c, r in balls]
+    sqrt, asin, acos, cos, sin = math.sqrt, math.asin, math.acos, math.cos, math.sin
+    RR, R2 = R * R, 2.0 * R
+    inj = math.pi * R
+    antipodal, longest = inj * (1.0 - 1e-9), inj * (1.0 + 1e-12)
+    for _ in range(sweeps):
+        b0, b1, b2 = x0, x1, x2
+        for c0, c1, c2, r in flat:
+            cos_t = (0.0 + x0 * c0 + x1 * c1 + x2 * c2) / RR
+            if cos_t > 0.5:
+                e0 = x0 - c0
+                e1 = x1 - c1
+                e2 = x2 - c2
+                h = sqrt(e0 ** 2 + e1 ** 2 + e2 ** 2) / R2
+                d = R2 * asin(h if h < 1.0 else 1.0)
+            else:
+                h = cos_t if cos_t < 1.0 else 1.0
+                d = R * acos(h if h > -1.0 else -1.0)
+            if not d <= r:
+                if d >= antipodal:
+                    raise DomainError("log map is undefined at antipodal points")
+                u0 = c0 - cos_t * x0
+                u1 = c1 - cos_t * x1
+                u2 = c2 - cos_t * x2
+                un = sqrt(u0 * u0 + u1 * u1 + u2 * u2)
+                s = (d - r) / d
+                w0 = s * (d * u0 / un)
+                w1 = s * (d * u1 / un)
+                w2 = s * (d * u2 / un)
+                n = sqrt(w0 * w0 + w1 * w1 + w2 * w2)
+                if n != 0.0:
+                    if n > longest:
+                        raise DomainError(
+                            f"tangent length {n} exceeds the injectivity radius {inj}"
+                        )
+                    theta = n / R
+                    ct = cos(theta)
+                    st = sin(theta) * R
+                    x0 = ct * x0 + st * w0 / n
+                    x1 = ct * x1 + st * w1 / n
+                    x2 = ct * x2 + st * w2 / n
+        if _sphere(R, (b0, b1, b2), (x0, x1, x2)) < stop:
+            return (x0, x1, x2), True
+    return (x0, x1, x2), False
+
+
 def _hyperboloid(a, b):
     # arccosh(1 + m/2) with m the Minkowski squared chord, computed from
     # coordinate differences to avoid cancellation.
@@ -355,7 +431,9 @@ class _Model:
     d)`` moves ``x``, at distance ``d > r`` from the center ``c``, onto
     the ball of radius ``r``, ``sweep`` runs the common-point sweep on
     those steps, and ``volume``, ``random`` and ``uniform`` serve the
-    functions of those purposes.
+    functions of those purposes.  l2 in R^2 and R^3 and the sphere S^2
+    bind an unrolled sweep on floats with the floats of this one
+    (``_sweep_l2_2``, ``_sweep_l2_3``, ``_sweep_s2``).
     """
 
     flat = False
@@ -433,7 +511,13 @@ class _Flat(_Model):
         return tuple([cc + t * (pc - cc) for pc, cc in zip(x, c)])
 
     def centroid(self, points):
-        return tuple(sum(p[k] for p in points) / len(points) for k in range(self.width))
+        out = []
+        for k in range(self.width):
+            s = 0
+            for p in points:
+                s += p[k]
+            out.append(s / len(points))
+        return tuple(out)
 
     def volume(self, r):
         return unit_ball_volume(self.width, self.p) * r ** self.width
@@ -445,7 +529,7 @@ class _Flat(_Model):
         n, p = self.width, self.p
         if p == 2.0:
             g = rng.normal(0.0, 1.0, n)
-            norm = math.sqrt(float(sum(v * v for v in g)))
+            norm = math.sqrt(float(_sumsq(g)))
             rad = r * rng.uniform() ** (1.0 / n)
             return Point(tuple(cc + rad * float(v) / norm for cc, v in zip(c.coords, g)))
         # Exact l^p ball sampling via the generalized-normal construction.
@@ -472,7 +556,11 @@ class _Curved(_Model):
 
     def step(self, x, c, r, d):
         # follow the geodesic toward the center; d is the distance that
-        # log_map would otherwise compute again
+        # log_map would otherwise compute again.  S^2 sweeps with
+        # _sweep_s2 instead; the other spheres and the hyperboloid step
+        # through the public maps, which the benchmark's layer trace
+        # expects validate to reach until its tracer changes (ROADMAP
+        # item 5)
         p = Point(x)
         v = log_map(self.space, p, Point(c), d).vector
         s = (d - r) / d
@@ -508,23 +596,26 @@ class _Sphere(_Curved):
 
     def __init__(self, space: Space):
         R = space.radius
-        if not R > 0.0:
-            raise InputError(f"sphere radius must be > 0, got {R!r}")
+        # R * R must neither overflow nor lose the norms of Space.point
+        if not 2.0 ** -500 <= R <= 2.0 ** 500:
+            raise InputError(f"sphere radius must lie in [2**-500, 2**500], got {R!r}")
         super().__init__(space, R)
         self.inj = math.pi * R
         self.kernel = partial(_sphere, R)
+        if self.width == 3:
+            self.sweep = partial(_sweep_s2, R)
         # the arc is at least the chord, whose squares underflow as l2's do
         self.grid = (min(3, self.width), 2.0 ** -500)
 
     def surface(self, c):
         R = self.R
-        norm = math.sqrt(sum(v * v for v in c))
+        norm = math.sqrt(_sumsq(c))
         if abs(norm - R) > SURFACE_TOL * (1.0 + R):
             raise InputError(f"point with |x| = {norm} is not on the sphere of radius {R}")
         return tuple(v * R / norm for v in c)
 
     def norm(self, v):
-        return math.sqrt(sum(x * x for x in v))
+        return math.sqrt(_sumsq(v))
 
     def project(self, b, v):
         c = _dot(v, b) / (self.R ** 2)
@@ -551,12 +642,12 @@ class _Sphere(_Curved):
             return (0.0,) * self.width
         c = _dot(b, q) / (R * R)
         u = tuple(y - c * x for x, y in zip(b, q))
-        un = math.sqrt(sum(x * x for x in u))
+        un = math.sqrt(_sumsq(u))
         return tuple(d * x / un for x in u)
 
     def random(self, rng, spread):
         g = rng.normal(0.0, 1.0, self.width)
-        norm = math.sqrt(float(sum(v * v for v in g)))
+        norm = math.sqrt(float(_sumsq(g)))
         return tuple(float(v) * self.R / norm for v in g)
 
 
@@ -578,7 +669,7 @@ class _Hyperboloid(_Curved):
 
     @staticmethod
     def _lift(spatial):
-        return spatial + (math.sqrt(1.0 + sum(x * x for x in spatial)),)
+        return spatial + (math.sqrt(1.0 + _sumsq(spatial)),)
 
     def norm(self, v):
         return math.sqrt(max(0.0, _mdot(v, v)))

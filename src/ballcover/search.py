@@ -338,7 +338,7 @@ def construct_strict_hadwiger(dim: int) -> BallFamily:
     space = Space.euclidean(dim)
     coords = tuple(tuple(2.0 * x for x in u) for u in _kissing_directions(dim))
     for i, c in enumerate(coords):
-        d = math.sqrt(sum(x * x for x in c))
+        d = _length(c)
         if abs(d - 2.0) >= 1e-12:
             raise InternalError(f"tangent ball {i} lost tangency ({d})")
     dist = space._model.kernel
@@ -377,7 +377,7 @@ def _pack_warm_start(dim: int):
     # slice of the spacing-2 cubic lattice inside the radius-4 ball: the
     # points 2c with c in {-2, ..., 2}^dim and |c|^2 <= 4, that is one entry
     # +-2 or up to four entries +-1; its coordinates and their squares are
-    # small integers, so sums are exact
+    # small integers, so sums are exact and lengths order them as squares do
     combos = [{axis: sign} for axis in range(dim) for sign in (-2, 2)]
     for k in range(5):
         for axes in itertools.combinations(range(dim), k):
@@ -386,7 +386,7 @@ def _pack_warm_start(dim: int):
         _clamp_to_radius(tuple([2.0 * combo.get(axis, 0) for axis in range(dim)]))
         for combo in combos
     ]
-    pts.sort(key=lambda v: (sum(x * x for x in v), tuple(v)))
+    pts.sort(key=lambda v: (_length(v), tuple(v)))
     if any(pts[0]):
         raise InternalError("packing warm start does not begin at the origin")
     return pts

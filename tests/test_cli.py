@@ -621,6 +621,37 @@ class TestIntegersBeyondFloats:
         assert captured.err.count("\n") == 1 and captured.out == ""
 
 
+class TestSphereRadiusRange:
+    """A sphere radius outside [2**-500, 2**500] is an input error (exit
+    2): below it the norm of a point underflows (1e-200 ended in an
+    internal ZeroDivisionError), above it ``R * R`` overflows (1e200 gave
+    a false "not on the sphere").  A ring of three caps around the pole
+    is valid at both ends of the range."""
+
+    @staticmethod
+    def ring(tmp_path, radius):
+        s, c = radius * math.sin(0.5), radius * math.cos(0.5)
+        centers = [[s * math.cos(a), s * math.sin(a), c] for a in (0.0, 2.0944, 4.1888)]
+        scene = tmp_path / "ring.json"
+        scene.write_text(json.dumps({
+            "version": 1, "space": {"kind": "sphere", "dim": 2, "radius": radius},
+            "balls": [{"center": p, "radius": 0.51 * radius} for p in centers]}))
+        return str(scene)
+
+    @pytest.mark.parametrize("radius", [1e-200, 1e200])
+    def test_exits_two(self, radius, tmp_path, capsys):
+        assert run_command(["validate", self.ring(tmp_path, radius), "--what", "besicovitch"]) == 2
+        captured = capsys.readouterr()
+        message = f"sphere radius must lie in [2**-500, 2**500], got {radius!r}"
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("radius", [2.0 ** -500, 2.0 ** 500])
+    def test_ends_of_the_range_are_valid(self, radius, tmp_path, capsys):
+        assert run_command(["validate", self.ring(tmp_path, radius), "--what", "besicovitch"]) == 0
+        assert json.loads(capsys.readouterr().out)["payload"]["status"] == "valid"
+
+
 class TestHugeDim:
     """A space dim far beyond the scene's coordinates is an input error
     (exit 2), found before anything of that size is allocated."""

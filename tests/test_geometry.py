@@ -21,6 +21,8 @@ from ballcover import (
     unit_ball_volume,
 )
 from ballcover.geometry import (
+    _dot,
+    _sumsq,
     project_tangent,
     random_point,
     random_unit_tangent,
@@ -56,6 +58,30 @@ def test_space_validation():
         Space.euclidean(2, pnorm=0.5)
     with pytest.raises(InputError):
         Space.sphere(2, radius=-1.0)
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf, 1e-200, 2.0 ** -501,
+                                    1e200, 2.0 ** 501])
+def test_sphere_radius_outside_the_range_is_an_input_error(radius):
+    message = r"^sphere radius must lie in \[2\*\*-500, 2\*\*500\], got "
+    with pytest.raises(InputError, match=message):
+        Space.sphere(2, radius)
+
+
+@pytest.mark.parametrize("radius", [2.0 ** -500, 2.0 ** 500])
+def test_sphere_radius_at_the_ends_of_the_range(radius):
+    space = Space.sphere(2, radius)
+    p = space.point((radius, 0.0, 0.0))
+    q = space.point((0.0, 0.0, radius))
+    assert distance(space, p, q) == pytest.approx(0.5 * math.pi * radius)
+
+
+def test_sums_run_left_to_right_on_every_python():
+    # a compensated sum, as sum() of floats is from Python 3.12 on, gives
+    # 1.0, 1e16 + 2 and (1 / 3,) here
+    assert _dot((1e16, 1.0, -1e16), (1.0, 1.0, 1.0)) == 0.0
+    assert _sumsq((1e8, 1.0, 1.0)) == 1e16
+    assert Space.euclidean(1)._model.centroid([(1e16,), (1.0,), (-1e16,)]) == (0.0,)
 
 
 def test_flat_and_line_spaces():

@@ -1,5 +1,6 @@
 """``scripts/report_digests.py`` lists every command of a workload, the
-same way on every run, and writes nothing under ``bench/``.
+same way on every run and with ``--python``, and writes nothing under
+``bench/``.
 
 Two runs on ``plane-partition`` at one seed, with one work directory,
 must print the same lines, one per command of the workload in its order.
@@ -23,11 +24,11 @@ def bench_files():
     return sorted(str(p.relative_to(ROOT)) for p in (ROOT / "bench").rglob("*"))
 
 
-def digests(workdir):
+def digests(workdir, *extra):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
         [sys.executable, str(SCRIPT), "--workloads", "plane-partition", "--seeds", "601",
-         "--workdir", str(workdir)],
+         "--workdir", str(workdir), *extra],
         capture_output=True, text=True, env=env, timeout=300, check=True,
     )
     assert out.stderr == ""
@@ -51,3 +52,9 @@ def test_two_runs_print_the_same_line_for_every_command(tmp_path, monkeypatch):
         assert code == "exit=0"
         assert out.startswith("out=") and len(out) == len("out=") + 64
         assert err == "err=" + hashlib.sha256(b"").hexdigest()  # nothing on stderr
+
+
+def test_a_child_interpreter_prints_the_same_lines(tmp_path):
+    before = bench_files()
+    assert digests(tmp_path / "work", "--python", sys.executable) == digests(tmp_path / "work")
+    assert bench_files() == before

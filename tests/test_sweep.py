@@ -1,9 +1,10 @@
-"""The unrolled l2 sweep and the satellite validator on plain floats.
+"""The unrolled sweeps and the satellite validator on plain floats.
 
 ``_Flat`` binds an unrolled common-point sweep for l2 in dimensions 2
-and 3 in place of the generic ``_Model.sweep``, and
-``is_tau_satellite_configuration`` calls the space's scalar kernel on
-coordinate tuples instead of ``distance`` on points.  Both must give the
+and 3, and ``_Sphere`` one for S^2, in place of the generic
+``_Model.sweep``, and ``is_tau_satellite_configuration`` calls the
+space's scalar kernel on coordinate tuples instead of ``distance`` on
+points.  Both must give the
 floats, verdicts and error messages of the code they replace: floats are
 compared with ``==`` and their signs with ``math.copysign``, so a zero
 of the wrong sign fails too.
@@ -11,10 +12,20 @@ of the wrong sign fails too.
 
 import math
 import random
+from functools import partial
 
 import pytest
 
-from ballcover import Ball, BallFamily, InputError, Point, Space, distance, find_common_point
+from ballcover import (
+    Ball,
+    BallFamily,
+    DomainError,
+    InputError,
+    Point,
+    Space,
+    distance,
+    find_common_point,
+)
 from ballcover.covering import (
     INVALID,
     VALID,
@@ -23,7 +34,14 @@ from ballcover.covering import (
     is_tau_satellite_configuration,
 )
 from ballcover._rng import Generator
-from ballcover.geometry import _Model, _sweep_l2_2, _sweep_l2_3, random_point
+from ballcover.geometry import (
+    DEFAULT_TOL,
+    _Model,
+    _sweep_l2_2,
+    _sweep_l2_3,
+    _sweep_s2,
+    random_point,
+)
 
 
 def same_floats(a, b):
@@ -36,7 +54,7 @@ def same_floats(a, b):
 
 def generic(space):
     """A copy of ``space`` whose model sweeps with the generic loop."""
-    twin = Space.euclidean(space.dim)
+    twin = Space(space.kind, space.dim, space.pnorm, space.radius)
     twin._model.sweep = _Model.sweep.__get__(twin._model)
     return twin
 
@@ -83,8 +101,11 @@ def starts(centers, dim):
 def test_unrolled_sweep_is_bound_for_l2_in_two_and_three_dimensions(dim):
     unrolled = _sweep_l2_2 if dim == 2 else _sweep_l2_3
     assert Space.euclidean(dim)._model.sweep is unrolled
+    # S^2 binds its own unrolled sweep; S^1, S^3 and the hyperboloid do not
+    sweep = Space.sphere(2, 2.5)._model.sweep
+    assert sweep.func is _sweep_s2 and sweep.args == (2.5,)
     for other in (Space.euclidean(1), Space.euclidean(4), Space.euclidean(dim, 1.0),
-                  Space.sphere(dim), Space.hyperbolic(dim)):
+                  Space.sphere(1), Space.sphere(3), Space.hyperbolic(dim)):
         assert other._model.sweep.__func__ is _Model.sweep
 
 
@@ -130,6 +151,120 @@ def test_find_common_point_matches_the_generic_sweep(dim):
                 assert same_floats(got.point.coords, want.point.coords)
             outcomes.add((got.point is not None, got.converged))
     assert {(True, True), (False, True), (False, False)} <= outcomes
+
+
+# ---------------------------------------------------------------------------
+# the S^2 sweep against the generic one
+# ---------------------------------------------------------------------------
+
+SPHERE_RADII = (1.0, 2.5)
+ANTIPODAL = "log map is undefined at antipodal points"
+
+
+def on_sphere(rng, radius):
+    g = [rng.gauss(0.0, 1.0) for _ in range(3)]
+    n = math.hypot(*g)
+    return tuple(radius * v / n for v in g)
+
+
+def random_caps(radius, seed):
+    rng = random.Random(seed)
+    arc = Space.sphere(2, radius)._model.kernel
+    out = []
+    for n in (1, 2, 3, 5, 8):
+        y = on_sphere(rng, radius)
+        centers = tuple(on_sphere(rng, radius) for _ in range(n))
+        for slack in (1e-6, 0.3, -1e-3):  # feasible tight, loose, infeasible
+            out.append((centers, tuple((1.0 + slack) * arc(c, y) for c in centers)))
+        out.append((centers, tuple(rng.uniform(0.2, 1.0) * radius for _ in range(n))))
+    return out
+
+
+def edge_caps(radius):
+    R = radius
+    s, c = R * math.sin(0.4), R * math.cos(0.4)
+    return [
+        (((s, 0.0, c), (-s, 0.0, c)), (0.4 * R, 0.4 * R)),  # tangent at the pole
+        (((R, 0.0, 0.0), (-R, 0.0, 0.0)), (0.5 * math.pi * R,) * 2),  # a great circle
+        (((0.0, 0.0, R),), (0.75 * R,)),  # one cap
+        (((0.0, 0.6 * R, 0.8 * R),), (0.0,)),
+        (((0.0, 0.0, R),), (4.0 * R,)),  # the whole sphere
+        (((R, 0.0, 0.0), (0.0, R, 0.0), (0.0, 0.0, R)), (0.0, 0.0, 0.0)),  # zero radii
+        (((0.0, 0.0, R), (0.0, 0.0, R)), (0.0, 0.0)),
+        (((-0.0, -0.0, R), (0.0, 0.0, R)), (0.0, R)),  # signed zeros
+        (((0.0, -0.0, -R), (-0.0, R, 0.0)), (R, R)),
+        (((0.0, 0.0, R), (0.0, 0.0, -R)), (0.5 * R, 0.5 * R)),  # infeasible, antipodal
+    ]
+
+
+def cap_starts(centers, radius, rng):
+    return [centers[0], on_sphere(rng, radius), (0.0, -0.0, radius), (-0.0, -0.0, -radius),
+            tuple(-v for v in centers[0])]  # antipodal to a center
+
+
+def sweep_outcome(sweep, *args):
+    try:
+        return sweep(*args)
+    except DomainError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("radius", SPHERE_RADII)
+def test_sphere_sweep_equals_the_generic_one(radius):
+    model = Space.sphere(2, radius)._model
+    rng = random.Random(60)
+    seen = set()
+    for centers, radii in random_caps(radius, 61) + edge_caps(radius):
+        balls = list(zip(centers, radii))
+        for x in cap_starts(centers, radius, rng):
+            for sweeps, stop in ((2, 1e-10), (400, 1e-10), (50, 0.0), (1, math.inf)):
+                got = sweep_outcome(model.sweep, x, balls, sweeps, stop)
+                want = sweep_outcome(_Model.sweep, model, x, balls, sweeps, stop)
+                if isinstance(want, str):
+                    assert got == want
+                    seen.add(want)
+                    continue
+                assert not isinstance(got, str), (centers, radii, x, got)
+                assert got[1] == want[1]
+                assert same_floats(got[0], want[0]), (centers, radii, x, got, want)
+                seen.add(got[1])
+    assert seen == {True, False, ANTIPODAL}
+
+
+@pytest.mark.parametrize("radius", SPHERE_RADII)
+def test_sphere_sweep_from_the_antipode_of_a_center_raises_as_the_generic_one(radius):
+    model = Space.sphere(2, radius)._model
+    c = (0.0, 0.6 * radius, 0.8 * radius)
+    x = tuple(-v for v in c)
+    for sweep in (model.sweep, partial(_Model.sweep, model)):
+        with pytest.raises(DomainError, match=f"^{ANTIPODAL}$"):
+            sweep(x, [(c, 0.5 * radius)], 3, 1e-10)
+
+
+@pytest.mark.parametrize("radius", SPHERE_RADII)
+def test_find_common_point_on_the_two_sphere_matches_the_generic_sweep(radius):
+    space = Space.sphere(2, radius)
+    twin = generic(space)
+    assert twin._model.sweep.__func__ is _Model.sweep
+    outcomes = set()
+    for centers, radii in random_caps(radius, 62) + edge_caps(radius):
+        for max_iter, threshold in ((10_000, 1e-10), (2 * len(radii), 1e-10), (600, 0.0)):
+            got, want = (
+                sweep_outcome(find_common_point, BallFamily.from_columns(s, centers, radii),
+                              DEFAULT_TOL, max_iter, threshold)
+                for s in (space, twin)
+            )
+            if isinstance(want, str):
+                assert got == want
+                outcomes.add(want)
+                continue
+            assert got.converged == want.converged
+            assert same_floats((got.max_violation,), (want.max_violation,))
+            assert (got.point is None) == (want.point is None)
+            if got.point is not None:
+                assert same_floats(got.point.coords, want.point.coords)
+            outcomes.add((got.point is not None, got.converged))
+    assert {(True, True), (False, True), ANTIPODAL} <= outcomes
 
 
 # ---------------------------------------------------------------------------
