@@ -14,7 +14,7 @@ _EXPORTS = {
         is_k_configuration is_tau_satellite_configuration overlap_profile strict_net_bound""",
     "errors": "BallcoverError DomainError InputError InternalError UnsupportedFeatureError",
     "geometry": """DEFAULT_TOL Ball Point Space Tangent ball_volume distance exp_map
-        geodesic_interpolate injectivity_radius log_map shrink_ball_toward unit_ball_volume""",
+        injectivity_radius log_map unit_ball_volume""",
     "search": """CipResult ConstantsRow SearchConfig SearchResult cip_check constants_markdown
         constants_report construct_strict_hadwiger pack_unit_balls_radius5
         satellite_max_search search_max_besicovitch_family""",

@@ -573,10 +573,13 @@ def covering_number(
     (the target center is always sampled).  Every such net is an eps-cover
     of the sample, so the minimum tightens the estimate toward the sample's
     covering number; the sample's covering number in turn approaches the
-    target's from below as the budget grows.  Deterministic given
-    ``seed``, ``budget`` and ``restarts``.
+    target's from below as the budget grows.  The sample and the orders
+    are drawn from ``_rng.Generator([seed & 0xFFFFFFFF, 0x5EED])``: the
+    first order is the sample's, and each later one a Fisher-Yates
+    shuffle of the one before.  Deterministic given ``seed``, ``budget``
+    and ``restarts``.
     """
-    import numpy as np
+    from ._rng import Generator
 
     if not eps > 0.0:
         raise InputError(f"eps must be > 0, got {eps}")
@@ -584,15 +587,16 @@ def covering_number(
         raise InputError(f"budget {budget} is too small for dimension {space.dim}")
     if restarts < 1:
         raise InputError(f"restarts must be >= 1, got {restarts}")
-    rng = np.random.default_rng([seed & 0xFFFFFFFF, 0x5EED])
+    rng = Generator([seed & 0xFFFFFFFF, 0x5EED])
     sample = [target.center]
     for _ in range(budget - 1):
         sample.append(uniform_in_ball(space, target, rng))
     best = len(epsilon_net_greedy(space, sample, eps).points)
     for _ in range(restarts - 1):
-        order = rng.permutation(len(sample))
-        shuffled = [sample[i] for i in order]
-        best = min(best, len(epsilon_net_greedy(space, shuffled, eps).points))
+        for i in range(len(sample) - 1, 0, -1):
+            j = rng.integers(0, i + 1)
+            sample[i], sample[j] = sample[j], sample[i]
+        best = min(best, len(epsilon_net_greedy(space, sample, eps).points))
     return best
 
 

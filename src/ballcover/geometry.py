@@ -15,8 +15,9 @@ Each :class:`Space` builds one model and keeps it (:class:`_Flat`,
 :class:`_Sphere` or :class:`_Hyperboloid`), that owns every formula that
 depends on the kind of space; the public functions delegate to it.
 
-This module never imports numpy: the samplers take a numpy
-``Generator`` (or anything with its methods) from the caller.
+This module never imports numpy: the samplers draw only with ``normal``
+and ``uniform``, so they take any generator with numpy's methods of
+those names from the caller, such as :class:`ballcover._rng.Generator`.
 """
 
 from __future__ import annotations
@@ -35,11 +36,6 @@ DEFAULT_TOL = 1e-9
 # How far curved-space coordinates may be off the constraint surface before
 # they are re-projected onto it.
 SURFACE_TOL = 1e-6
-
-
-def leq(a: float, b: float, tol: float = DEFAULT_TOL) -> bool:
-    """a <= b up to absolute-plus-relative slack."""
-    return a <= b + tol * (1.0 + abs(b))
 
 
 class Space(Record):
@@ -532,12 +528,32 @@ class _Flat(_Model):
             norm = math.sqrt(float(_sumsq(g)))
             rad = r * rng.uniform() ** (1.0 / n)
             return Point(tuple(cc + rad * float(v) / norm for cc, v in zip(c.coords, g)))
-        # Exact l^p ball sampling via the generalized-normal construction.
-        g = rng.gamma(1.0 / p, 1.0, n) ** (1.0 / p)
-        signs = rng.choice((-1.0, 1.0), n)
-        w = rng.exponential(1.0)
-        denom = (float(sum(gv ** p for gv in g)) + w) ** (1.0 / p)
-        return Point(tuple(cc + r * float(sv * gv) / denom for cc, sv, gv in zip(c.coords, signs, g)))
+        # Barthe-Guedon-Mendelson-Naor: y_k with density ~ exp(-|t|^p),
+        # drawn as G^(1/p) U for G ~ Gamma(1 + 1/p) and U uniform on
+        # [-1, 1), and W ~ Exp(1) give y / (sum |y_k|^p + W)^(1/p), uniform
+        # in the unit ball; 1/p = 0 makes it the uniform box for p = inf
+        q = 1.0 / p
+        y = [_gamma(rng, 1.0 + q) ** q * rng.uniform(-1.0, 1.0) for _ in range(n)]
+        s = -math.log1p(-rng.uniform())
+        for v in y:
+            s += abs(v) ** p
+        d = s ** q
+        return Point(tuple(cc + r * float(v) / d for cc, v in zip(c.coords, y)))
+
+
+def _gamma(rng, a):
+    """A Gamma(a) draw, a >= 1, by Marsaglia and Tsang's squeeze (ACM TOMS
+    26, 2000) on ``rng.normal`` and ``rng.uniform``."""
+    d = a - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    while True:
+        x = rng.normal()
+        v = 1.0 + c * x
+        if v > 0.0:
+            v = v * v * v
+            u = 1.0 - rng.uniform()  # in (0, 1], so its log is finite
+            if u < 1.0 - 0.0331 * x ** 4 or math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
+                return d * v
 
 
 class _Curved(_Model):
@@ -568,16 +584,24 @@ class _Curved(_Model):
 
     def uniform(self, c, r, rng):
         # draw the radius from the area-element density by rejection under
-        # a constant envelope, then shoot a geodesic
+        # a constant envelope, then shoot a geodesic; on the hyperboloid a
+        # large ball's density or coordinates can leave the float range
         cap = min(r / self.R, self.t_max)
-        peak = self.density(min(cap, self.t_peak))
-        if peak == 0.0:
-            return c
-        while True:
-            t = cap * rng.uniform()
-            if rng.uniform() * peak <= self.density(t):
-                u = random_unit_tangent(self.space, c, rng)
-                return exp_map(self.space, Tangent(c, tuple(t * self.R * v for v in u.vector)))
+        try:
+            peak = self.density(min(cap, self.t_peak))
+            while peak:
+                t = cap * rng.uniform()
+                if rng.uniform() * peak <= self.density(t):
+                    u = random_unit_tangent(self.space, c, rng)
+                    c = exp_map(self.space, Tangent(c, tuple(t * self.R * v for v in u.vector)))
+                    break
+            if math.isfinite(c.coords[-1]):
+                return c
+        except OverflowError:
+            pass
+        raise DomainError(
+            f"a radius-{r} ball in dimension {self.dim} reaches beyond the float range"
+        )
 
     def density(self, t):
         return self.sn(t) ** (self.dim - 1)
@@ -803,38 +827,6 @@ def log_map(space: Space, base: Point, target: Point, dist: Optional[float] = No
     _check_point(space, base, "base")
     _check_point(space, target, "target")
     return Tangent(base, space._model.log(base.coords, target.coords, dist))
-
-
-def geodesic_interpolate(space: Space, x: Point, y: Point, t: float) -> Point:
-    """Point at parameter ``t`` on the minimal geodesic from ``x`` to ``y``.
-
-    ``t = 0`` gives ``x`` and ``t = 1`` gives ``y``.
-    """
-    if not (0.0 <= t <= 1.0):
-        raise InputError(f"interpolation parameter must lie in [0, 1], got {t}")
-    v = log_map(space, x, y)
-    return exp_map(space, Tangent(x, tuple(t * c for c in v.vector)))
-
-
-def shrink_ball_toward(space: Space, outer: Ball, y: Point, s: float) -> Ball:
-    """A ball of radius ``s`` containing ``y`` and contained in ``outer``.
-
-    The center is taken on the minimal geodesic from ``y`` toward the
-    outer center, at distance ``s`` from ``y`` -- or at the outer center
-    itself when ``y`` is closer to it than ``s``.
-    """
-    if not (0.0 < s < outer.radius):
-        raise InputError(f"shrink radius must lie in (0, {outer.radius}), got {s}")
-    if not outer.radius < injectivity_radius(space):
-        raise InputError("outer radius must be below the injectivity radius")
-    d = distance(space, outer.center, y)
-    if not leq(d, outer.radius):
-        raise InputError("y must lie inside the outer ball")
-    if d <= s:
-        return Ball(outer.center, s)
-    v = log_map(space, y, outer.center)
-    z = exp_map(space, Tangent(y, tuple(s / d * c for c in v.vector)))
-    return Ball(z, s)
 
 
 def ball_volume(space: Space, r: float) -> float:

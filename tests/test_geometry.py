@@ -12,14 +12,14 @@ from ballcover import (
     Space,
     Tangent,
     ball_volume,
+    covering_number,
     distance,
     exp_map,
-    geodesic_interpolate,
     injectivity_radius,
     log_map,
-    shrink_ball_toward,
     unit_ball_volume,
 )
+from ballcover._rng import Generator
 from ballcover.geometry import (
     _dot,
     _sumsq,
@@ -241,7 +241,7 @@ def test_log_map_antipodal_is_domain_error():
         log_map(s2, s2.point([0.0, 0.0, 1.0]), s2.point([0.0, 0.0, -1.0]))
 
 
-def test_geodesic_interpolate_endpoints_and_midpoint():
+def test_exp_of_half_the_log_is_the_midpoint():
     rng = np.random.default_rng(19)
     for space in ALL_SPACES:
         for _ in range(40):
@@ -250,18 +250,11 @@ def test_geodesic_interpolate_endpoints_and_midpoint():
             u = random_unit_tangent(space, x, rng)
             d0 = 0.8 * min(injectivity_radius(space), 4.0) * float(rng.uniform(0.1, 1.0))
             y = exp_map(space, Tangent(x, tuple(d0 * v for v in u.vector)))
-            assert distance(space, geodesic_interpolate(space, x, y, 0.0), x) <= 1e-9
-            assert distance(space, geodesic_interpolate(space, x, y, 1.0), y) <= 1e-9
-            mid = geodesic_interpolate(space, x, y, 0.5)
+            v = log_map(space, x, y)
+            mid = exp_map(space, Tangent(x, tuple(0.5 * c for c in v.vector)))
             d = distance(space, x, y)
             assert distance(space, x, mid) == pytest.approx(d / 2.0, rel=1e-8, abs=1e-10)
             assert distance(space, mid, y) == pytest.approx(d / 2.0, rel=1e-8, abs=1e-10)
-
-
-def test_geodesic_interpolate_bad_parameter():
-    e1 = Space.euclidean(1)
-    with pytest.raises(InputError):
-        geodesic_interpolate(e1, Point((0.0,)), Point((1.0,)), 1.5)
 
 
 def test_project_tangent_is_tangent():
@@ -291,60 +284,6 @@ def test_step_moves_onto_the_ball_along_the_geodesic(space):
             assert len(y) == model.width
             assert model.kernel(y, c) == pytest.approx(r, rel=1e-9, abs=1e-12)
             assert model.kernel(x, y) == pytest.approx(d - r, rel=1e-9, abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# Ball shrinking
-# ---------------------------------------------------------------------------
-
-
-def test_shrink_ball_line_example():
-    e1 = Space.euclidean(1)
-    inner = shrink_ball_toward(e1, Ball(Point((0.0,)), 2.0), Point((1.5,)), 1.0)
-    assert inner.center.coords[0] == pytest.approx(0.5)
-    assert inner.radius == 1.0
-
-
-def test_shrink_ball_sphere_example():
-    # y at distance 0.6 from the outer center, shrink radius 0.3: the new
-    # center sits halfway along the geodesic from y to the outer center.
-    s2 = Space.sphere(2)
-    x = s2.origin()
-    u = random_unit_tangent(s2, x, np.random.default_rng(3))
-    y = exp_map(s2, Tangent(x, tuple(0.6 * v for v in u.vector)))
-    inner = shrink_ball_toward(s2, Ball(x, 0.8), y, 0.3)
-    expected = geodesic_interpolate(s2, y, x, 0.5)
-    assert distance(s2, inner.center, expected) <= 1e-9
-    assert distance(s2, inner.center, x) == pytest.approx(0.3, abs=1e-9)
-
-
-def test_shrink_ball_containment_property():
-    rng = np.random.default_rng(29)
-    for space in ALL_SPACES:
-        cap = 0.4 * min(injectivity_radius(space), 5.0)
-        for _ in range(25):
-            center = random_point(space, rng)
-            r = cap * float(rng.uniform(0.2, 1.0))
-            s = r * float(rng.uniform(0.05, 0.95))
-            d0 = r * float(rng.uniform(0.0, 1.0))
-            u = random_unit_tangent(space, center, rng)
-            y = exp_map(space, Tangent(center, tuple(d0 * v for v in u.vector)))
-            inner = shrink_ball_toward(space, Ball(center, r), y, s)
-            # y is inside the shrunk ball
-            assert distance(space, inner.center, y) <= s + 1e-9 * (1.0 + s)
-            # 64 sampled boundary points of the shrunk ball stay inside outer
-            for _ in range(64):
-                w = random_unit_tangent(space, inner.center, rng)
-                b = exp_map(space, Tangent(inner.center, tuple(s * v for v in w.vector)))
-                assert distance(space, center, b) <= r + 1e-9 * (1.0 + r)
-
-
-def test_shrink_ball_input_errors():
-    e1 = Space.euclidean(1)
-    with pytest.raises(InputError):
-        shrink_ball_toward(e1, Ball(Point((0.0,)), 1.0), Point((0.5,)), 1.0)
-    with pytest.raises(InputError):
-        shrink_ball_toward(e1, Ball(Point((0.0,)), 1.0), Point((5.0,)), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +391,46 @@ def test_uniform_in_ball_spreads_over_the_ball():
     # for uniform area measure, median distance is sqrt(1/2) ~ 0.707
     med = sorted(ds)[len(ds) // 2]
     assert 0.65 < med < 0.76
+
+
+@pytest.mark.parametrize("make", [Generator, np.random.default_rng], ids=["_rng", "numpy"])
+@pytest.mark.parametrize("space", [Space.euclidean(d, p) for p in (1.0, 3.0, math.inf)
+                                   for d in (2, 3)], ids=str)
+def test_lp_draws_fill_the_ball(space, make):
+    # a uniform draw lies within half the radius with probability 2**-d;
+    # the share of 4000 draws must be within 4 sigma of it
+    rng = make(41)
+    center = Point((0.5,) * space.dim)
+    n, q = 4000, 2.0 ** -space.dim
+    ds = [distance(space, center, uniform_in_ball(space, Ball(center, 2.0), rng)) for _ in range(n)]
+    assert max(ds) <= 2.0 + 1e-12
+    share = sum(d <= 1.0 for d in ds) / n
+    assert abs(share - q) <= 4.0 * math.sqrt(q * (1.0 - q) / n)
+
+
+@pytest.mark.parametrize("space", [Space.euclidean(2), Space.euclidean(3), Space.sphere(2),
+                                   Space.sphere(3, radius=2.5), Space.hyperbolic(2)], ids=str)
+def test_the_port_samples_what_numpy_samples(space):
+    # _rng ports numpy's normal and uniform bit for bit, so every sampler
+    # that draws only with them gives the same points from the same seed
+    for seed in (0, 7, 2718):
+        draws = []
+        for rng in (Generator(seed), np.random.default_rng(seed)):
+            center = random_point(space, rng)
+            ball = Ball(center, 0.5 * min(injectivity_radius(space), 4.0))
+            draws.append([center, random_unit_tangent(space, center, rng)]
+                         + [uniform_in_ball(space, ball, rng) for _ in range(20)])
+        assert draws[0] == draws[1]
+
+
+@pytest.mark.parametrize("dim, r", [(1, 800.0), (2, 800.0), (2, 400.0), (3, 400.0)])
+def test_a_hyperbolic_ball_beyond_the_float_range_is_a_domain_error(dim, r):
+    space = Space.hyperbolic(dim)
+    ball = Ball(space.origin(), r)
+    with pytest.raises(DomainError, match=f"radius-{r} ball"):
+        uniform_in_ball(space, ball, Generator(1))
+    with pytest.raises(DomainError, match=f"radius-{r} ball"):
+        covering_number(space, ball, 1.0, 20)
 
 
 def test_tangent_norm_lp():

@@ -5,9 +5,10 @@ The validators, ``volume``, ``oned``, ``partition``, ``select`` and
 ``search``, ``cip`` and ``constants`` draw from the package's own PCG64
 stream, so a fresh interpreter that imports the CLI, or runs any of
 them, must end with ``numpy`` absent from ``sys.modules``.  Each case
-runs in its own ``sys.executable`` process; a ``covering_number`` call,
-a library path that still draws from numpy's RNG, shows that the check
-sees numpy when it is loaded.
+runs in its own ``sys.executable`` process; one whose prelude imports
+numpy shows that the check sees numpy when it is loaded.  The library
+needs numpy nowhere: with its import blocked, the package, the CLI, the
+covering-number estimate and the samplers run in every kind of space.
 Importing the CLI does not load OpenSSL's ``_hashlib`` either: only a
 scene digest needs it.
 
@@ -180,10 +181,40 @@ def test_the_record_check_sees_dataclasses(tmp_path):
     assert json.loads(out.stdout)["records"] == ["dataclasses", "inspect"]
 
 
-def test_a_covering_number_call_loads_numpy():
+def test_the_numpy_check_sees_numpy():
+    assert run_fresh([["cip", "--m", "2", "--trials", "5"]], "import numpy\n") == ([0], True)
+
+
+def test_a_covering_number_call_leaves_numpy_out():
     prelude = ("from ballcover import Ball, Point, Space, covering_number\n"
                "covering_number(Space.euclidean(2), Ball(Point((0.0, 0.0)), 1.0), 0.5, 20)\n")
-    assert run_fresh([["cip", "--m", "2", "--trials", "5"]], prelude) == ([0], True)
+    assert run_fresh([["cip", "--m", "2", "--trials", "5"]], prelude) == ([0], False)
+
+
+NUMPY_BLOCKED = """
+import math, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+import ballcover, ballcover.cli
+from ballcover import Ball, Space, covering_number
+from ballcover._rng import Generator
+from ballcover.geometry import random_point, random_unit_tangent, uniform_in_ball
+rng = Generator(5)
+for space in (Space.euclidean(2, 1.0), Space.euclidean(2), Space.euclidean(3, 3.0),
+              Space.euclidean(2, math.inf), Space.sphere(2), Space.hyperbolic(2)):
+    center = random_point(space, rng)
+    random_unit_tangent(space, center, rng)
+    uniform_in_ball(space, Ball(center, 1.0), rng)
+    print(covering_number(space, Ball(center, 1.0), 0.5, 30, seed=3))
+"""
+
+
+def test_the_library_runs_with_numpy_blocked():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", NUMPY_BLOCKED], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    counts = [int(n) for n in out.stdout.split()]
+    assert len(counts) == 6 and min(counts) >= 1
 
 
 def test_seeded_searches_leave_numpy_out(tmp_path):
