@@ -5,9 +5,9 @@ tests carry an absolute-plus-relative tolerance, while the strict
 inequalities that definitions require (center exclusion, strict radius
 comparisons) are evaluated exactly on the given floats.  Where a common
 point must be certified, a cyclic-projection feasibility search is used;
-if it can neither certify a point nor converge to a stationary refutation
-within its iteration cap, the verdict is ``indeterminate`` rather than a
-guess.
+a point it finds is the witness of a valid verdict, but a miss proves
+nothing (cyclic projections stall near tangency), so an invalid verdict
+names a pair of balls, and anything else is ``indeterminate``.
 
 Overlap profiles and greedy nets measure a point with the scalar
 :func:`~ballcover.geometry.distance` against the centers (or kept points)
@@ -184,7 +184,6 @@ class OverlapProfile(NamedTuple):
 class FeasibilityResult(NamedTuple):
     point: Optional[Point]
     max_violation: float
-    converged: bool
 
 
 class EpsilonNet(NamedTuple):
@@ -221,11 +220,10 @@ def find_common_point(
     model's ``sweep``, which stops once a sweep moves the point by less
     than ``threshold * (1 + max radius)``.  The first point whose largest
     violation ``max(d(x, c) - r)`` is at most ``tol * (1 + max radius)``
-    is returned; otherwise ``point`` is None, ``max_violation`` is the
-    least violation reached, and ``converged`` reports whether some start
-    reached a stationary sweep -- a stationary point that still violates
-    a constraint is evidence (at tolerance) that the intersection is
-    empty.  ``tol`` must be finite and >= 0.
+    is returned; otherwise ``point`` is None and ``max_violation`` is the
+    least violation reached.  A miss is no evidence that the intersection
+    is empty: near tangency the sweep can stall outside it.  ``tol`` must
+    be finite and >= 0.
 
     A sweep steps the point onto every ball it lies outside of, in family
     order: along the straight line toward the center in l^p spaces (the
@@ -242,7 +240,7 @@ def find_common_point(
     _check_tol(tol)
     space = family.space
     if len(family) == 0:
-        return FeasibilityResult(space.origin(), 0.0, True)
+        return FeasibilityResult(space.origin(), 0.0)
     model = space._model
     kernel = model.kernel
     coords, radii = family.coords, family.radii
@@ -257,19 +255,15 @@ def find_common_point(
     stop = threshold * scale
     best: Optional[tuple] = None
     best_v = math.inf
-    any_converged = False
     sweeps = max(2, max_iter // max(1, len(family)))
     for x in starts:
-        x, converged = model.sweep(x, balls, sweeps, stop)
+        x = model.sweep(x, balls, sweeps, stop)
         v = max(kernel(x, c) - r for c, r in balls)
-        any_converged = any_converged or converged
         if v < best_v:
             best_v, best = v, x
         if v <= tol * scale:
-            return FeasibilityResult(Point(x), v, True)
-    return FeasibilityResult(
-        None if best_v > tol * scale else Point(best), best_v, any_converged
-    )
+            return FeasibilityResult(Point(x), v)
+    return FeasibilityResult(None if best_v > tol * scale else Point(best), best_v)
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +271,11 @@ def find_common_point(
 # ---------------------------------------------------------------------------
 
 
-def _pair_violation(family: BallFamily, tol: Optional[float]) -> Optional[Verdict]:
-    """The first ordered pair (i, j), i major, where center i lies in
-    ball j or, when ``tol`` is given, where j > i and the balls are apart
-    by more than ``tol``, as an INVALID verdict; None if there is none."""
+def _pair_violations(family: BallFamily, tol: float):
+    """Scan the ordered pairs (i, j), i major, once, yielding ``(True,
+    verdict)`` where center i lies in ball j and ``(False, verdict)``
+    where j > i and the balls are apart by more than ``tol * (1 + r_i +
+    r_j)``, each verdict INVALID with witness ``(i, j)``."""
     space, centers, radii = family.space, family.centers, family.radii
     for i, (ci, ri) in enumerate(zip(centers, radii)):
         for j, (cj, rj) in enumerate(zip(centers, radii)):
@@ -288,18 +283,10 @@ def _pair_violation(family: BallFamily, tol: Optional[float]) -> Optional[Verdic
                 continue
             d = distance(space, ci, cj)
             if not d > rj:
-                return Verdict(
-                    INVALID,
-                    reason="center containment: center %d lies in ball %d" % (i, j),
-                    witness=(i, j),
-                )
-            if tol is not None and j > i and d > ri + rj + tol * (1.0 + ri + rj):
-                return Verdict(
-                    INVALID,
-                    reason="balls %d and %d do not intersect" % (i, j),
-                    witness=(i, j),
-                )
-    return None
+                reason = "center containment: center %d lies in ball %d" % (i, j)
+                yield True, Verdict(INVALID, reason, (i, j))
+            elif j > i and d > ri + rj + tol * (1.0 + ri + rj):
+                yield False, Verdict(INVALID, "balls %d and %d do not intersect" % (i, j), (i, j))
 
 
 def is_besicovitch_family(
@@ -311,14 +298,19 @@ def is_besicovitch_family(
 
     A valid family of closed balls has (a) a common point and (b) no
     ball's center inside any other ball of the family.  Families of size
-    zero or one are trivially valid.  If the common-point search neither
-    finds a point nor converges, the verdict is ``indeterminate``.
-    ``tol`` must be finite and >= 0.
+    zero or one are trivially valid; a larger valid family has the point
+    :func:`find_common_point` found as witness.  An invalid verdict names
+    a pair ``(i, j)``: a center inside another ball or, when no point is
+    found, two balls apart by more than ``tol * (1 + r_i + r_j)``.  With
+    neither, the verdict is ``indeterminate``, with the least violation
+    reached and its tolerance.  ``tol`` must be finite and >= 0.
     """
     _check_tol(tol)
-    contained = _pair_violation(family, None)
-    if contained is not None:
-        return contained
+    apart = None
+    for contained, violation in _pair_violations(family, tol):
+        if contained:
+            return violation
+        apart = apart or violation
     n = len(family)
     if n <= 1:
         witness = Point(family.coords[0]) if n == 1 else None
@@ -326,16 +318,9 @@ def is_besicovitch_family(
     feas = find_common_point(family, tol=tol, max_iter=max_iter)
     if feas.point is not None:
         return Verdict(VALID, witness=feas.point)
-    if feas.converged:
-        return Verdict(
-            INVALID,
-            reason="empty common intersection (max violation %.3g)" % feas.max_violation,
-            witness=None,
-        )
-    return Verdict(
-        INDETERMINATE,
-        reason="common-point search did not converge within the iteration cap",
-    )
+    scale = 1.0 + max(family.radii)
+    reason = "no common point was found (max violation %.3g, tolerance %.3g)"
+    return apart or Verdict(INDETERMINATE, reason % (feas.max_violation, tol * scale))
 
 
 def is_k_configuration(family: BallFamily, tol: float = DEFAULT_TOL) -> Verdict:
@@ -346,7 +331,7 @@ def is_k_configuration(family: BallFamily, tol: float = DEFAULT_TOL) -> Verdict:
     passes this check as well.  ``tol`` must be finite and >= 0.
     """
     _check_tol(tol)
-    return _pair_violation(family, tol) or Verdict(VALID)
+    return next((v for _, v in _pair_violations(family, tol)), Verdict(VALID))
 
 
 def is_alpha_configuration(

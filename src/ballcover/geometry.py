@@ -47,10 +47,11 @@ class Space(Record):
     dim : int
         Intrinsic dimension, at least 1.
     pnorm : float
-        Norm exponent for euclidean spaces (p >= 1).  Ignored otherwise.
+        Norm exponent for euclidean spaces (p >= 1); 2.0 for other kinds.
     radius : float
-        Sphere radius, in [2**-500, 2**500] (see :meth:`sphere`).
-        Ignored otherwise.
+        Sphere radius, in [2**-500, 2**500] (see :meth:`sphere`); 1.0 for
+        other kinds.  A kind refuses (InputError) any other value of a
+        parameter that it does not read.
 
     The space's model is built on construction (it checks ``pnorm`` or
     ``radius``) and kept in a slot that equality, hashing and pickling
@@ -65,6 +66,9 @@ class Space(Record):
             raise InputError(f"unknown space kind {kind!r}")
         if not isinstance(dim, int) or dim < 1:
             raise InputError(f"dimension must be a positive integer, got {dim!r}")
+        for name, value, default in (("pnorm", pnorm, 2.0), ("radius", radius, 1.0)):
+            if value != default and name != SPACE_KINDS[kind].parameter:
+                raise InputError(f"a {kind} space takes no {name}, got {name}={value!r}")
         self._set(kind, dim, pnorm, radius)
         object.__setattr__(self, "_model", SPACE_KINDS[kind](self))
 
@@ -251,8 +255,8 @@ def _sweep_l2_2(x, balls, sweeps, stop):
         ex = b0 - x0
         ey = b1 - x1
         if sqrt(ex * ex + ey * ey) < stop:
-            return (x0, x1), True
-    return (x0, x1), False
+            break
+    return (x0, x1)
 
 
 def _sweep_l2_3(x, balls, sweeps, stop):
@@ -275,8 +279,8 @@ def _sweep_l2_3(x, balls, sweeps, stop):
         ey = b1 - x1
         ez = b2 - x2
         if sqrt(ex * ex + ey * ey + ez * ez) < stop:
-            return (x0, x1, x2), True
-    return (x0, x1, x2), False
+            break
+    return (x0, x1, x2)
 
 
 def _l1(a, b):
@@ -365,8 +369,8 @@ def _sweep_s2(R, x, balls, sweeps, stop):
                     x1 = ct * x1 + st * w1 / n
                     x2 = ct * x2 + st * w2 / n
         if _sphere(R, (b0, b1, b2), (x0, x1, x2)) < stop:
-            return (x0, x1, x2), True
-    return (x0, x1, x2), False
+            break
+    return (x0, x1, x2)
 
 
 def _hyperboloid(a, b):
@@ -441,12 +445,12 @@ class _Model:
     def sweep(self, x, balls, sweeps, stop):
         """Cyclic projection from ``x`` onto the balls ``(c, r)``.
 
-        Each sweep steps the point onto every ball it lies outside of, in
-        order; the sweep stops when it moved the point by less than
-        ``stop``.  Returns the last point and whether that happened
-        within ``sweeps`` sweeps.  The composed sweep map converges to a
-        fixed point even when the intersection is empty, so stationarity
-        of the *sweep* (not of each projection) is the stopping test.
+        Runs at most ``sweeps`` sweeps, each stepping the point onto every
+        ball it lies outside of, in order, and stops early once a sweep
+        moved the point by less than ``stop``.  Returns the last point.
+        The composed sweep map converges to a fixed point even when the
+        intersection is empty, so stationarity of the *sweep* (not of each
+        projection) is the stopping test.
         """
         kernel, step = self.kernel, self.step
         for _ in range(sweeps):
@@ -456,8 +460,8 @@ class _Model:
                 if not d <= r:
                     x = step(x, c, r, d)
             if kernel(before, x) < stop:
-                return x, True
-        return x, False
+                break
+        return x
 
 
 class _Flat(_Model):

@@ -471,8 +471,9 @@ def _cip_verify(kernel, coords, radii, s, indices, z) -> bool:
 def cip_check(family: BallFamily, m: int, s: float) -> CipResult:
     """Search m+1 balls whose s-shrunk copies still share a point.
 
-    The family must share a common point (verified first) and have at
-    least 2m+1 members with positive radii.  Three deterministic stages:
+    The family must have at least 2m+1 members with positive radii, and
+    :func:`find_common_point` must find a common point (InputError with
+    the least violation reached otherwise).  Three deterministic stages:
     the common point itself may already lie in enough shrunk balls; in
     the Euclidean plane, the directions from the common point to the
     centers are swept for the tightest angular bundle of m+1 balls and a
@@ -493,7 +494,7 @@ def cip_check(family: BallFamily, m: int, s: float) -> CipResult:
         raise InputError("all radii must be positive")
     feas = find_common_point(family, max_iter=20_000)
     if feas.point is None:
-        raise InputError("the balls share no common point")
+        raise InputError("no common point was found (max violation %.3g)" % feas.max_violation)
     y = feas.point.coords
     target = m + 1
     scale = 1.0 + max(radii)

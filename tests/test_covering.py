@@ -69,8 +69,51 @@ def test_center_containment_is_detected():
 def test_disjoint_balls_have_no_common_point():
     fam = interval_family([(0.0, 1.0), (10.0, 1.0)])
     v = is_besicovitch_family(fam)
-    assert v.status == "invalid"
-    assert "intersection" in v.reason
+    assert v == ("invalid", "balls 0 and 1 do not intersect", (0, 1))
+
+
+def _on_a_geodesic(space, t):
+    """The point at distance t from the origin along the first axis."""
+    if space.kind == "sphere":
+        return space.point([math.sin(t), 0.0, math.cos(t)])
+    if space.kind == "hyperbolic":
+        return space.point([math.sinh(t), 0.0, math.cosh(t)])
+    return space.point([t, 0.0])
+
+
+def _independent_distance(space, a, b):
+    if space.kind == "sphere":
+        return math.acos(max(-1.0, min(1.0, sum(x * y for x, y in zip(a, b)))))
+    if space.kind == "hyperbolic":
+        return math.acosh(max(1.0, a[2] * b[2] - a[0] * b[0] - a[1] * b[1]))
+    p = space.pnorm
+    return sum(abs(x - y) ** p for x, y in zip(a, b)) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("space", [E2, Space.euclidean(2, 3.0), Space.sphere(2),
+                                   Space.hyperbolic(2)], ids=str)
+def test_an_apart_pair_is_the_invalid_witness(space):
+    # balls 0 and 1 meet, and so do 1 and 2, but 0 and 2 are apart
+    s = 0.7 if space.kind == "sphere" else 1.0
+    fam = BallFamily(space, tuple(Ball(_on_a_geodesic(space, s * t), s) for t in (0.0, 1.5, 3.0)))
+    v = is_besicovitch_family(fam)
+    assert v == ("invalid", "balls 0 and 2 do not intersect", (0, 2))
+    i, j = v.witness
+    d = _independent_distance(space, fam.coords[i], fam.coords[j])
+    assert d > fam.radii[i] + fam.radii[j]
+
+
+def test_the_side_19_triangle_of_unit_disks_is_indeterminate():
+    # every pair meets and no center lies in another disk, but the
+    # circumradius 1.9 / sqrt(3) exceeds 1, so no point lies in all three:
+    # no pair certifies that, and the verdict says what the search reached
+    pts = [(0.0, 0.0), (1.9, 0.0), (0.95, 0.95 * math.sqrt(3.0))]
+    fam = disk_family([(x, y, 1.0) for x, y in pts])
+    v = is_besicovitch_family(fam)
+    feas = find_common_point(fam)
+    assert feas.point is None and feas.max_violation > 0.05
+    assert v == ("indeterminate", "no common point was found (max violation %.3g, "
+                 "tolerance 2e-09)" % feas.max_violation, None)
 
 
 def test_validator_against_interval_oracle():
@@ -138,9 +181,12 @@ def test_validator_on_curved_spaces():
 
 
 def test_indeterminate_when_iteration_cap_is_tiny():
-    fam = disk_family([(0, 0, 1), (10, 0, 1), (5, 8, 1)])
+    # an acute triangle on the unit circle, radii just above it: every
+    # pair meets, and the small common region takes more than two sweeps
+    fam = disk_family([(math.cos(a), math.sin(a), 1.001) for a in (0.0, 1.9, 4.0)])
     v = is_besicovitch_family(fam, max_iter=1)
     assert v.status == "indeterminate"
+    assert is_besicovitch_family(fam).is_valid
 
 
 def test_family_dimension_mismatch():
@@ -163,7 +209,7 @@ def test_k_configuration_without_common_point():
     pts = [(0.0, 0.0), (1.9, 0.0), (0.95, 0.95 * math.sqrt(3.0))]
     fam = disk_family([(x, y, 1.0) for x, y in pts])
     assert is_k_configuration(fam).is_valid
-    assert is_besicovitch_family(fam).status == "invalid"
+    assert is_besicovitch_family(fam).status == "indeterminate"
 
 
 def test_k_configuration_rejects_disjoint_pairs():

@@ -60,6 +60,23 @@ def test_space_validation():
         Space.sphere(2, radius=-1.0)
 
 
+@pytest.mark.parametrize("kind, name, value", [
+    ("euclidean", "radius", -5.0), ("euclidean", "radius", 2.0),
+    ("sphere", "pnorm", 3.0), ("sphere", "pnorm", math.nan),
+    ("hyperbolic", "pnorm", 1.0), ("hyperbolic", "radius", 2.0),
+])
+def test_a_parameter_the_kind_does_not_read_is_an_input_error(kind, name, value):
+    with pytest.raises(InputError, match=f"^a {kind} space takes no {name}, got {name}="):
+        Space(kind, 2, **{name: value})
+
+
+@pytest.mark.parametrize("space", [Space.euclidean(2), Space.sphere(2), Space.hyperbolic(2)],
+                         ids=str)
+def test_a_parameter_the_kind_does_not_read_may_keep_its_default(space):
+    assert Space(space.kind, 2, pnorm=2.0, radius=1.0) == space
+    assert Space(space.kind, 2, pnorm=2, radius=1) == space
+
+
 @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf, 1e-200, 2.0 ** -501,
                                     1e200, 2.0 ** 501])
 def test_sphere_radius_outside_the_range_is_an_input_error(radius):

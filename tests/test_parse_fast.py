@@ -415,9 +415,9 @@ def test_each_start_is_swept_once(space, smallest, monkeypatch):
     expected += [c for i, c in enumerate(coords[:6]) if i != smallest]
     assert starts == expected
     assert len(set(starts)) == len(starts)
-    ref_point, ref_v, ref_converged = ref_find_common_point(family)
+    ref_point, ref_v, _ = ref_find_common_point(family)
     assert got.point is None and ref_point is None
-    assert (repr(got.max_violation), got.converged) == (repr(ref_v), ref_converged)
+    assert repr(got.max_violation) == repr(ref_v)
 
 
 def test_equal_centers_of_different_balls_are_both_swept(monkeypatch):

@@ -19,12 +19,14 @@ and step scale that the searches read.
 centers as ``Point``s through ``distance``, with its two helpers; it is
 compared on random families with a common point in the Euclidean plane
 (where the sector route runs), in the l1 plane and on the sphere, with
-shrink factors that find a witness and ones that do not.
+shrink factors that find a witness and ones that do not, and on a family
+whose common point the sweep misses, where both raise the same error.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from typing import Optional
 
@@ -418,7 +420,7 @@ def reference_cip_check(family: BallFamily, m: int, s: float) -> CipResult:
         raise InputError("all radii must be positive")
     feas = find_common_point(family, max_iter=20_000)
     if feas.point is None:
-        raise InputError("the balls share no common point")
+        raise InputError("no common point was found (max violation %.3g)" % feas.max_violation)
     y = feas.point
     target = m + 1
     scale = 1.0 + max(radii)
@@ -616,6 +618,27 @@ def planted_cip_family(space, rng, n):
         coords.append(c)
         radii.append(r)
     return BallFamily.from_columns(space, coords, radii)
+
+
+def test_a_missed_common_point_is_reported_as_the_reference_reports_it(tmp_path, capsys):
+    # the side-1.9 triangle of unit disks: every pair meets but no point
+    # lies in all three; the sweep's miss certifies no emptiness, so the
+    # error says only what the sweep reached
+    from ballcover.cli import run_command
+
+    coords = [(0.0, 0.0), (1.9, 0.0), (0.95, 0.95 * math.sqrt(3.0))]
+    family = BallFamily.from_columns(Space.euclidean(2), coords, [1.0] * 3)
+    violation = find_common_point(family, max_iter=20_000).max_violation
+    message = "no common point was found (max violation %.3g)" % violation
+    for check in (cip_check, reference_cip_check):
+        with pytest.raises(InputError) as raised:
+            check(family, 1, 0.5)
+        assert str(raised.value) == message
+    scene = tmp_path / "triangle.json"
+    scene.write_text(json.dumps({"version": 1, "space": {"kind": "euclidean", "dim": 2},
+                                 "balls": [{"center": c, "radius": 1.0} for c in coords]}))
+    assert run_command(["cip", str(scene), "--m", "1"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("space", sorted(CIP_SPACES))
