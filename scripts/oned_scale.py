@@ -4,14 +4,16 @@ For each size, one seeded line of each shape the ``line-1d`` benchmark
 uses is drawn, at the density of the benchmark's scenes:
 
 * ``bounded``: centers uniform on [0, 4n/3], radii log-uniform on
-  [0.5, 50] (the benchmark's 3*10^4 intervals span 4*10^4);
+  [0.5, 50] (the benchmark's 3*10^4 intervals span 4*10^4), a density
+  ``2 * sum(r) / spread`` of about 16;
 * ``scattered``: centers uniform on [0, 2000n/3], radii uniform on
-  [1, 10] (its 1.5*10^4 intervals span 10^7).
+  [1, 10] (its 1.5*10^4 intervals span 10^7), a density of about 0.017.
 
-``besicovitch_cover_1d`` covers every center in that mode twice: given
-the family as columns (``BallFamily.from_columns``, the form a parsed
-scene has) and as a family of ``Ball`` objects.  Building the family is
-not timed.  One JSON object goes to standard output:
+``besicovitch_cover_1d`` picks its construction from that density (the
+one the shape is named after), and covers every center twice: given the
+family as columns (``BallFamily.from_columns``, the form a parsed scene
+has) and as a family of ``Ball`` objects.  Building the family is not
+timed.  One JSON object goes to standard output:
 
     PYTHONPATH=src python scripts/oned_scale.py [--sizes 10000,100000] [--seed 601]
 """
@@ -50,17 +52,17 @@ def main() -> None:
     args = ap.parse_args()
     rows = []
     for n in map(int, args.sizes.split(",")):
-        for mode in ("bounded", "scattered"):
-            pairs = draw(mode, n, args.seed)
+        for shape in ("bounded", "scattered"):
+            pairs = draw(shape, n, args.seed)
             centers = [c for c, _r in pairs]
             for form in ("columns", "balls"):
                 fam = family(form, pairs)
                 start = time.perf_counter()
-                result = besicovitch_cover_1d(fam, centers, mode)
+                result = besicovitch_cover_1d(fam, centers)
                 elapsed = time.perf_counter() - start
                 rows.append({
                     "intervals": n,
-                    "mode": mode,
+                    "shape": shape,
                     "form": form,
                     "s": round(elapsed, 4),
                     "intervals_per_s": round(n / elapsed),

@@ -18,7 +18,7 @@ _EXPORTS = {
     "search": """CipResult ConstantsRow SearchConfig SearchResult cip_check constants_markdown
         constants_report construct_strict_hadwiger pack_unit_balls_radius5
         satellite_max_search search_max_besicovitch_family""",
-    "selection": """ChainState DisjointPartition SubcoverResult besicovitch_cover_1d
+    "selection": """DisjointPartition SubcoverResult besicovitch_cover_1d
         cip_subcover morse_partition partition_into_disjoint_families
         select_bounded_overlap_subcover""",
 }

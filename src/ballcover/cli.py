@@ -285,12 +285,12 @@ def _cmd_oned(args):
 
     scene, digest = _load_scene(args.scene)
     centers = [c[0] for c in _scene_center_coords(scene)]
-    result = besicovitch_cover_1d(scene.family, centers, mode=args.mode)
+    result = besicovitch_cover_1d(scene.family, centers)
     payload = {
         "family_count": len(result.families),
         "families": [ball_docs(fam) for fam in result.families],
         "assignment": list(result.assignment),
-        "tags": list(result.chain_state.tags) if result.chain_state else None,
+        "tags": list(result.tags),
     }
     return payload, digest, None, 0
 
@@ -451,9 +451,7 @@ _COMMANDS = {
     "partition": (_cmd_partition, "partition into pairwise-disjoint families", (
         _SCENE, _OUT, _TIMING,
         ("--alpha", {"type": float, "default": 0.75, "help": "radius band ratio"}))),
-    "oned": (_cmd_oned, "two-family disjoint cover on the line", (
-        _SCENE, _OUT, _TIMING,
-        ("--mode", {"choices": ["auto", "bounded", "scattered"], "default": "auto"}))),
+    "oned": (_cmd_oned, "two-family disjoint cover on the line", (_SCENE, _OUT, _TIMING)),
     "net": (_cmd_net, "greedy separated subset of the scene points", (
         _SCENE, _OUT, _TIMING,
         ("--eps", {"type": float, "required": True, "help": "separation distance"}),

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
 from ._record import Record
@@ -271,6 +272,20 @@ def find_common_point(
 # ---------------------------------------------------------------------------
 
 
+def _under_overflow(family: BallFamily):
+    """``(family, 0)``, or, once a |coordinate| or radius reaches the model's
+    ``huge``, the family scaled by the least ``2**-k`` that brings all under
+    it (exactly, but for numbers it takes below the float range), and ``k``."""
+    huge, coords, radii = family.space._model.huge, family.coords, family.radii
+    top = max(max(map(abs, chain.from_iterable(coords)), default=0.0), max(radii, default=0.0))
+    if not top >= huge:
+        return family, 0
+    (m, e), (hm, he) = math.frexp(top), math.frexp(huge)
+    k = e - he + (m >= hm)
+    scaled = tuple([tuple([math.ldexp(v, -k) for v in c]) for c in coords])
+    return BallFamily._columns(family.space, scaled, tuple([math.ldexp(r, -k) for r in radii])), k
+
+
 def _pair_violations(family: BallFamily, tol: float):
     """Scan the ordered pairs (i, j), i major, once, yielding ``(True,
     verdict)`` where center i lies in ball j and ``(False, verdict)``
@@ -303,11 +318,13 @@ def is_besicovitch_family(
     a pair ``(i, j)``: a center inside another ball or, when no point is
     found, two balls apart by more than ``tol * (1 + r_i + r_j)``.  With
     neither, the verdict is ``indeterminate``, with the least violation
-    reached and its tolerance.  ``tol`` must be finite and >= 0.
+    reached and its tolerance.  ``tol`` must be finite and >= 0.  A flat
+    family near the float limit is checked scaled (:func:`_under_overflow`).
     """
     _check_tol(tol)
+    scaled, k = _under_overflow(family)
     apart = None
-    for contained, violation in _pair_violations(family, tol):
+    for contained, violation in _pair_violations(scaled, tol):
         if contained:
             return violation
         apart = apart or violation
@@ -315,12 +332,13 @@ def is_besicovitch_family(
     if n <= 1:
         witness = Point(family.coords[0]) if n == 1 else None
         return Verdict(VALID, witness=witness)
-    feas = find_common_point(family, tol=tol, max_iter=max_iter)
+    feas = find_common_point(scaled, tol=tol, max_iter=max_iter)
     if feas.point is not None:
-        return Verdict(VALID, witness=feas.point)
-    scale = 1.0 + max(family.radii)
+        # a flat sweep steps between centers, so the point scales back finite
+        return Verdict(VALID, witness=Point(tuple([math.ldexp(v, k) for v in feas.point])))
+    slack = math.ldexp(tol * (1.0 + max(scaled.radii)), k)
     reason = "no common point was found (max violation %.3g, tolerance %.3g)"
-    return apart or Verdict(INDETERMINATE, reason % (feas.max_violation, tol * scale))
+    return apart or Verdict(INDETERMINATE, reason % (math.ldexp(feas.max_violation, k), slack))
 
 
 def is_k_configuration(family: BallFamily, tol: float = DEFAULT_TOL) -> Verdict:
@@ -328,10 +346,11 @@ def is_k_configuration(family: BallFamily, tol: float = DEFAULT_TOL) -> Verdict:
 
     Like a Besicovitch family but without the common-point requirement:
     every pair of balls must intersect, and every Besicovitch family
-    passes this check as well.  ``tol`` must be finite and >= 0.
+    passes this check as well.  ``tol`` must be finite and >= 0.  A flat
+    family near the float limit is checked scaled, as there.
     """
     _check_tol(tol)
-    return next((v for _, v in _pair_violations(family, tol)), Verdict(VALID))
+    return next((v for _, v in _pair_violations(_under_overflow(family)[0], tol)), Verdict(VALID))
 
 
 def is_alpha_configuration(
@@ -463,38 +482,32 @@ def is_tau_satellite_configuration(
 def overlap_profile(
     family: BallFamily,
     probes: Optional[Sequence[Point]] = None,
-    exact_1d: bool = False,
     tol: float = DEFAULT_TOL,
 ) -> OverlapProfile:
     """Depth statistics: how many balls cover a point.
 
-    In ``exact_1d`` mode (euclidean dimension 1 only) an endpoint sweep
-    computes the exact maximum depth anywhere on the line, and the
-    histogram tabulates depths at interval endpoints.  Otherwise depths
-    are measured at the given probe points.
+    Depths are measured at the given probe points.  Without probes, on
+    the euclidean line only (elsewhere it raises
+    :class:`~ballcover.errors.UnsupportedFeatureError`), an endpoint
+    sweep computes the exact maximum depth anywhere on the line, and the
+    histogram tabulates depths at interval endpoints.
     """
-    if exact_1d:
-        if not family.space.is_line:
-            raise UnsupportedFeatureError(
-                "exact overlap profiles are only available on the euclidean line"
-            )
-        if len(family) == 0:
-            return OverlapProfile(0, None, {})
+    if probes is None and not family.space.is_line:
+        raise UnsupportedFeatureError(
+            "exact overlap profiles are only available on the euclidean line"
+        )
+    if len(family) == 0 or probes is not None and len(probes) == 0:
+        return OverlapProfile(0, None, {})
+    if probes is None:
         lefts = [c[0] - r for c, r in zip(family.coords, family.radii)]
         rights = [c[0] + r for c, r in zip(family.coords, family.radii)]
-        # closed intervals: openings (0) first at a shared coordinate, then input order
-        depth = max_overlap = 0
-        for x, kind in sorted([(x, 0) for x in lefts] + [(x, 1) for x in rights]):
-            depth += 1 - 2 * kind
-            if depth > max_overlap:
-                max_overlap, witness = depth, Point((x,))
+        # the depth of the closed intervals at each end; the deepest point is a left end
         ls, rs = sorted(lefts), sorted(rights)
-        depths = Counter(bisect_right(ls, x) - bisect_left(rs, x) for x in lefts + rights)
-        return OverlapProfile(max_overlap, witness, dict(sorted(depths.items())))
-    if probes is None:
-        raise InputError("either probes or exact_1d must be given")
-    if len(family) == 0 or len(probes) == 0:
-        return OverlapProfile(0, None, {})
+        depths = [bisect_right(ls, x) - bisect_left(rs, x) for x in lefts + rights]
+        top = max(depths)
+        # the witness is the least left end that deep, the last of equal ones (of -0.0 and 0.0)
+        _x, i = min((x, -i) for i, x in enumerate(lefts) if depths[i] == top)
+        return OverlapProfile(top, Point((lefts[-i],)), dict(sorted(Counter(depths).items())))
     space, centers = family.space, family.centers
     reach = [r + tol * (1.0 + r) for r in family.radii]
     grid = _Grid(space, centers + list(probes), max(reach))

@@ -315,14 +315,25 @@ def _sphere(R, a, b):
     return R * math.acos(max(-1.0, min(1.0, cos_t)))
 
 
+def _away(R, x):
+    """The unit tangent at ``x`` on the sphere of radius ``R`` along which
+    a sweep leaves the antipode of a center: the axis with the least
+    ``|x_k|`` (the first on ties), projected and normalised."""
+    k = min(range(len(x)), key=lambda i: abs(x[i]))
+    u = [(j == k) - x[k] / (R * R) * v for j, v in enumerate(x)]
+    n = math.sqrt(_sumsq(u))  # at least sqrt(1 - 1 / len(x))
+    return tuple([v / n for v in u])
+
+
 # The common-point sweep of the sphere S^2 of radius R unrolled: one loop
-# that runs ``_sphere``, ``_Sphere.log``, the step scale ``(d - r) / d``
-# of ``_Curved.step`` and ``_Sphere.exp`` on floats, with their operations
-# in their order and their DomainError messages.  The log map's cosine
-# ``_dot(x, c) / (R * R)`` is the kernel's ``cos_t``, a sum ``0.0 + ...``
-# is the one from the int 0 (the int converts exactly), ``min``/``max``
-# are written as the comparisons they make, and radii are >= 0, as a Ball
-# keeps them, so a point outside a ball is off its center.
+# that runs ``_sphere``, ``_Sphere.log`` (``_away`` at an antipode), the
+# step scale ``(d - r) / d`` of ``_Curved.step`` and ``_Sphere.exp`` on
+# floats, with their operations in their order and their DomainError
+# messages.  The log map's cosine ``_dot(x, c) / (R * R)`` is the kernel's
+# ``cos_t``, a sum ``0.0 + ...`` is the one from the int 0 (the int converts
+# exactly), ``min``/``max`` are written as the comparisons they make, and
+# radii are >= 0, as a Ball keeps them, so a point outside a ball is off
+# its center.
 
 
 def _sweep_s2(R, x, balls, sweeps, stop):
@@ -346,12 +357,12 @@ def _sweep_s2(R, x, balls, sweeps, stop):
                 h = cos_t if cos_t < 1.0 else 1.0
                 d = R * acos(h if h > -1.0 else -1.0)
             if not d <= r:
-                if d >= antipodal:
-                    raise DomainError("log map is undefined at antipodal points")
                 u0 = c0 - cos_t * x0
                 u1 = c1 - cos_t * x1
                 u2 = c2 - cos_t * x2
                 un = sqrt(u0 * u0 + u1 * u1 + u2 * u2)
+                if d >= antipodal:
+                    (u0, u1, u2), un = _away(R, (x0, x1, x2)), 1.0
                 s = (d - r) / d
                 w0 = s * (d * u0 / un)
                 w1 = s * (d * u1 / un)
@@ -422,21 +433,22 @@ class _Model:
     A model sets ``width`` (the number of ambient coordinates), ``flat``
     (true for l^p only), ``origin`` (built on use, so a model costs O(1)
     in the dimension), ``inj`` (the injectivity radius), ``kernel``,
-    ``parameter``, the Space field it reads, and ``grid``: the
-    :class:`_Grid` axes and least cell side.  Its methods work on
-    coordinate tuples: ``surface`` re-projects checked coordinates within
-    ``SURFACE_TOL`` of the space onto it, ``norm``/``project``/``exp``/
-    ``log`` handle tangent vectors (``log(b, q, d)`` takes the distance
-    ``d`` from ``b`` to ``q``, or None to compute it), ``step(x, c, r,
-    d)`` moves ``x``, at distance ``d > r`` from the center ``c``, onto
-    the ball of radius ``r``, ``sweep`` runs the common-point sweep on
-    those steps, and ``volume``, ``random`` and ``uniform`` serve the
-    functions of those purposes.  l2 in R^2 and R^3 and the sphere S^2
-    bind an unrolled sweep on floats with the floats of this one
-    (``_sweep_l2_2``, ``_sweep_l2_3``, ``_sweep_s2``).
+    ``parameter``, the Space field it reads, ``grid``: the :class:`_Grid`
+    axes and least cell side, and ``huge``: no kernel term overflows on
+    numbers below it.  Its methods work on coordinate tuples: ``surface``
+    re-projects checked coordinates within ``SURFACE_TOL`` of the space
+    onto it, ``norm``/``project``/``exp``/``log`` handle tangent vectors
+    (``log(b, q, d)`` takes the distance ``d`` from ``b`` to ``q``, or
+    None to compute it), ``step(x, c, r, d)`` moves ``x``, at distance
+    ``d > r`` from the center ``c``, onto the ball of radius ``r``,
+    ``sweep`` runs the common-point sweep on those steps, and ``volume``,
+    ``random`` and ``uniform`` serve the functions of those purposes.  l2
+    in R^2 and R^3 and the sphere S^2 bind an unrolled sweep on floats
+    with the floats of this one (``_sweep_l2_2``, ``_sweep_l2_3``,
+    ``_sweep_s2``).
     """
 
-    flat = False
+    flat, huge = False, math.inf
 
     def centroid(self, points):
         """The extra, centroid start of the common-point sweep, if any."""
@@ -478,6 +490,8 @@ class _Flat(_Model):
         self.p, self.width = p, space.dim
         # an l^p norm is at least an axis gap, and |x| ** p underflows below 2 ** (-1022 / p)
         self.grid = (min(3, space.dim), 2.0 ** -(1000.0 / p if p < math.inf else 1000.0))
+        # and for |x|, |y| < huge, |x - y| ** p stays below 2 ** 1002
+        self.huge = 2.0 ** (500.0 if p in (1.0, 2.0, math.inf) else 1000.0 / p - 1.0)
         if p == 2.0:
             self.kernel = {1: _l2_1, 2: _l2_2, 3: _l2_3}.get(space.dim, _l2)
             if space.dim in (2, 3):
@@ -575,14 +589,17 @@ class _Curved(_Model):
         self.space, self.R, self.dim, self.width = space, R, space.dim, space.dim + 1
 
     def step(self, x, c, r, d):
-        # follow the geodesic toward the center; d is the distance that
-        # log_map would otherwise compute again.  S^2 sweeps with
-        # _sweep_s2 instead; the other spheres and the hyperboloid step
-        # through the public maps, which the benchmark's layer trace
-        # expects validate to reach until its tracer changes (ROADMAP
-        # item 5)
+        # follow the geodesic toward the center, or from its antipode on a
+        # sphere the one _away gives; d is the distance that log_map would
+        # otherwise compute again.  S^2 sweeps with _sweep_s2 instead; the
+        # other spheres and the hyperboloid step through the public maps,
+        # which the benchmark's layer trace expects validate to reach until
+        # its tracer changes (ROADMAP item 5)
         p = Point(x)
-        v = log_map(self.space, p, Point(c), d).vector
+        if d < self.antipodal:
+            v = log_map(self.space, p, Point(c), d).vector
+        else:
+            v = tuple([d * y for y in _away(self.R, x)])
         s = (d - r) / d
         return exp_map(self.space, Tangent(p, tuple(s * y for y in v))).coords
 
@@ -629,6 +646,7 @@ class _Sphere(_Curved):
             raise InputError(f"sphere radius must lie in [2**-500, 2**500], got {R!r}")
         super().__init__(space, R)
         self.inj = math.pi * R
+        self.antipodal = self.inj * (1.0 - 1e-9)  # the log map is undefined from here on
         self.kernel = partial(_sphere, R)
         if self.width == 3:
             self.sweep = partial(_sweep_s2, R)
@@ -664,7 +682,7 @@ class _Sphere(_Curved):
         if d is None:
             d = self.kernel(b, q)
         R = self.R
-        if d >= math.pi * R * (1.0 - 1e-9):
+        if d >= self.antipodal:
             raise DomainError("log map is undefined at antipodal points")
         if d == 0.0:
             return (0.0,) * self.width
@@ -683,7 +701,7 @@ class _Hyperboloid(_Curved):
     parameter = None
     sn, t_max, t_peak = math.sinh, math.inf, math.inf
     sn_integral = staticmethod(_sinh_power_integral)
-    inj = math.inf
+    inj = antipodal = math.inf
     kernel = staticmethod(_hyperboloid)
     grid = (0, 0.0)  # no coordinate gap bounds the distance: every pair is tested
 

@@ -519,11 +519,11 @@ class TestUnexpectedErrors:
         ],
     }
 
-    @pytest.mark.parametrize("argv", [["validate", "--what", "besicovitch"], ["select"]])
-    def test_l3_overflow_exits_three(self, argv, tmp_path, capsys):
+    def test_l3_overflow_exits_three(self, tmp_path, capsys):
+        # the validators rescale such a family; the overlap probes of select do not
         scene = tmp_path / "huge.json"
         scene.write_text(json.dumps(self.HUGE_L3))
-        assert run_command([argv[0], str(scene), *argv[1:]]) == 3
+        assert run_command(["select", str(scene)]) == 3
         captured = capsys.readouterr()
         assert captured.err.startswith("internal error: unexpected OverflowError: ")
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
@@ -542,7 +542,7 @@ class TestUnexpectedErrors:
         scene.write_text(json.dumps(self.HUGE_L3))
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=src)
-        argv = ["validate", str(scene), "--what", "besicovitch"]
+        argv = ["select", str(scene)]
         out = subprocess.run([sys.executable, "-m", "ballcover.cli", *argv], env=env,
                              capture_output=True, text=True, timeout=60)
         assert out.returncode == 3
@@ -650,6 +650,57 @@ class TestSphereRadiusRange:
     def test_ends_of_the_range_are_valid(self, radius, tmp_path, capsys):
         assert run_command(["validate", self.ring(tmp_path, radius), "--what", "besicovitch"]) == 0
         assert json.loads(capsys.readouterr().out)["payload"]["status"] == "valid"
+
+
+class TestExtremeFamilies:
+    """Extreme but legal families get a verdict: huge flat coordinates are
+    validated rescaled, and the sphere sweep steps off the antipode of a
+    center."""
+
+    @staticmethod
+    def validate(tmp_path, capsys, space, balls, what="besicovitch"):
+        scene = tmp_path / "extreme.json"
+        scene.write_text(json.dumps({"version": 1, "space": space, "balls": [
+            {"center": c, "radius": r} for c, r in balls]}))
+        code = run_command(["validate", str(scene), "--what", what])
+        return code, json.loads(capsys.readouterr().out)["payload"]
+
+    @pytest.mark.parametrize("pnorm,big", [(2.0, 1e300), (3.0, 1e200), (1.0, 1e300)])
+    @pytest.mark.parametrize("what", ["besicovitch", "k-config"])
+    def test_a_huge_tangent_pair_is_valid(self, pnorm, big, what, tmp_path, capsys):
+        space = {"kind": "euclidean", "dim": 2, "pnorm": pnorm}
+        code, payload = self.validate(tmp_path, capsys, space,
+                                      [([big, 0.0], big), ([-big, 0.0], big)], what)
+        assert (code, payload["status"]) == (0, "valid")
+        if what == "besicovitch":
+            # the witness is scaled back to the family's coordinates
+            x, y = payload["witness"]
+            assert abs(x) <= 1e-9 * big and y == 0.0
+
+    def test_a_huge_disjoint_pair_is_invalid(self, tmp_path, capsys):
+        space = {"kind": "euclidean", "dim": 2}
+        code, payload = self.validate(tmp_path, capsys, space,
+                                      [([1e300, 0.0], 0.9e300), ([-1e300, 0.0], 0.9e300)])
+        assert (code, payload["status"], payload["witness"]) == (1, "invalid", [0, 1])
+
+    @pytest.mark.parametrize("pole", [[0.0, 0.0, 1.0], [0.6, 0.0, 0.8]])
+    def test_an_antipodal_pair_of_hemispheres_is_valid(self, pole, tmp_path, capsys):
+        space = {"kind": "sphere", "dim": 2}
+        code, payload = self.validate(tmp_path, capsys, space, [
+            (pole, math.pi / 2), ([-v for v in pole], math.pi / 2)])
+        assert (code, payload["status"]) == (0, "valid")
+        # the two hemispheres meet on the great circle between them
+        assert abs(sum(p * w for p, w in zip(pole, payload["witness"]))) < 1e-9
+
+
+def test_oned_has_no_mode(tmp_path, capsys):
+    scene = tmp_path / "line.json"
+    scene.write_text(json.dumps({"version": 1, "space": {"kind": "euclidean", "dim": 1},
+                                 "balls": [{"center": [0.0], "radius": 1.0}]}))
+    assert run_command(["oned", str(scene)]) == 0
+    capsys.readouterr()
+    assert run_command(["oned", str(scene), "--mode", "bounded"]) == 2
+    assert "unrecognized arguments: --mode bounded" in capsys.readouterr().err
 
 
 class TestHugeDim:
@@ -819,8 +870,7 @@ PARSER_CASES = {
     "select": (["select", "s.json"], ["select"], None, ["select", "s.json", "--beta", "x"]),
     "partition": (["partition", "s.json"], ["partition", "--timing"], None,
                   ["partition", "s.json", "--alpha", "x"]),
-    "oned": (["oned", "s.json", "--mode", "bounded"], ["oned", "--mode", "bounded"],
-             ["oned", "s.json", "--mode", "nope"], None),
+    "oned": (["oned", "s.json", "--timing"], ["oned", "--timing"], None, None),
     "net": (["net", "s.json", "--eps", "0.5", "--strict"], ["net", "s.json"], None,
             ["net", "s.json", "--eps", "x"]),
     "search": (["search", "--what", "wbcp", "--dim", "2", "--rmin", "0.2"],
@@ -923,7 +973,7 @@ class TestDeferredNames:
             assert run_command(argv + ["--out", out]) in (0, 1), argv
         deferred = {name for name, module in ballcover._SUBMODULE.items()
                     if module in ("search", "selection")}
-        assert len(deferred) == 19
+        assert len(deferred) == 18
         assert not deferred & set(vars(cli))
         with pytest.raises(AttributeError, match="cip_check"):
             cli.cip_check  # noqa: B018

@@ -102,7 +102,7 @@ def readers(family):
         ),
     }
     if family.space.is_line:
-        out["overlap_exact"] = overlap_profile(family, exact_1d=True)
+        out["overlap_exact"] = overlap_profile(family)
     if out["besicovitch"].is_valid:  # the check needs a common point
         out["cip_check"] = cip_check(family, 2, 0.95)
     return out

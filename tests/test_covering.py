@@ -1,4 +1,8 @@
 import math
+import random
+import re
+from bisect import bisect_left, bisect_right
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -220,21 +224,72 @@ def test_k_configuration_rejects_disjoint_pairs():
 
 
 # ---------------------------------------------------------------------------
+# Families beyond the overflow bound are validated rescaled
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("pnorm,bound", [(1.0, 2.0 ** 500), (2.0, 2.0 ** 500),
+                                         (math.inf, 2.0 ** 500), (3.0, 2.0 ** (1000 / 3 - 1)),
+                                         (1.5, 2.0 ** (1000 / 1.5 - 1))])
+def test_the_overflow_bound_and_the_least_power_of_two(pnorm, bound):
+    from ballcover.covering import _under_overflow
+
+    space = Space.euclidean(2, pnorm)
+    assert space._model.huge == bound
+    below = BallFamily.from_columns(space, [(math.nextafter(bound, 0.0), -1.0)], [1.0])
+    assert _under_overflow(below) == (below, 0)
+    for top in (bound, math.nextafter(bound, math.inf), 1.5 * bound, 1e300, 1.7e308):
+        for family in (BallFamily.from_columns(space, [(0.5, -top)], [1.0]),
+                       BallFamily.from_columns(space, [(0.5, 2.0)], [top])):
+            scaled, k = _under_overflow(family)
+            assert k > 0
+            # the least power of two: one less would leave the family at the bound
+            assert math.ldexp(top, -k) < bound <= math.ldexp(top, 1 - k)
+            assert scaled.coords == tuple(tuple(math.ldexp(v, -k) for v in c)
+                                          for c in family.coords)
+            assert scaled.radii == tuple(math.ldexp(r, -k) for r in family.radii)
+
+
+def test_a_huge_family_keeps_its_verdicts_scaled_back():
+    big = 1e300
+    tangent = disk_family([(big, 0.0, big), (-big, 0.0, big)])
+    verdict = is_besicovitch_family(tangent)
+    assert verdict.is_valid and verdict.witness == Point((0.0, 0.0))
+    assert is_k_configuration(tangent).is_valid
+    apart = disk_family([(big, 0.0, 0.9 * big), (-big, 0.0, 0.9 * big)])
+    assert is_besicovitch_family(apart).witness == is_k_configuration(apart).witness == (0, 1)
+    inside = disk_family([(big, 0.0, big), (0.5 * big, 0.0, 0.25 * big)])
+    assert is_besicovitch_family(inside).reason == "center containment: center 1 lies in ball 0"
+    # the triangle of test_k_configuration_without_common_point, scaled by 2**900: the
+    # same verdicts, and the violation and tolerance in the family's units
+    pts = [(0.0, 0.0), (1.9, 0.0), (0.95, 0.95 * math.sqrt(3.0))]
+    small = disk_family([(x, y, 1.0) for x, y in pts])
+    huge = disk_family([(math.ldexp(x, 900), math.ldexp(y, 900), math.ldexp(1.0, 900))
+                        for x, y in pts])
+    assert is_k_configuration(huge).is_valid
+    v_small, v_huge = is_besicovitch_family(small), is_besicovitch_family(huge)
+    assert v_small.status == v_huge.status == "indeterminate"
+    violation = [float(re.search(r"max violation ([^,]+),", v.reason).group(1))
+                 for v in (v_small, v_huge)]
+    assert violation[1] == pytest.approx(math.ldexp(violation[0], 900), rel=1e-2)
+
+
+# ---------------------------------------------------------------------------
 # Overlap profiles
 # ---------------------------------------------------------------------------
 
 
 def test_overlap_profile_trivial_cases():
-    assert overlap_profile(BallFamily(E1, ()), exact_1d=True).max_overlap == 0
+    assert overlap_profile(BallFamily(E1, ())).max_overlap == 0
     fam = interval_family([(0.0, 1.0), (10.0, 1.0)])
-    prof = overlap_profile(fam, exact_1d=True)
+    prof = overlap_profile(fam)
     assert prof.max_overlap == 1
 
 
 def test_overlap_profile_exact_known_value():
     # [0,2], [1,3], [2.5,4]: depth 2 on [1,2] and on [2.5,3]
     fam = interval_family([(1.0, 1.0), (2.0, 1.0), (3.25, 0.75)])
-    prof = overlap_profile(fam, exact_1d=True)
+    prof = overlap_profile(fam)
     assert prof.max_overlap == 2
     assert prof.histogram[2] >= 1
 
@@ -242,7 +297,7 @@ def test_overlap_profile_exact_known_value():
 def test_overlap_profile_touching_endpoints_count_together():
     # closed intervals sharing exactly one point have depth 2 there
     fam = interval_family([(0.0, 1.0), (2.0, 1.0)])
-    prof = overlap_profile(fam, exact_1d=True)
+    prof = overlap_profile(fam)
     assert prof.max_overlap == 2
     assert prof.witness.coords[0] == pytest.approx(1.0)
 
@@ -258,18 +313,51 @@ def test_overlap_profile_exact_vs_brute_force_and_probes():
         # independent oracle: depth at every endpoint by direct counting
         cand = np.concatenate([lefts, rights])
         brute = max(int(np.sum((lefts <= x) & (x <= rights))) for x in cand)
-        prof = overlap_profile(fam, exact_1d=True)
+        prof = overlap_profile(fam)
         assert prof.max_overlap == brute
         # probe mode agrees when probes include all endpoints
         probes = [Point((float(x),)) for x in cand]
         assert overlap_profile(fam, probes=probes).max_overlap == brute
 
 
+def sweep_profile(family):
+    """The exact line profile as an endpoint sweep computed it: openings
+    first at a shared coordinate, then input order; the witness is where
+    the running depth first reaches its maximum."""
+    lefts = [c[0] - r for c, r in zip(family.coords, family.radii)]
+    rights = [c[0] + r for c, r in zip(family.coords, family.radii)]
+    depth = max_overlap = 0
+    for x, kind in sorted([(x, 0) for x in lefts] + [(x, 1) for x in rights]):
+        depth += 1 - 2 * kind
+        if depth > max_overlap:
+            max_overlap, witness = depth, x
+    ls, rs = sorted(lefts), sorted(rights)
+    depths = Counter(bisect_right(ls, x) - bisect_left(rs, x) for x in lefts + rights)
+    return max_overlap, witness, dict(sorted(depths.items()))
+
+
+def test_overlap_profile_exact_matches_the_endpoint_sweep():
+    rng = random.Random(19)
+    for _ in range(500):
+        n = rng.randrange(1, 12)
+        pairs = [(rng.choice([-0.0, 0.0, 1.0, -1.0, rng.uniform(-3.0, 3.0)]),
+                  rng.choice([0.0, 1.0, 0.5, rng.uniform(0.0, 2.0)])) for _ in range(n)]
+        family = BallFamily.from_columns(E1, [(c,) for c, _r in pairs], [r for _c, r in pairs])
+        prof = overlap_profile(family)
+        top, x, histogram = sweep_profile(family)
+        assert (prof.max_overlap, prof.histogram) == (top, histogram)
+        (got,) = prof.witness.coords
+        assert got == x and math.copysign(1.0, got) == math.copysign(1.0, x), pairs
+
+
 def test_overlap_profile_exact_needs_the_line():
-    with pytest.raises(UnsupportedFeatureError):
-        overlap_profile(disk_family([(0, 0, 1)]), exact_1d=True)
-    with pytest.raises(InputError):
-        overlap_profile(disk_family([(0, 0, 1)]))  # no probes given
+    # without probes the profile is the exact one, which only the line has
+    with pytest.raises(UnsupportedFeatureError, match="euclidean line"):
+        overlap_profile(disk_family([(0, 0, 1)]))
+    with pytest.raises(UnsupportedFeatureError, match="euclidean line"):
+        overlap_profile(BallFamily(Space.sphere(1), ()))
+    # with probes a plane family is measured at them
+    assert overlap_profile(disk_family([(0, 0, 1)]), [Point((0.5, 0.0))]).max_overlap == 1
 
 
 def test_overlap_profile_probe_histogram():

@@ -547,14 +547,8 @@ def wide_line_scene(rng, n):
 LINE_REPORTS = [
     (line_scene, ["oned"],
      "f7ced07fce2fd07ff27576756f0e17dbec2abe1936c39827638ae133c1aff2f9"),
-    (line_scene, ["oned", "--mode", "bounded"],
-     "dd73f5291e9738f788733fd14a3360dd96b9b7e9e3ded5abc63854b6a8e284a0"),
-    (line_scene, ["oned", "--mode", "scattered"],
-     "a3a821bf0c527a9bc0e00f27befd4481836c8c06cf58d1eb6b01f86d1069776d"),
     (wide_line_scene, ["oned"],
      "f6d6d6ce1a4e2c56b495a8c7d3bbb1f80c0bc3650591391a3e86e805c3a23e2b"),
-    (wide_line_scene, ["oned", "--mode", "bounded"],
-     "401459453de1588c47ecb6c6571f557a365ee91be307fda79bcd06fc86a2bcb7"),
     (line_scene, ["partition"],
      "19526ded28093768052338645854f96196b06545a9b1d5c5b04cdffed7b202e6"),
     (line_scene, ["partition", "--alpha", "0.6"],

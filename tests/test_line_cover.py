@@ -3,10 +3,13 @@
 ``reference_cover_1d`` and its stages below are the heap-and-insert
 implementation of ``besicovitch_cover_1d`` as it stood before the cover
 moved to columns and near-linear passes, kept as it was (renamed, with
-the annotations of its signature dropped) as the reference.  Every
+the annotations of its signature dropped, and returning the tags without
+the chain ids the cover no longer reports) as the reference.  The cover
+picks its construction from the density of the line, and the reference
+is run with the one that rule picks, and with each one forced.  Every
 comparison is ``==`` on whole ``DisjointPartition``s: the same families,
-assignment, tags and chain ids, on random inputs and on adversarial
-ones, for a family of ``Ball``s and for the same family as columns.
+assignment and tags, on random inputs and on adversarial ones, for a
+family of ``Ball``s and for the same family as columns.
 The stages are also compared one by one where their inputs can be
 chosen freely (phase B, the staircase), and ``oned`` is checked to build
 no ``Ball`` or ``Point``.
@@ -24,7 +27,8 @@ import pytest
 from ballcover import Ball, BallFamily, InputError, InternalError, Point, Space
 from ballcover.cli import run_command
 from ballcover.errors import UnsupportedFeatureError
-from ballcover.selection import ChainState, DisjointPartition, besicovitch_cover_1d
+from ballcover import selection
+from ballcover.selection import DisjointPartition, besicovitch_cover_1d
 
 E1 = Space.euclidean(1)
 
@@ -298,7 +302,7 @@ def reference_cover_1d(
             families=(),
             assignment=tuple([-1] * n),
             family_count_bound=2,
-            chain_state=ChainState((), ()),
+            tags=(),
         )
 
     max_r = max(r for r, _ in items.values())
@@ -370,15 +374,6 @@ def reference_cover_1d(
         members[fam_index[t]].append(idx)
         assignment[idx] = fam_index[t]
 
-    chain_ids = []
-    chain = -1
-    prev_right = None
-    for left, right, _idx, _t in final:
-        if prev_right is None or left > prev_right:
-            chain += 1
-        chain_ids.append(chain)
-        prev_right = max(prev_right, right) if prev_right is not None else right
-
     return DisjointPartition(
         families=tuple(
             BallFamily(space, tuple(family[i] for i in ms)) for ms in members
@@ -386,10 +381,7 @@ def reference_cover_1d(
         assignment=tuple(assignment),
         family_count_bound=2,
         bound_is_empirical=False,
-        chain_state=ChainState(
-            tuple(t for _l, _r, _i, t in final),
-            tuple(chain_ids),
-        ),
+        tags=tuple(t for _l, _r, _i, t in final),
     )
 
 
@@ -402,25 +394,48 @@ def family_of(pairs):
     return BallFamily(E1, tuple(Ball(Point((float(c),)), float(r)) for c, r in pairs))
 
 
-def outcome(cover, family, centers, mode):
+def outcome(cover, family, centers, *mode):
     """The partition, or the class and message of the error raised."""
     try:
-        return cover(family, list(centers), mode)
+        return cover(family, list(centers), *mode)
     except (InputError, InternalError, UnsupportedFeatureError) as exc:
         return type(exc).__name__, str(exc)
 
 
-def assert_same_cover(pairs, centers=None, modes=("bounded", "scattered", "auto")):
+def rule(pairs, centers, threshold):
+    """The construction the cover's density rule picks: scattered when
+    the kept intervals (the largest on each center) have
+    ``0 < 2 * sum(r) < threshold * spread``."""
+    best = {}
+    for c, r in pairs:
+        best[float(c)] = max(best.get(float(c), r), r)
+    cs = sorted({float(c) for c in centers} & set(best))
+    if not cs:
+        return "bounded"
+    try:
+        mass = 2.0 * math.fsum(best[c] for c in cs)
+    except OverflowError:
+        return "bounded"
+    return "scattered" if 0.0 < mass < threshold * (cs[-1] - cs[0]) else "bounded"
+
+
+def assert_same_cover(pairs, centers=None):
+    """The cover equals the reference run with the construction the rule
+    picks, also with the threshold forced to 0 (always bounded) and to
+    infinity (scattered whenever the radii and the spread are not 0)."""
     family = family_of(pairs)
     columns = BallFamily.from_columns(E1, [(float(c),) for c, _r in pairs],
                                       [float(r) for _c, r in pairs])
     if centers is None:
         centers = [c for c, _r in pairs]
-    for mode in modes:
+    for threshold in (selection._SCATTERED_DENSITY, 0.0, math.inf):
+        mode = rule(pairs, centers, threshold)
         want = outcome(reference_cover_1d, family, centers, mode)
-        assert outcome(besicovitch_cover_1d, family, centers, mode) == want, mode
-        # the same decisions when the family is given as columns
-        assert outcome(besicovitch_cover_1d, columns, centers, mode) == want, mode
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(selection, "_SCATTERED_DENSITY", threshold)
+            assert outcome(besicovitch_cover_1d, family, centers) == want, mode
+            # the same decisions when the family is given as columns
+            assert outcome(besicovitch_cover_1d, columns, centers) == want, mode
 
 
 def random_pairs(rng, n, spread, rlo, rhi, log=False):
@@ -508,10 +523,9 @@ def test_adversarial_lines_match_the_reference(name):
 def test_errors_match_the_reference():
     pairs = [(0.0, 1.0), (2.0, 1.0)]
     assert_same_cover(pairs, [0.0, 1.0])  # a center with no interval on it
-    assert_same_cover(pairs, [0.0], modes=("sideways",))
     plane = BallFamily(Space.euclidean(2), (Ball(Point((0.0, 0.0)), 1.0),))
-    assert outcome(besicovitch_cover_1d, plane, [0.0], "auto") == outcome(
-        reference_cover_1d, plane, [0.0], "auto")
+    assert outcome(besicovitch_cover_1d, plane, [0.0]) == outcome(
+        reference_cover_1d, plane, [0.0])
 
 
 def test_phase_b_matches_the_reference_on_chosen_lists():
@@ -602,8 +616,9 @@ def test_phase_b_tags_one_long_chain_as_the_reference_does():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("spread,mode", [(4e3, "bounded"), (1e8, "scattered")])
-def test_oned_builds_no_ball_and_no_point(spread, mode, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("spread,construction", [(4e3, "_phase_a_greedy"),
+                                                 (1e8, "_staircase_two_color")])
+def test_oned_builds_no_ball_and_no_point(spread, construction, tmp_path, monkeypatch, capsys):
     rng = random.Random(5)
     doc = {
         "version": 1,
@@ -620,13 +635,15 @@ def test_oned_builds_no_ball_and_no_point(spread, mode, tmp_path, monkeypatch, c
             _init(self, *args)
 
         monkeypatch.setattr(cls, "__init__", counted)
-    # the spread decides the mode "auto" picks
-    for argv in (["oned", str(scene)], ["oned", str(scene), "--mode", mode]):
-        assert run_command(argv) == 0
-        assert made == Counter()
-        report = json.loads(capsys.readouterr().out)
-        assert len(report["payload"]["assignment"]) == 1000
-        assert sum(map(len, report["payload"]["families"])) > 0
+    # the spread decides the construction: density 1.4 or 6e-5
+    built = getattr(selection, construction)
+    monkeypatch.setattr(selection, construction,
+                        lambda *a: made.update(["construction"]) or built(*a))
+    assert run_command(["oned", str(scene)]) == 0
+    assert made == Counter(construction=1)
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["payload"]["assignment"]) == 1000
+    assert sum(map(len, report["payload"]["families"])) > 0
 
 
 def test_staircase_matches_the_reference_on_candidate_lists():

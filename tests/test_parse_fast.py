@@ -2,7 +2,8 @@
 
 ``frozen_parser`` below is the CLI's full argparse tree as it stood
 before the arguments moved into the table ``cli._COMMANDS``: one
-``add_argument`` call per argument, in registration order.  ``_parse_fast``
+``add_argument`` call per argument, in registration order (less
+``oned --mode``, since removed: the cover picks its own construction).  ``_parse_fast``
 must give, for every argv it accepts, the namespace this parser gives,
 dest for dest, with equal types and values (``1 == 1.0``, so the types are
 compared too), and must decline (return None) every argv of another form,
@@ -78,8 +79,7 @@ def frozen_parser() -> argparse.ArgumentParser:
     p = add_subcommand("partition", "partition into pairwise-disjoint families")
     p.add_argument("--alpha", type=float, default=0.75, help="radius band ratio")
 
-    p = add_subcommand("oned", "two-family disjoint cover on the line")
-    p.add_argument("--mode", choices=["auto", "bounded", "scattered"], default="auto")
+    add_subcommand("oned", "two-family disjoint cover on the line")
 
     p = add_subcommand("net", "greedy separated subset of the scene points")
     p.add_argument("--eps", type=float, required=True, help="separation distance")
@@ -178,7 +178,7 @@ EVERY_OPTION = {
                  "--alpha", "0.6", "--tau", "2", "--target-index", "3"],
     "select": ["select", "s.json", "--beta", "0.25"],
     "partition": ["partition", "s.json", "--alpha", "0.5"],
-    "oned": ["oned", "s.json", "--mode", "scattered"],
+    "oned": ["oned", "s.json"],
     "net": ["net", "s.json", "--eps", "0.5", "--strict"],
     "search": ["search", "--what", "satellite", "--dim", "3", "--seed", "12", "--budget", "40",
                "--restarts", "2", "--rmin", "0.1", "--rmax", "2", "--tau", "1.25",
@@ -251,7 +251,7 @@ DECLINED = [
     ["-h"], ["--help"], ["validate", "-h"], [*VOLUME, "-h"], ["cip", "--m", "2", "--help"],
     [], ["nope"], ["--"], [*VOLUME, "--bogus", "1"], [*VOLUME, "-x"],
     ["validate", "{scene}"], ["net", "{scene}"], ["volume", "--space", "sphere", "--dim", "2"],
-    ["validate", "{scene}", "--what", "nope"], ["oned", "{scene}", "--mode", "nope"],
+    ["validate", "{scene}", "--what", "nope"], ["oned", "{scene}", "--mode", "bounded"],
     ["volume", "--space", "nope", "--dim", "2", "--r", "1"],
     ["volume", "--space", "euclidean", "--dim", "2.5", "--r", "1"],
     ["net", "{scene}", "--eps", "x"], ["cip", "--m", "2", "--trials", "x"],

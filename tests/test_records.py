@@ -1,11 +1,11 @@
-"""Value semantics of the package's sixteen records.
+"""Value semantics of the package's fifteen records.
 
 Eight records validate their fields or are built in hot loops; they are
 slotted classes on a shared base and behave as frozen value objects:
 equal to a record of the same class with equal fields (never to one of
 another class, a subclass included), hashed on their fields, closed to
 assignment and deletion, and pickled through their constructor.  The
-other eight are ``typing.NamedTuple`` results, like ``FeasibilityResult``:
+other seven are ``typing.NamedTuple`` results, like ``FeasibilityResult``:
 also immutable, and equal as tuples.  Constructor checks keep their
 messages, and a scene without a ``pnorm`` or ``radius`` gets the
 defaults.  A ``BallFamily`` made from columns equals the family of its
@@ -24,7 +24,7 @@ from ballcover.errors import InputError
 from ballcover.geometry import Ball, Point, Space, Tangent, distance
 from ballcover.sceneio import SceneFile, parse_scene
 from ballcover.search import CipResult, ConstantsRow, SearchConfig, SearchResult
-from ballcover.selection import ChainState, DisjointPartition, SubcoverResult
+from ballcover.selection import DisjointPartition, SubcoverResult
 
 
 def family():
@@ -53,9 +53,8 @@ TUPLES = {
     "CipResult": lambda: CipResult(True, (0, 1), Point((0.25, 0.0))),
     "SubcoverResult": lambda: SubcoverResult(
         family(), (True, True), OverlapProfile(1, None, {1: 2}), (0, 0)),
-    "ChainState": lambda: ChainState((0, 1, 0), (0, 0, 1)),
     "DisjointPartition": lambda: DisjointPartition(
-        ((0,), (1,)), (0, 1), family_count_bound=2, chain_state=ChainState((0, 1), (0, 0))),
+        ((0,), (1,)), (0, 1), family_count_bound=2, tags=(0, 1)),
 }
 RECORDS = {**SLOTTED, **TUPLES}
 NAMES = sorted(RECORDS)
@@ -73,8 +72,8 @@ def first_field(record):
     return record._fields[0]
 
 
-def test_there_are_sixteen_records():
-    assert len(RECORDS) == 16
+def test_there_are_fifteen_records():
+    assert len(RECORDS) == 15
     assert {RECORDS[name]().__class__.__name__ for name in NAMES} == set(NAMES)
 
 

@@ -313,58 +313,145 @@ def test_oned_center_without_interval():
         besicovitch_cover_1d(fam, [0.0, 3.0])
 
 
-def test_oned_bad_mode():
+def test_oned_takes_no_mode():
     fam = interval_family([(0.0, 1.0)])
-    with pytest.raises(InputError):
-        besicovitch_cover_1d(fam, [0.0], mode="fast")
+    with pytest.raises(TypeError):
+        besicovitch_cover_1d(fam, [0.0], mode="bounded")
 
 
-def test_oned_randomized_bounded_route():
+def kept_intervals(fam, centers):
+    """The sorted centers, the radius of the largest interval on each
+    (the first of equal ones) and that interval's index."""
+    cs = sorted(set(map(float, centers)))
+    best = {}
+    for i, (c, r) in enumerate(zip(fam.coords, fam.radii)):
+        if c[0] not in best or r > fam.radii[best[c[0]]]:
+            best[c[0]] = i
+    ids = [best[c] for c in cs]
+    return cs, [fam.radii[i] for i in ids], ids
+
+
+def density(fam, centers):
+    cs, rs, _ids = kept_intervals(fam, centers)
+    return 2.0 * math.fsum(rs) / (cs[-1] - cs[0])
+
+
+def bounded(cs, rs, ids):
+    """The bounded construction, from the cover's private stages."""
+    return selection._phase_b_two_color(selection._phase_a_greedy(cs, rs, ids))
+
+
+def scattered(cs, rs, ids):
+    """The scattered construction, by left end, tagged in the order of choice."""
+    chosen = selection._staircase_two_color(selection._scattered_candidates(cs, rs, ids), cs)
+    order = sorted(range(len(chosen)), key=chosen.__getitem__)
+    return [chosen[i] for i in order], [i % 2 for i in order]
+
+
+def assert_built_by(part, fam, centers, cover):
+    """The cover is the one the construction ``cover`` makes."""
+    chosen, tags = cover(*kept_intervals(fam, centers))
+    assert part.tags == tuple(tags)
+    present = sorted(set(tags))
+    assert [part.assignment[idx] for _l, _r, idx in chosen] == [present.index(t) for t in tags]
+    assert sum(a >= 0 for a in part.assignment) == len(chosen)
+
+
+def assert_runs_alternate(part, fam):
+    """The runs, computed from the kept intervals by left end: an interval
+    starting at or before the reach of those before it continues a run,
+    and consecutive intervals of a run lie in different families, as the
+    tags say."""
+    kept = sorted((c[0] - r, c[0] + r, i) for i, (c, r) in enumerate(zip(fam.coords, fam.radii))
+                  if part.assignment[i] >= 0)
+    present = sorted(set(part.tags))
+    assert [part.assignment[i] for *_iv, i in kept] == [present.index(t) for t in part.tags]
+    reach = -math.inf
+    for k, (left, right, i) in enumerate(kept):
+        if left <= reach:
+            assert part.assignment[i] != part.assignment[kept[k - 1][2]]
+        reach = max(reach, right)
+
+
+def test_oned_randomized_bounded_route(monkeypatch):
+    monkeypatch.setattr(selection, "_SCATTERED_DENSITY", 0.0)  # never scattered
     rng = np.random.default_rng(101)
     for trial in range(800):
         n = int(rng.integers(1, 40))
         centers, fam = random_1d_instance(rng, n)
-        part = besicovitch_cover_1d(fam, centers, mode="bounded")
+        part = besicovitch_cover_1d(fam, centers)
+        assert_built_by(part, fam, centers, bounded)
         assert len(part.families) <= 2
         for f in part.families:
             assert_family_disjoint_1d(f)
         assert_centers_covered_1d(part, centers)
-        cs = part.chain_state
-        for k in range(1, len(cs.tags)):
-            if cs.chain_ids[k] == cs.chain_ids[k - 1]:
-                assert cs.tags[k] != cs.tags[k - 1]
+        assert_runs_alternate(part, fam)
 
 
-def test_oned_randomized_scattered_route():
+def test_oned_randomized_scattered_route(monkeypatch):
+    monkeypatch.setattr(selection, "_SCATTERED_DENSITY", math.inf)  # scattered but for no spread
     rng = np.random.default_rng(103)
     for trial in range(300):
         n = int(rng.integers(1, 40))
         centers, fam = random_1d_instance(rng, n, spread=1e6, rmax=100.0)
-        part = besicovitch_cover_1d(fam, centers, mode="scattered")
+        part = besicovitch_cover_1d(fam, centers)
+        if n > 1:  # one center has no spread, and is covered by the bounded route
+            assert_built_by(part, fam, centers, scattered)
         assert len(part.families) <= 2
         for f in part.families:
             assert_family_disjoint_1d(f)
         assert_centers_covered_1d(part, centers)
-        cs = part.chain_state
-        for k in range(1, len(cs.tags)):
-            if cs.chain_ids[k] == cs.chain_ids[k - 1]:
-                assert cs.tags[k] != cs.tags[k - 1]
+        assert_runs_alternate(part, fam)
 
 
-def test_oned_auto_picks_scattered_for_wide_spread():
+# (density of the kept intervals, whether the scattered construction runs)
+DENSITIES = [(0.02, True), (0.1, True), (0.2, True), (0.45, False), (1.0, False), (16.0, False)]
+
+
+@pytest.mark.parametrize("target,sparse", DENSITIES)
+def test_oned_picks_its_construction_by_density(target, sparse):
     rng = np.random.default_rng(107)
-    centers, fam = random_1d_instance(rng, 50, spread=1e6, rmax=10.0)
-    auto = besicovitch_cover_1d(fam, centers, mode="auto")
-    scattered = besicovitch_cover_1d(fam, centers, mode="scattered")
-    assert auto == scattered
+    differs = 0
+    for _ in range(20):
+        radii = [float(r) for r in rng.uniform(1.0, 10.0, 60)]
+        centers = sorted(float(c) for c in rng.uniform(0.0, 2.0 * sum(radii) / target, 60))
+        fam = interval_family(zip(centers, radii))
+        assert (density(fam, centers) < selection._SCATTERED_DENSITY) == sparse
+        part = besicovitch_cover_1d(fam, centers)
+        chosen, other = (scattered, bounded) if sparse else (bounded, scattered)
+        assert_built_by(part, fam, centers, chosen)
+        differs += list(other(*kept_intervals(fam, centers))[1]) != list(part.tags)
+    # the two constructions differ on these lines, so the test tells them apart
+    assert differs > 0
 
 
-def test_oned_both_routes_valid_on_same_input():
+@pytest.mark.parametrize("pairs,centers,built_by", [
+    # every radius zero: no density, the bounded construction
+    ([(float(k), 0.0) for k in range(1, 30)], None, "bounded"),
+    # one center: no spread
+    ([(5.0, 1.0), (5.0, 3.0)], None, "bounded"),
+    ([(5.0, 1.0), (1e6, 1.0)], [5.0], "bounded"),
+    # a spread beyond the float range: scattered, as 1000 * max r < spread was
+    ([(-1e308, 1.0), (0.0, 2.0), (1e308, 1.0)], None, "scattered"),
+    # radii summing beyond the float range: bounded, as the spread is smaller
+    ([(0.0, 1e308), (1.0, 1e308), (2.0, 1e308)], None, "bounded"),
+], ids=["zero radii", "one center", "one of two centers", "infinite spread", "infinite mass"])
+def test_oned_edge_densities_keep_their_construction(pairs, centers, built_by):
+    fam = interval_family(pairs)
+    centers = [c for c, _r in pairs] if centers is None else centers
+    part = besicovitch_cover_1d(fam, centers)
+    assert_built_by(part, fam, centers, {"bounded": bounded, "scattered": scattered}[built_by])
+    assert_centers_covered_1d(part, centers)
+
+
+def test_oned_both_routes_valid_on_same_input(monkeypatch):
     rng = np.random.default_rng(109)
     for _ in range(100):
         centers, fam = random_1d_instance(rng, int(rng.integers(2, 25)))
-        for mode in ("bounded", "scattered"):
-            part = besicovitch_cover_1d(fam, centers, mode=mode)
+        for threshold, cover in ((0.0, bounded), (math.inf, scattered)):
+            monkeypatch.setattr(selection, "_SCATTERED_DENSITY", threshold)
+            part = besicovitch_cover_1d(fam, centers)
+            assert_built_by(part, fam, centers, cover)
             assert len(part.families) <= 2
             for f in part.families:
                 assert_family_disjoint_1d(f)
@@ -589,7 +676,7 @@ def test_scattered_interval_without_anchor_raises(monkeypatch):
     monkeypatch.setattr(selection, "bisect_right", lambda a, x: len(a) + 2)
     fam = interval_family([(0.0, 1.0), (5e6, 1.0)])
     with pytest.raises(InternalError, match="anchors"):
-        besicovitch_cover_1d(fam, [0.0, 5e6], mode="scattered")
+        besicovitch_cover_1d(fam, [0.0, 5e6])  # density 8e-7: scattered
 
 
 def test_separation_check_raises_on_close_pair():
@@ -623,33 +710,39 @@ def _retag_third(ivs_tags, tag):
 
 
 # four chained intervals [-2, 2], [1, 5], [4, 8], [7, 11]: the cover keeps
-# all four, tagged 0, 1, 0, 1
+# all four, tagged 0, 1, 0, 1.  At density 16/9 the bounded construction
+# runs; a zero-radius fifth interval at 100 takes the density to 0.16, and
+# the scattered one runs
+CHAIN = [(c, 2.0) for c in (0.0, 3.0, 6.0, 9.0)]
 SELF_CHECK_CASES = [
-    ("bounded", "_phase_b_two_color", _drop_second, "center 3.0 is not covered by the line cover"),
-    ("bounded", "_phase_b_two_color", lambda ivs_tags: _retag_third(ivs_tags, 1),
+    (CHAIN, "_phase_b_two_color", _drop_second, "center 3.0 is not covered by the line cover"),
+    (CHAIN, "_phase_b_two_color", lambda ivs_tags: _retag_third(ivs_tags, 1),
      "interval 2 meets an earlier interval of its family"),
-    ("bounded", "_phase_b_two_color", lambda ivs_tags: _retag_third(ivs_tags, 2),
+    (CHAIN, "_phase_b_two_color", lambda ivs_tags: _retag_third(ivs_tags, 2),
      "the line cover uses 3 families"),
-    ("scattered", "_staircase_two_color", _drop_second, "center 3.0 is not covered by the line cover"),
-    ("scattered", "_staircase_two_color", _widen_first,
+    (CHAIN + [(100.0, 0.0)], "_staircase_two_color", _drop_second,
+     "center 3.0 is not covered by the line cover"),
+    (CHAIN + [(100.0, 0.0)], "_staircase_two_color", _widen_first,
      "interval 2 meets an earlier interval of its family"),
 ]
 
 
-@pytest.mark.parametrize("mode,stage,corrupt,message", SELF_CHECK_CASES)
-def test_oned_checks_its_own_cover(mode, stage, corrupt, message, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("pairs,stage,corrupt,message", SELF_CHECK_CASES)
+def test_oned_checks_its_own_cover(pairs, stage, corrupt, message, tmp_path, monkeypatch, capsys):
     from ballcover.cli import run_command
 
     scene = tmp_path / "line.json"
     scene.write_text(json.dumps({
         "version": 1, "space": {"kind": "euclidean", "dim": 1},
-        "balls": [{"center": [c], "radius": 2.0} for c in (0.0, 3.0, 6.0, 9.0)],
+        "balls": [{"center": [c], "radius": r} for c, r in pairs],
     }))
-    assert run_command(["oned", str(scene), "--mode", mode]) == 0
+    assert run_command(["oned", str(scene)]) == 0
     original = getattr(selection, stage)
-    monkeypatch.setattr(selection, stage, lambda *a: corrupt(original(*a)))
+    called = []
+    monkeypatch.setattr(selection, stage, lambda *a: called.append(1) or corrupt(original(*a)))
     capsys.readouterr()
-    assert run_command(["oned", str(scene), "--mode", mode]) == 3
+    assert run_command(["oned", str(scene)]) == 3
+    assert called  # the density chose the construction with this stage
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"internal error: {message}\n"

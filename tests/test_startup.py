@@ -168,8 +168,8 @@ def test_oned_leaves_numpy_out(tmp_path):
              for k in range(40)]
     path.write_text(json.dumps({"version": 1, "space": {"kind": "euclidean", "dim": 1},
                                 "balls": balls}))
-    commands = [["oned", str(path), "--mode", mode] for mode in ("auto", "bounded", "scattered")]
-    assert run_fresh(commands) == ([0, 0, 0], False)
+    commands = [["oned", str(path)], ["oned", str(path), "--timing"]]
+    assert run_fresh(commands) == ([0, 0], False)
 
 
 def test_the_record_check_sees_dataclasses(tmp_path):
@@ -344,7 +344,7 @@ def test_well_formed_calls_leave_argparse_out(tmp_path):
         ["validate", str(tight), "--what", "besicovitch", "--tol", "1e-9"],
         ["select", str(scene), "--beta", "0.5"],
         ["partition", str(scene), "--alpha", "0.75", "--timing"],
-        ["oned", str(line), "--mode", "bounded"],
+        ["oned", str(line), "--timing"],
         ["net", str(scene), "--eps", "0.5", "--strict"],
         ["search", "--what", "wbcp", "--dim", "2", "--budget", "50", "--restarts", "1"],
         ["cip", str(scene), "--m", "2"],

@@ -32,6 +32,7 @@ from ballcover.covering import (
     VALID,
     QuasiRoundSet,
     Verdict,
+    is_besicovitch_family,
     is_tau_satellite_configuration,
 )
 from ballcover._rng import Generator
@@ -174,7 +175,6 @@ def test_find_common_point_matches_the_generic_sweep(dim):
 # ---------------------------------------------------------------------------
 
 SPHERE_RADII = (1.0, 2.5)
-ANTIPODAL = "log map is undefined at antipodal points"
 
 
 def on_sphere(rng, radius):
@@ -225,11 +225,23 @@ def sweep_outcome(sweep, *args):
         return str(e)
 
 
+def count_away(monkeypatch):
+    """Count the steps that leave the antipode of a center (both sweeps
+    call ``geometry._away`` there)."""
+    from ballcover import geometry
+
+    calls = []
+    away = geometry._away
+    monkeypatch.setattr(geometry, "_away", lambda R, x: calls.append(x) or away(R, x))
+    return calls
+
+
 @pytest.mark.parametrize("radius", SPHERE_RADII)
-def test_sphere_sweep_equals_the_generic_one(radius):
+def test_sphere_sweep_equals_the_generic_one(radius, monkeypatch):
     model = Space.sphere(2, radius)._model
     rng = random.Random(60)
     seen = set()
+    antipodal = count_away(monkeypatch)
     for centers, radii in random_caps(radius, 61) + edge_caps(radius):
         balls = list(zip(centers, radii))
         for x in cap_starts(centers, radius, rng):
@@ -243,17 +255,53 @@ def test_sphere_sweep_equals_the_generic_one(radius):
                 assert not isinstance(got, str), (centers, radii, x, got)
                 assert same_floats(got, want[0]), (centers, radii, x, got, want)
                 seen.add(want[1])
-    assert seen == {True, False, ANTIPODAL}
+    assert seen == {True, False}
+    assert len(antipodal) > 100  # the starts antipodal to a center, in both sweeps
 
 
 @pytest.mark.parametrize("radius", SPHERE_RADII)
-def test_sphere_sweep_from_the_antipode_of_a_center_raises_as_the_generic_one(radius):
+def test_sphere_sweep_from_the_antipode_of_a_center_steps_as_the_generic_one(radius):
+    """At the antipode of a center, where the log map is undefined, both
+    sweeps step along the axis with the least |x_k|, projected: here the
+    first, so the step stays in the plane of x and that axis, and ends on
+    the ball's boundary."""
     model = Space.sphere(2, radius)._model
     c = (0.0, 0.6 * radius, 0.8 * radius)
     x = tuple(-v for v in c)
-    for sweep in (model.sweep, partial(_Model.sweep, model)):
-        with pytest.raises(DomainError, match=f"^{ANTIPODAL}$"):
-            sweep(x, [(c, 0.5 * radius)], 3, 1e-10)
+    got, want = (sweep(x, [(c, 0.5 * radius)], 3, 1e-10)
+                 for sweep in (model.sweep, partial(_Model.sweep, model)))
+    assert same_floats(got, want)
+    assert got[0] > 0.0 and got[1] * x[2] == pytest.approx(got[2] * x[1], abs=1e-15 * radius)
+    assert model.kernel(got, c) == pytest.approx(0.5 * radius, rel=1e-12)
+    with pytest.raises(DomainError, match="^log map is undefined at antipodal points$"):
+        model.log(x, c, None)
+
+
+@pytest.mark.parametrize("radius", SPHERE_RADII)
+def test_the_step_off_an_antipode_is_a_unit_tangent_along_the_least_axis(radius):
+    from ballcover.geometry import _away
+
+    rng = random.Random(63)
+    points = [on_sphere(rng, radius) for _ in range(200)]
+    points += [(0.0, 0.0, radius), (0.0, -radius, 0.0), (radius, 0.0, 0.0)]  # ties: the first
+    for x in points:
+        u = _away(radius, x)
+        k = min(range(3), key=lambda i: abs(x[i]))
+        assert math.fsum(v * v for v in u) == pytest.approx(1.0, abs=1e-15)
+        assert abs(math.fsum(a * b for a, b in zip(u, x))) < 1e-15 * radius
+        # u lies in the plane of x and the axis: its cross terms off the axis vanish
+        i, j = (m for m in range(3) if m != k)
+        assert u[i] * x[j] == pytest.approx(u[j] * x[i], abs=1e-15 * radius)
+        assert u[k] > 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_antipodal_hemispheres_meet_on_the_equator(dim):
+    space = Space.sphere(dim)
+    pole = (0.0,) * dim + (1.0,)
+    family = BallFamily.from_columns(space, [pole, tuple(-v for v in pole)], [math.pi / 2] * 2)
+    verdict = is_besicovitch_family(family)
+    assert verdict.is_valid and abs(verdict.witness.coords[-1]) < 1e-12
 
 
 @pytest.mark.parametrize("radius", SPHERE_RADII)
@@ -278,7 +326,7 @@ def test_find_common_point_on_the_two_sphere_matches_the_generic_sweep(radius):
             if got.point is not None:
                 assert same_floats(got.point.coords, want.point.coords)
             outcomes.add(got.point is not None)
-    assert outcomes == {True, False, ANTIPODAL}
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------------------
