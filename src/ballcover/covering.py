@@ -272,26 +272,27 @@ def find_common_point(
 # ---------------------------------------------------------------------------
 
 
-def _under_overflow(family: BallFamily):
-    """``(family, 0)``, or, once a |coordinate| or radius reaches the model's
-    ``huge``, the family scaled by the least ``2**-k`` that brings all under
-    it (exactly, but for numbers it takes below the float range), and ``k``."""
+def _scaled(family: BallFamily):
+    """The l^p family scaled by the least ``2**-k`` that brings every
+    |coordinate| and radius under the model's ``huge``, where no distance
+    overflows (exact but for numbers it takes below the float range), and k."""
     huge, coords, radii = family.space._model.huge, family.coords, family.radii
-    top = max(max(map(abs, chain.from_iterable(coords)), default=0.0), max(radii, default=0.0))
-    if not top >= huge:
-        return family, 0
+    top = max(max(map(abs, chain.from_iterable(coords))), max(radii))
     (m, e), (hm, he) = math.frexp(top), math.frexp(huge)
     k = e - he + (m >= hm)
     scaled = tuple([tuple([math.ldexp(v, -k) for v in c]) for c in coords])
     return BallFamily._columns(family.space, scaled, tuple([math.ldexp(r, -k) for r in radii])), k
 
 
-def _pair_violations(family: BallFamily, tol: float):
+def _pair_violations(family: BallFamily, tol: float, k: int = 0):
     """Scan the ordered pairs (i, j), i major, once, yielding ``(True,
     verdict)`` where center i lies in ball j and ``(False, verdict)``
     where j > i and the balls are apart by more than ``tol * (1 + r_i +
-    r_j)``, each verdict INVALID with witness ``(i, j)``."""
+    r_j)``, each verdict INVALID with witness ``(i, j)``.  The family is
+    one scaled by ``2**-k``, so the slack's 1 is ``2**-k``; an l^p
+    distance of inf has overflowed, and raises OverflowError."""
     space, centers, radii = family.space, family.centers, family.radii
+    unit = math.ldexp(1.0, -k)
     for i, (ci, ri) in enumerate(zip(centers, radii)):
         for j, (cj, rj) in enumerate(zip(centers, radii)):
             if i == j:
@@ -300,7 +301,9 @@ def _pair_violations(family: BallFamily, tol: float):
             if not d > rj:
                 reason = "center containment: center %d lies in ball %d" % (i, j)
                 yield True, Verdict(INVALID, reason, (i, j))
-            elif j > i and d > ri + rj + tol * (1.0 + ri + rj):
+            elif j > i and d > ri + rj + tol * (unit + ri + rj):
+                if d == math.inf and space._model.flat:
+                    raise OverflowError("distance %d-%d beyond the float range" % (i, j))
                 yield False, Verdict(INVALID, "balls %d and %d do not intersect" % (i, j), (i, j))
 
 
@@ -318,13 +321,24 @@ def is_besicovitch_family(
     a pair ``(i, j)``: a center inside another ball or, when no point is
     found, two balls apart by more than ``tol * (1 + r_i + r_j)``.  With
     neither, the verdict is ``indeterminate``, with the least violation
-    reached and its tolerance.  ``tol`` must be finite and >= 0.  A flat
-    family near the float limit is checked scaled (:func:`_under_overflow`).
+    reached and its tolerance.  ``tol`` must be finite and >= 0.  An l^p
+    family whose distances overflow is checked scaled by a power of two
+    (:func:`_scaled`), with the same slacks.
     """
     _check_tol(tol)
-    scaled, k = _under_overflow(family)
+    try:
+        return _besicovitch(family, 0, tol, max_iter)
+    except OverflowError:
+        if not family.space._model.flat:
+            raise
+        return _besicovitch(*_scaled(family), tol, max_iter)
+
+
+def _besicovitch(family: BallFamily, k: int, tol: float, max_iter: int) -> Verdict:
+    """:func:`is_besicovitch_family` of a family scaled by ``2**-k``: the
+    slacks' 1 is ``2**-k``, and the witness and reason scale back."""
     apart = None
-    for contained, violation in _pair_violations(scaled, tol):
+    for contained, violation in _pair_violations(family, tol, k):
         if contained:
             return violation
         apart = apart or violation
@@ -332,13 +346,17 @@ def is_besicovitch_family(
     if n <= 1:
         witness = Point(family.coords[0]) if n == 1 else None
         return Verdict(VALID, witness=witness)
-    feas = find_common_point(scaled, tol=tol, max_iter=max_iter)
-    if feas.point is not None:
+    feas = find_common_point(family, tol=tol, max_iter=max_iter)
+    if feas.point is not None and not k:
+        return Verdict(VALID, witness=feas.point)
+    # scaled, the sweep's slack, tol * (1 + max radius), is looser than the family's
+    slack = tol * (math.ldexp(1.0, -k) + max(family.radii))
+    if feas.point is not None and feas.max_violation <= slack:
         # a flat sweep steps between centers, so the point scales back finite
         return Verdict(VALID, witness=Point(tuple([math.ldexp(v, k) for v in feas.point])))
-    slack = math.ldexp(tol * (1.0 + max(scaled.radii)), k)
     reason = "no common point was found (max violation %.3g, tolerance %.3g)"
-    return apart or Verdict(INDETERMINATE, reason % (math.ldexp(feas.max_violation, k), slack))
+    return apart or Verdict(INDETERMINATE, reason % (math.ldexp(feas.max_violation, k),
+                                                     math.ldexp(slack, k)))
 
 
 def is_k_configuration(family: BallFamily, tol: float = DEFAULT_TOL) -> Verdict:
@@ -346,11 +364,17 @@ def is_k_configuration(family: BallFamily, tol: float = DEFAULT_TOL) -> Verdict:
 
     Like a Besicovitch family but without the common-point requirement:
     every pair of balls must intersect, and every Besicovitch family
-    passes this check as well.  ``tol`` must be finite and >= 0.  A flat
-    family near the float limit is checked scaled, as there.
+    passes this check as well.  ``tol`` must be finite and >= 0.  An l^p
+    family whose distances overflow is checked scaled, as there.
     """
     _check_tol(tol)
-    return next((v for _, v in _pair_violations(_under_overflow(family)[0], tol)), Verdict(VALID))
+    try:
+        return next((v for _, v in _pair_violations(family, tol)), Verdict(VALID))
+    except OverflowError:
+        if not family.space._model.flat:
+            raise
+        scaled, k = _scaled(family)
+        return next((v for _, v in _pair_violations(scaled, tol, k)), Verdict(VALID))
 
 
 def is_alpha_configuration(

@@ -327,7 +327,7 @@ def _away(R, x):
 
 # The common-point sweep of the sphere S^2 of radius R unrolled: one loop
 # that runs ``_sphere``, ``_Sphere.log`` (``_away`` at an antipode), the
-# step scale ``(d - r) / d`` of ``_Curved.step`` and ``_Sphere.exp`` on
+# step scale ``(d - r) / d`` of ``_Sphere.step`` and ``_Sphere.exp`` on
 # floats, with their operations in their order and their DomainError
 # messages.  The log map's cosine ``_dot(x, c) / (R * R)`` is the kernel's
 # ``cos_t``, a sum ``0.0 + ...`` is the one from the int 0 (the int converts
@@ -433,22 +433,21 @@ class _Model:
     A model sets ``width`` (the number of ambient coordinates), ``flat``
     (true for l^p only), ``origin`` (built on use, so a model costs O(1)
     in the dimension), ``inj`` (the injectivity radius), ``kernel``,
-    ``parameter``, the Space field it reads, ``grid``: the :class:`_Grid`
-    axes and least cell side, and ``huge``: no kernel term overflows on
-    numbers below it.  Its methods work on coordinate tuples: ``surface``
-    re-projects checked coordinates within ``SURFACE_TOL`` of the space
-    onto it, ``norm``/``project``/``exp``/``log`` handle tangent vectors
-    (``log(b, q, d)`` takes the distance ``d`` from ``b`` to ``q``, or
-    None to compute it), ``step(x, c, r, d)`` moves ``x``, at distance
-    ``d > r`` from the center ``c``, onto the ball of radius ``r``,
-    ``sweep`` runs the common-point sweep on those steps, and ``volume``,
-    ``random`` and ``uniform`` serve the functions of those purposes.  l2
-    in R^2 and R^3 and the sphere S^2 bind an unrolled sweep on floats
-    with the floats of this one (``_sweep_l2_2``, ``_sweep_l2_3``,
-    ``_sweep_s2``).
+    ``parameter``, the Space field it reads, and ``grid``: the
+    :class:`_Grid` axes and least cell side.  Its methods work on
+    coordinate tuples: ``surface`` re-projects checked coordinates within
+    ``SURFACE_TOL`` of the space onto it, ``norm``/``project``/``exp``/
+    ``log`` handle tangent vectors (``log(b, q, d)`` takes the distance
+    ``d`` from ``b`` to ``q``, or None to compute it), ``step(x, c, r,
+    d)`` moves ``x``, at distance ``d > r`` from the center ``c``, onto
+    the ball of radius ``r``, ``sweep`` runs the common-point sweep on
+    those steps, and ``volume``, ``random`` and ``uniform`` serve the
+    functions of those purposes.  l2 in R^2 and R^3 and the sphere S^2
+    bind an unrolled sweep on floats with the floats of this one
+    (``_sweep_l2_2``, ``_sweep_l2_3``, ``_sweep_s2``).
     """
 
-    flat, huge = False, math.inf
+    flat = False
 
     def centroid(self, points):
         """The extra, centroid start of the common-point sweep, if any."""
@@ -490,7 +489,7 @@ class _Flat(_Model):
         self.p, self.width = p, space.dim
         # an l^p norm is at least an axis gap, and |x| ** p underflows below 2 ** (-1022 / p)
         self.grid = (min(3, space.dim), 2.0 ** -(1000.0 / p if p < math.inf else 1000.0))
-        # and for |x|, |y| < huge, |x - y| ** p stays below 2 ** 1002
+        # and for |x|, |y| < huge, |x - y| ** p stays below 2 ** 1002 (covering._scaled)
         self.huge = 2.0 ** (500.0 if p in (1.0, 2.0, math.inf) else 1000.0 / p - 1.0)
         if p == 2.0:
             self.kernel = {1: _l2_1, 2: _l2_2, 3: _l2_3}.get(space.dim, _l2)
@@ -589,17 +588,14 @@ class _Curved(_Model):
         self.space, self.R, self.dim, self.width = space, R, space.dim, space.dim + 1
 
     def step(self, x, c, r, d):
-        # follow the geodesic toward the center, or from its antipode on a
-        # sphere the one _away gives; d is the distance that log_map would
-        # otherwise compute again.  S^2 sweeps with _sweep_s2 instead; the
-        # other spheres and the hyperboloid step through the public maps,
-        # which the benchmark's layer trace expects validate to reach until
-        # its tracer changes (ROADMAP item 5)
+        # follow the geodesic toward the center; d is the distance that
+        # log_map would otherwise compute again.  S^2 sweeps with
+        # _sweep_s2 instead; the other spheres and the hyperboloid step
+        # through the public maps, which the benchmark's layer trace
+        # expects validate to reach until its tracer changes (ROADMAP
+        # item 5)
         p = Point(x)
-        if d < self.antipodal:
-            v = log_map(self.space, p, Point(c), d).vector
-        else:
-            v = tuple([d * y for y in _away(self.R, x)])
+        v = log_map(self.space, p, Point(c), d).vector
         s = (d - r) / d
         return exp_map(self.space, Tangent(p, tuple(s * y for y in v))).coords
 
@@ -653,6 +649,13 @@ class _Sphere(_Curved):
         # the arc is at least the chord, whose squares underflow as l2's do
         self.grid = (min(3, self.width), 2.0 ** -500)
 
+    def step(self, x, c, r, d):
+        if d < self.antipodal:
+            return super().step(x, c, r, d)
+        # no log map from the antipode of c: leave along _away, with _sweep_s2's floats
+        v = tuple([d * y for y in _away(self.R, x)])
+        return exp_map(self.space, Tangent(Point(x), tuple((d - r) / d * y for y in v))).coords
+
     def surface(self, c):
         R = self.R
         norm = math.sqrt(_sumsq(c))
@@ -701,7 +704,7 @@ class _Hyperboloid(_Curved):
     parameter = None
     sn, t_max, t_peak = math.sinh, math.inf, math.inf
     sn_integral = staticmethod(_sinh_power_integral)
-    inj = antipodal = math.inf
+    inj = math.inf
     kernel = staticmethod(_hyperboloid)
     grid = (0, 0.0)  # no coordinate gap bounds the distance: every pair is tested
 

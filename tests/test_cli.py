@@ -520,7 +520,7 @@ class TestUnexpectedErrors:
     }
 
     def test_l3_overflow_exits_three(self, tmp_path, capsys):
-        # the validators rescale such a family; the overlap probes of select do not
+        # the validators rescale a family that overflows; the overlap probes of select do not
         scene = tmp_path / "huge.json"
         scene.write_text(json.dumps(self.HUGE_L3))
         assert run_command(["select", str(scene)]) == 3
@@ -653,9 +653,9 @@ class TestSphereRadiusRange:
 
 
 class TestExtremeFamilies:
-    """Extreme but legal families get a verdict: huge flat coordinates are
-    validated rescaled, and the sphere sweep steps off the antipode of a
-    center."""
+    """Extreme but legal families get a verdict: flat families whose
+    distances overflow are validated rescaled, and the sphere sweep steps
+    off the antipode of a center."""
 
     @staticmethod
     def validate(tmp_path, capsys, space, balls, what="besicovitch"):

@@ -224,7 +224,7 @@ def test_k_configuration_rejects_disjoint_pairs():
 
 
 # ---------------------------------------------------------------------------
-# Families beyond the overflow bound are validated rescaled
+# Families whose distances overflow are validated rescaled
 # ---------------------------------------------------------------------------
 
 
@@ -232,22 +232,72 @@ def test_k_configuration_rejects_disjoint_pairs():
                                          (math.inf, 2.0 ** 500), (3.0, 2.0 ** (1000 / 3 - 1)),
                                          (1.5, 2.0 ** (1000 / 1.5 - 1))])
 def test_the_overflow_bound_and_the_least_power_of_two(pnorm, bound):
-    from ballcover.covering import _under_overflow
+    from ballcover.covering import _scaled
 
     space = Space.euclidean(2, pnorm)
     assert space._model.huge == bound
-    below = BallFamily.from_columns(space, [(math.nextafter(bound, 0.0), -1.0)], [1.0])
-    assert _under_overflow(below) == (below, 0)
     for top in (bound, math.nextafter(bound, math.inf), 1.5 * bound, 1e300, 1.7e308):
         for family in (BallFamily.from_columns(space, [(0.5, -top)], [1.0]),
                        BallFamily.from_columns(space, [(0.5, 2.0)], [top])):
-            scaled, k = _under_overflow(family)
+            scaled, k = _scaled(family)
             assert k > 0
             # the least power of two: one less would leave the family at the bound
             assert math.ldexp(top, -k) < bound <= math.ldexp(top, 1 - k)
             assert scaled.coords == tuple(tuple(math.ldexp(v, -k) for v in c)
                                           for c in family.coords)
             assert scaled.radii == tuple(math.ldexp(r, -k) for r in family.radii)
+
+
+@pytest.mark.parametrize("pnorm", [1.0, math.inf, 2.0])
+def test_a_family_that_never_overflows_is_never_scaled(pnorm, monkeypatch):
+    import ballcover.covering as covering
+
+    def never(family):
+        raise AssertionError("scaled")
+
+    monkeypatch.setattr(covering, "_scaled", never)
+    # l1 and l-inf sums stay finite at 1e300, and l2 squares below 2**511
+    big = 1e300 if pnorm != 2.0 else 2.0 ** 500
+    space = Space.euclidean(2, pnorm)
+    tangent = BallFamily.from_columns(space, [(big, 0.0), (-big, 0.0)], [big, big])
+    assert is_besicovitch_family(tangent).witness == Point((0.0, 0.0))
+    assert is_k_configuration(tangent).is_valid
+    apart = BallFamily.from_columns(space, [(big, 0.0), (-big, 0.0)], [0.9 * big] * 2)
+    assert is_besicovitch_family(apart).witness == is_k_configuration(apart).witness == (0, 1)
+
+
+@pytest.mark.parametrize("pnorm", [math.inf, 1.0, 2.0, 3.0])
+def test_the_slack_keeps_its_unit_when_scaled(pnorm):
+    # two unit balls 1 apart beside a ball of radius ~2**600: their gap is far
+    # above tol * (1 + 1 + 1) in every l^p, whether the distances to the big
+    # ball overflow (l2, l3: the family is checked scaled by 2**-101 or less)
+    # or not (l1, l-inf)
+    space = Space.euclidean(2, pnorm)
+    family = BallFamily.from_columns(space, [(2.0 ** 600, 0.0), (0.0, 0.0), (3.0, 0.0)],
+                                     [2.0 ** 600 * (1.0 - 2.0 ** -40), 1.0, 1.0])
+    verdict = is_k_configuration(family)
+    assert (verdict.status, verdict.witness) == ("invalid", (1, 2))
+    assert verdict.reason == "balls 1 and 2 do not intersect"
+    # the common-point slack, tol * (1 + max radius), takes in a point near (2, 0)
+    witness = is_besicovitch_family(family).witness
+    assert witness.coords == pytest.approx((2.0, 0.0))
+
+
+def test_a_scaled_sweep_meets_the_slack_of_the_family():
+    # three balls of radius 2**512 whose pairwise distances overflow, around a
+    # triangle of side sqrt(3) * (1 + 1e-7): no common point within tol * (1 + r).
+    # Scaled by 2**-521, the sweep's own slack, tol * (1 + r * 2**-521), takes
+    # its point in; the family's, tol * (2**-521 + r * 2**-521), does not
+    side = math.sqrt(3.0) * (1.0 + 1e-7)
+    pts = [(0.0, 0.0), (side, 0.0), (side / 2, side / 2 * math.sqrt(3.0))]
+    small = disk_family([(x, y, 1.0) for x, y in pts])
+    huge = BallFamily.from_columns(
+        Space.euclidean(3), [(math.ldexp(x, 512), math.ldexp(y, 512), 2.0 ** 1020) for x, y in pts],
+        [2.0 ** 512] * 3)
+    assert is_k_configuration(small).is_valid and is_k_configuration(huge).is_valid
+    v_small, v_huge = is_besicovitch_family(small), is_besicovitch_family(huge)
+    assert v_small.status == v_huge.status == "indeterminate"
+    assert v_huge.reason.endswith("tolerance %.3g)" % (1e-9 * (1.0 + 2.0 ** 512)))
 
 
 def test_a_huge_family_keeps_its_verdicts_scaled_back():

@@ -24,7 +24,9 @@ from ballcover import (
     InputError,
     Point,
     Space,
+    Tangent,
     distance,
+    exp_map,
     find_common_point,
 )
 from ballcover.covering import (
@@ -275,6 +277,24 @@ def test_sphere_sweep_from_the_antipode_of_a_center_steps_as_the_generic_one(rad
     assert model.kernel(got, c) == pytest.approx(0.5 * radius, rel=1e-12)
     with pytest.raises(DomainError, match="^log map is undefined at antipodal points$"):
         model.log(x, c, None)
+
+
+def test_the_hyperboloid_steps_through_the_log_map_at_every_distance(monkeypatch):
+    """The antipode step is the spheres' only: a hyperboloid step, at an
+    infinite distance too, goes through ``log_map``, which the benchmark's
+    layer trace counts, and never through ``_away``."""
+    from ballcover import geometry
+
+    away = count_away(monkeypatch)
+    logs = []
+    log_map = geometry.log_map
+    monkeypatch.setattr(geometry, "log_map", lambda *a: logs.append(a) or log_map(*a))
+    space = Space.hyperbolic(2)
+    model = space._model
+    c = exp_map(space, Tangent(Point(model.origin), (5.0, 0.0, 0.0))).coords
+    for d in (model.kernel(model.origin, c), math.inf):
+        model.step(model.origin, c, 1.0, d)
+    assert len(logs) == 2 and away == []
 
 
 @pytest.mark.parametrize("radius", SPHERE_RADII)
