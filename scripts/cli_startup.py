@@ -1,6 +1,6 @@
-"""Time fresh CLI processes: interpreter start, the CLI import and five calls.
+"""Time fresh CLI processes: interpreter start, the CLI import and six calls.
 
-Seven children are timed, each run ``--rounds`` times, in an order that
+Eight children are timed, each run ``--rounds`` times, in an order that
 reverses from round to round, so host drift falls on all of them alike:
 
 * ``pass``: ``python -c pass``, the interpreter alone;
@@ -10,6 +10,8 @@ reverses from round to round, so host drift falls on all of them alike:
   ``validate-batch`` workload at ``--seed``;
 * ``oned``: the ``oned-bounded`` command of its ``line-1d`` workload
   (30,000 intervals);
+* ``partition``: the ``partition-plane`` command of its
+  ``plane-partition`` workload;
 * ``help``: ``python -m ballcover.cli -h``, which goes through argparse;
 * ``search``: ``search --what hadwiger --dim 3``, a well-formed argv of a
   subcommand without a scene, read without argparse.
@@ -20,7 +22,8 @@ benchmark's environment (``PYTHONPATH``, ``PYTHONHASHSEED=0``, buffered
 output), with its report sent to ``/dev/null``.  With ``--src`` given more
 than once, the trees' children alternate within each round, so two source
 trees can be compared.  One JSON object goes to standard output, with the
-min and median wall time of each child per tree, in seconds:
+min and median wall time of each child per tree and the min and median of
+its own user+sys CPU time (from ``os.wait4``), in seconds:
 
     python scripts/cli_startup.py [--rounds 15] [--seed 601] [--src DIR ...]
 """
@@ -47,6 +50,8 @@ def children(seed: int, workdir: str) -> dict:
     validate = next(op for op in build("validate-batch", seed, workdir).ops
                     if op.argv[0] == "validate")
     oned = next(op for op in build("line-1d", seed, workdir).ops if op.name == "oned-bounded")
+    partition = next(op for op in build("plane-partition", seed, workdir).ops
+                     if op.name == "partition-plane")
     cli = ["-m", "ballcover.cli"]
     return {
         "pass": ["-c", "pass"],
@@ -54,21 +59,31 @@ def children(seed: int, workdir: str) -> dict:
         "volume": [*cli, "volume", "--space", "euclidean", "--dim", "3", "--r", "1.5"],
         "validate": [*cli, *validate.argv],
         "oned": [*cli, *oned.argv],
+        "partition": [*cli, *partition.argv],
         "help": [*cli, "-h"],
         "search": [*cli, "search", "--what", "hadwiger", "--dim", "3"],
     }
 
 
-def wall(argv, src: str) -> float:
+def timed(argv, src: str) -> tuple:
+    """(wall s, user+sys CPU s) of one child."""
     env = {"PATH": os.environ.get("PATH", "/usr/bin:/bin"), "PYTHONPATH": src,
            "PYTHONHASHSEED": "0"}
     start = time.perf_counter()
-    code = subprocess.run([sys.executable, *argv], env=env, cwd=ROOT,
-                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    proc = subprocess.Popen([sys.executable, *argv], env=env, cwd=ROOT,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _pid, status, usage = os.wait4(proc.pid, 0)
     elapsed = time.perf_counter() - start
+    proc.returncode = code = os.waitstatus_to_exitcode(status)
     if code not in (0, 1):
         raise RuntimeError(f"{argv} exited {code} with PYTHONPATH={src}")
-    return elapsed
+    return elapsed, usage.ru_utime + usage.ru_stime
+
+
+def summary(runs) -> dict:
+    walls, cpus = zip(*runs)
+    return {"min_s": round(min(walls), 4), "median_s": round(statistics.median(walls), 4),
+            "cpu_min_s": round(min(cpus), 4), "cpu_median_s": round(statistics.median(cpus), 4)}
 
 
 def main() -> None:
@@ -85,7 +100,7 @@ def main() -> None:
         samples = {run: [] for run in runs}
         for k in range(args.rounds):
             for src, name in runs if k % 2 == 0 else reversed(runs):
-                samples[src, name].append(wall(argvs[name], src))
+                samples[src, name].append(timed(argvs[name], src))
     print(json.dumps({
         "seed": args.seed,
         "rounds": args.rounds,
@@ -93,9 +108,7 @@ def main() -> None:
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "trees": [{"src": src, "children": {
-            name: {"min_s": round(min(samples[src, name]), 4),
-                   "median_s": round(statistics.median(samples[src, name]), 4)}
-            for name in argvs}} for src in trees],
+            name: summary(samples[src, name]) for name in argvs}} for src in trees],
     }, indent=2))
 
 

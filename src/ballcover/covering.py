@@ -292,7 +292,7 @@ def _pair_violations(family: BallFamily, tol: float, k: int = 0):
     one scaled by ``2**-k``, so the slack's 1 is ``2**-k``; an l^p
     distance of inf has overflowed, and raises OverflowError."""
     space, centers, radii = family.space, family.centers, family.radii
-    unit = math.ldexp(1.0, -k)
+    unit, flat = math.ldexp(1.0, -k), space._model.flat
     for i, (ci, ri) in enumerate(zip(centers, radii)):
         for j, (cj, rj) in enumerate(zip(centers, radii)):
             if i == j:
@@ -301,9 +301,9 @@ def _pair_violations(family: BallFamily, tol: float, k: int = 0):
             if not d > rj:
                 reason = "center containment: center %d lies in ball %d" % (i, j)
                 yield True, Verdict(INVALID, reason, (i, j))
+            elif flat and d == math.inf:
+                raise OverflowError("distance %d-%d beyond the float range" % (i, j))
             elif j > i and d > ri + rj + tol * (unit + ri + rj):
-                if d == math.inf and space._model.flat:
-                    raise OverflowError("distance %d-%d beyond the float range" % (i, j))
                 yield False, Verdict(INVALID, "balls %d and %d do not intersect" % (i, j), (i, j))
 
 

@@ -549,6 +549,34 @@ class TestUnexpectedErrors:
         assert "Traceback" not in out.stderr
 
 
+class TestSceneEncoding:
+    """A scene is read as UTF-8 text: bytes that do not decode are an input
+    error, and the digest is the hash of the decoded text."""
+
+    LINE = {"version": 1, "space": {"kind": "euclidean", "dim": 1},
+            "balls": [{"center": [0.0], "radius": 1.0}, {"center": [1.5], "radius": 1.0}]}
+
+    @pytest.mark.parametrize("argv", [["validate", "{scene}", "--what", "k-config"],
+                                      ["oned", "{scene}"]], ids=" ".join)
+    def test_invalid_utf8_exits_two(self, argv, tmp_path, capsys):
+        scene = tmp_path / "bad.json"
+        scene.write_bytes(json.dumps(self.LINE).encode("ascii")[:-1] + b' "\xff"}')
+        assert run_command([a.format(scene=scene) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: scene is not valid UTF-8: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    def test_a_crlf_scene_digests_its_decoded_text(self, tmp_path, capsys):
+        import hashlib
+
+        scene = tmp_path / "crlf.json"
+        raw = json.dumps(self.LINE, indent=1).replace("\n", "\r\n").encode("utf-8")
+        scene.write_bytes(raw)
+        assert run_command(["oned", str(scene)]) == 0
+        digest = json.loads(capsys.readouterr().out)["input_digest"]
+        assert digest == hashlib.sha256(raw.replace(b"\r\n", b"\n")).hexdigest()
+
+
 @pytest.mark.parametrize("argv", [
     ["validate", "{valid_1d}", "--what", "besicovitch"],
     ["validate", "{invalid_1d}", "--what", "k-config", "--timing"],
@@ -1052,3 +1080,36 @@ class TestUnwritableStdout:
         monkeypatch.setattr(sys, "stdout", None)
         assert run_command(VOLUME) == 2
         assert capsys.readouterr().err == cannot_write(errno.EBADF)
+
+
+class TestCollector:
+    """``main`` runs a call with the cyclic garbage collector off;
+    ``run_command`` leaves it as it found it."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_run_command_leaves_the_collector_alone(self, enabled):
+        import gc
+
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert run_command([*VOLUME, "--out", os.devnull]) == 0
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_main_runs_the_handler_with_the_collector_off(self):
+        child = (
+            "import gc, sys\n"
+            "from ballcover import cli\n"
+            "before = gc.isenabled()\n"
+            "cli._HANDLERS['volume'] = lambda args: ({'before': before, 'during': gc.isenabled()},"
+            " None, None, 0)\n"
+            "sys.argv = ['ballcover', *sys.argv[1:]]\n"
+            "cli.main()\n"
+        )
+        out = subprocess.run([sys.executable, "-c", child, *VOLUME],
+                             env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+                             timeout=60)
+        assert (out.returncode, out.stderr) == (0, "")
+        assert json.loads(out.stdout)["payload"] == {"before": True, "during": False}

@@ -324,6 +324,17 @@ def test_a_huge_family_keeps_its_verdicts_scaled_back():
     assert violation[1] == pytest.approx(math.ldexp(violation[0], 900), rel=1e-2)
 
 
+@pytest.mark.parametrize("pnorm", [1.0, 2.0, 3.0, math.inf])
+def test_a_pair_whose_distance_and_radius_sum_both_overflow_is_apart(pnorm):
+    # 3.4e308 apart against radii summing to 3.0e308: both overflow to inf,
+    # and inf > inf would read the pair as meeting
+    family = BallFamily.from_columns(Space.euclidean(2, pnorm), [(1.7e308, 0.0), (-1.7e308, 0.0)],
+                                     [1.5e308, 1.5e308])
+    for verdict in (is_k_configuration(family), is_besicovitch_family(family)):
+        assert (verdict.status, verdict.witness) == ("invalid", (0, 1))
+        assert verdict.reason == "balls 0 and 1 do not intersect"
+
+
 # ---------------------------------------------------------------------------
 # Overlap profiles
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -195,6 +196,23 @@ class TestDigestAndReport:
     def test_digest_matches_sha256(self):
         text = minimal_text()
         assert scene_digest(text) == hashlib.sha256(text.encode()).hexdigest()
+
+    TEXTS = {"empty": "", "ascii": "{\"version\": 1}\n", "multi-byte": "ε ≤ ∞, 𝔹 ⊂ ℝ²",
+             "over 1 MB": "[0.125, -3.5e-07]\n" * 60_000}
+
+    # the built-in hash of 3.12+ (_sha2), then of 3.11 and older (_sha256), then hashlib
+    @pytest.mark.parametrize("blocked", [(), ("_sha2",), ("_sha2", "_sha256")],
+                             ids=["built-in", "no _sha2", "hashlib"])
+    @pytest.mark.parametrize("key", sorted(TEXTS))
+    def test_digest_matches_sha256_on_every_import_path(self, key, blocked, monkeypatch):
+        text = self.TEXTS[key]
+        for name in blocked:
+            monkeypatch.setitem(sys.modules, name, None)  # importing it raises ImportError
+        assert scene_digest(text) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+        if blocked == ("_sha2", "_sha256"):
+            monkeypatch.setitem(sys.modules, "hashlib", None)
+            with pytest.raises(ImportError):  # hashlib is the last fallback
+                scene_digest(text)
 
     def test_digest_changes_with_content(self):
         assert scene_digest("a") != scene_digest("b")

@@ -9,8 +9,9 @@ runs in its own ``sys.executable`` process; one whose prelude imports
 numpy shows that the check sees numpy when it is loaded.  The library
 needs numpy nowhere: with its import blocked, the package, the CLI, the
 covering-number estimate and the samplers run in every kind of space.
-Importing the CLI does not load OpenSSL's ``_hashlib`` either: only a
-scene digest needs it.
+Neither importing the CLI nor any call that reads a scene loads
+``hashlib`` or OpenSSL's ``_hashlib``: a scene digest hashes with
+CPython's built-in SHA-256.
 
 The package's records are plain classes, so neither ``dataclasses`` nor
 the ``inspect`` module it imports is loaded either.  numpy imports
@@ -262,7 +263,8 @@ def test_importing_the_cli_leaves_openssl_out():
     if "_hashlib" in modules_after(""):
         pytest.skip("this interpreter loads _hashlib at start-up")
     assert "_hashlib" not in modules_after("import ballcover.cli")
-    assert "_hashlib" in modules_after("from ballcover.sceneio import scene_digest; scene_digest('')")
+    assert "_hashlib" not in modules_after(
+        "from ballcover.sceneio import scene_digest; scene_digest('')")
 
 
 def deferred_loaded(commands):
@@ -310,27 +312,66 @@ def test_the_deferred_check_sees_what_a_command_loads(argv, loaded, tmp_path):
     assert set(loaded) <= set(got)
 
 
-PARSER_MODULES = ("argparse", "gettext", "locale")
-PARSERS_CHILD = """
+LOADED_CHILD = """
 import contextlib, io, json, sys
 from ballcover.cli import run_command
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     codes = [run_command(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes, "loaded": [m for m in %r if m in sys.modules]}))
-""" % (PARSER_MODULES,)
+print(json.dumps({"codes": codes, "loaded": [m for m in json.loads(sys.argv[2])
+                                             if m in sys.modules]}))
+"""
 
 
-def parsers_loaded(commands):
-    """Exit codes of the commands, and which of argparse, gettext and
-    locale they loaded beyond what a bare interpreter loads, in a fresh
-    interpreter that imported the CLI."""
+def loaded_beyond_bare(commands, names, prelude=""):
+    """Exit codes of the commands, and which of ``names`` they loaded
+    beyond what a bare interpreter loads, in a fresh interpreter that
+    ran ``prelude`` and imported the CLI."""
     bare = set(modules_after(""))
     env = dict(os.environ, PYTHONPATH=SRC)
-    out = subprocess.run([sys.executable, "-c", PARSERS_CHILD, json.dumps(commands)], env=env,
-                         capture_output=True, text=True, timeout=120)
+    out = subprocess.run([sys.executable, "-c", prelude + LOADED_CHILD, json.dumps(commands),
+                          json.dumps(names)], env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     result = json.loads(out.stdout)
     return result["codes"], [m for m in result["loaded"] if m not in bare]
+
+
+DIGEST_MODULES = ["hashlib", "_hashlib"]
+
+
+def scene_reading_calls(tmp_path):
+    """One call of each subcommand that reads a scene."""
+    scene = tmp_path / "l2.json"
+    scene.write_text(json.dumps(planted(SPACES["l2"], 5, 0.2)))
+    tight = tmp_path / "tight.json"
+    tight.write_text(json.dumps(planted(SPACES["l2"], 3, 1e-6)))
+    line = tmp_path / "line.json"
+    line.write_text(json.dumps(line_scene()))
+    return [
+        ["validate", str(tight), "--what", "besicovitch"],
+        ["oned", str(line)],
+        ["partition", str(scene)],
+        ["select", str(scene)],
+        ["net", str(scene), "--eps", "0.5"],
+        ["cip", str(scene), "--m", "2"],
+    ]
+
+
+def test_scene_reading_calls_leave_hashlib_out(tmp_path):
+    codes, loaded = loaded_beyond_bare(scene_reading_calls(tmp_path), DIGEST_MODULES)
+    assert codes == [0] * 6
+    assert loaded == []
+
+
+def test_the_digest_check_sees_hashlib(tmp_path):
+    # with both built-in hashes blocked, a scene digest falls back to hashlib
+    prelude = "import sys\nsys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+    codes, loaded = loaded_beyond_bare(scene_reading_calls(tmp_path)[:1], DIGEST_MODULES,
+                                       prelude)
+    assert codes == [0]
+    assert "hashlib" in loaded
+
+
+PARSER_MODULES = ["argparse", "gettext", "locale"]
 
 
 def test_well_formed_calls_leave_argparse_out(tmp_path):
@@ -354,13 +395,13 @@ def test_well_formed_calls_leave_argparse_out(tmp_path):
     assert sorted({argv[0] for argv in commands}) == sorted(
         ["validate", "select", "partition", "oned", "net", "search", "cip", "constants",
          "volume"])
-    codes, loaded = parsers_loaded(commands)
+    codes, loaded = loaded_beyond_bare(commands, PARSER_MODULES)
     assert codes == [0] * 9
     assert loaded == []
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["volume", "--space", "sphere"]], ids=" ".join)
 def test_help_and_usage_errors_load_argparse(argv):
-    codes, loaded = parsers_loaded([argv])
+    codes, loaded = loaded_beyond_bare([argv], PARSER_MODULES)
     assert codes == [0 if argv == ["-h"] else 2]
     assert "argparse" in loaded
