@@ -10,7 +10,10 @@ report digests), runs through ``ballcover.cli.run_command`` ``--runs``
 times, the commands taking turns, so a drift of the host's speed
 reaches them all alike.  One JSON object goes to standard output, with
 each command's minimum and median time, its exit code and the SHA-256
-of its report (or error message), which must be the same on every run:
+of its report (or error message), which must be the same on every run,
+and the number of calls it makes of ``covering.find_common_point`` and
+of ``covering.is_tau_satellite_configuration``, counted on one more run
+(deterministic, so they show where a change saved work):
 
     PYTHONPATH=src python scripts/search_inproc.py [--runs 7] [--only wbcp-d2,constants]
     PYTHONPATH=src python scripts/search_inproc.py --workload validate-batch [--seed 601]
@@ -36,7 +39,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 from workloads import SEARCH_COMMANDS, build  # noqa: E402
 
+from ballcover import cli, covering, search  # noqa: E402
 from ballcover.cli import run_command  # noqa: E402
+
+COUNTED = ("find_common_point", "is_tau_satellite_configuration")
 
 
 def run(argv):
@@ -46,6 +52,29 @@ def run(argv):
         code = run_command(list(argv))
         elapsed = time.perf_counter() - start
     return elapsed, code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+@contextlib.contextmanager
+def counting():
+    """Count the calls of each ``COUNTED`` function of ``covering``, under
+    every module name that binds it; yield the counts."""
+    counts, patches = dict.fromkeys(COUNTED, 0), []
+    for name in COUNTED:
+        real = getattr(covering, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        for mod in (covering, search, cli):
+            if getattr(mod, name, None) is real:
+                patches.append((mod, name, real))
+                setattr(mod, name, counted)
+    try:
+        yield counts
+    finally:
+        for mod, name, real in patches:
+            setattr(mod, name, real)
 
 
 def main() -> None:
@@ -73,11 +102,19 @@ def main() -> None:
             times[name].append(elapsed)
             if reports.setdefault(name, (code, digest)) != (code, digest):
                 raise SystemExit(f"{name}: the report changed between runs")
+    calls = {}
+    for name, argv in commands:
+        with counting() as counts:
+            _elapsed, code, digest = run(argv)
+        if reports[name] != (code, digest):
+            raise SystemExit(f"{name}: the report changed under the call counters")
+        calls[name] = {f"{fn}_calls": n for fn, n in counts.items()}
     rows = [{
         "command": name,
         "argv": argv,
         "min_s": round(min(times[name]), 4),
         "median_s": round(statistics.median(times[name]), 4),
+        **calls[name],
         "exit": reports[name][0],
         "report_sha256": reports[name][1],
     } for name, argv in commands]

@@ -226,6 +226,17 @@ def find_common_point(
     is empty: near tangency the sweep can stall outside it.  ``tol`` must
     be finite and >= 0.
 
+    A point returned lies within ``r + tol * scale`` of every center,
+    ``scale = 1 + max radius``, so by the triangle inequality no two
+    centers are more than ``r_i + r_j + 2 * tol * scale`` apart.  In l^p
+    spaces a pair past that bound, times ``1 + 1e-12`` (and ``2**-50``
+    per coordinate) for rounding, plus the model's underflow gap, rules
+    out every point the sweep could return (:func:`_beyond_sweep`), so
+    :func:`is_besicovitch_family` and the wbcp search's add moves give
+    the answer of its miss without calling it.  The sphere's ``acos``
+    near pi and the hyperboloid's cancellation are not accurate to a
+    relative margin, so curved spaces always sweep.
+
     A sweep steps the point onto every ball it lies outside of, in family
     order: along the straight line toward the center in l^p spaces (the
     metric projection for p = 2), along the geodesic in curved ones.
@@ -267,6 +278,19 @@ def find_common_point(
     return FeasibilityResult(None if best_v > tol * scale else Point(best), best_v)
 
 
+_APART_MARGIN = 1e-12  # relative; an l^p distance is off by a few ulps per coordinate
+
+
+def _beyond_sweep(model, d: float, ri: float, rj: float, tol: float, scale: float) -> bool:
+    """Whether centers ``d`` apart, of balls of radii ``ri`` and ``rj`` in
+    a family of ``scale = 1 + max radius``, rule out every point that
+    :func:`find_common_point` can return (see there); False off l^p."""
+    if not model.flat:
+        return False
+    margin = 1.0 + _APART_MARGIN + model.width * 2.0 ** -50
+    return d > (ri + rj + 2.0 * tol * scale) * margin + model.gap
+
+
 # ---------------------------------------------------------------------------
 # Family validators
 # ---------------------------------------------------------------------------
@@ -286,11 +310,12 @@ def _scaled(family: BallFamily):
 
 def _pair_violations(family: BallFamily, tol: float, k: int = 0):
     """Scan the ordered pairs (i, j), i major, once, yielding ``(True,
-    verdict)`` where center i lies in ball j and ``(False, verdict)``
-    where j > i and the balls are apart by more than ``tol * (1 + r_i +
-    r_j)``, each verdict INVALID with witness ``(i, j)``.  The family is
-    one scaled by ``2**-k``, so the slack's 1 is ``2**-k``; an l^p
-    distance of inf has overflowed, and raises OverflowError."""
+    verdict, d)`` where center i lies in ball j and ``(False, verdict,
+    d)`` where j > i and the balls are apart by more than ``tol * (1 +
+    r_i + r_j)``, each verdict INVALID with witness ``(i, j)`` and ``d``
+    the distance of the centers.  The family is one scaled by ``2**-k``,
+    so the slack's 1 is ``2**-k``; an l^p distance of inf has
+    overflowed, and raises OverflowError."""
     space, centers, radii = family.space, family.centers, family.radii
     unit, flat = math.ldexp(1.0, -k), space._model.flat
     for i, (ci, ri) in enumerate(zip(centers, radii)):
@@ -300,11 +325,12 @@ def _pair_violations(family: BallFamily, tol: float, k: int = 0):
             d = distance(space, ci, cj)
             if not d > rj:
                 reason = "center containment: center %d lies in ball %d" % (i, j)
-                yield True, Verdict(INVALID, reason, (i, j))
+                yield True, Verdict(INVALID, reason, (i, j)), d
             elif flat and d == math.inf:
                 raise OverflowError("distance %d-%d beyond the float range" % (i, j))
             elif j > i and d > ri + rj + tol * (unit + ri + rj):
-                yield False, Verdict(INVALID, "balls %d and %d do not intersect" % (i, j), (i, j))
+                reason = "balls %d and %d do not intersect" % (i, j)
+                yield False, Verdict(INVALID, reason, (i, j)), d
 
 
 def is_besicovitch_family(
@@ -324,6 +350,14 @@ def is_besicovitch_family(
     reached and its tolerance.  ``tol`` must be finite and >= 0.  An l^p
     family whose distances overflow is checked scaled by a power of two
     (:func:`_scaled`), with the same slacks.
+
+    In l^p spaces a pair of centers more than ``r_i + r_j + 2 * tol *
+    (1 + max radius)`` apart, with a relative rounding margin of
+    ``1e-12``, rules out by the triangle inequality every point the
+    sweep could return (:func:`find_common_point`), so the first apart
+    pair is returned without a sweep, as after its miss: since ``2 * (1
+    + max radius) >= 1 + r_i + r_j``, that pair is apart too.  Curved
+    spaces always sweep.
     """
     _check_tol(tol)
     try:
@@ -337,15 +371,21 @@ def is_besicovitch_family(
 def _besicovitch(family: BallFamily, k: int, tol: float, max_iter: int) -> Verdict:
     """:func:`is_besicovitch_family` of a family scaled by ``2**-k``: the
     slacks' 1 is ``2**-k``, and the witness and reason scale back."""
-    apart = None
-    for contained, violation in _pair_violations(family, tol, k):
+    apart, beyond = None, False
+    model, radii = family.space._model, family.radii
+    scale = 1.0 + max(radii, default=0.0)  # find_common_point's
+    for contained, violation, d in _pair_violations(family, tol, k):
         if contained:
             return violation
         apart = apart or violation
+        i, j = violation.witness
+        beyond = beyond or _beyond_sweep(model, d, radii[i], radii[j], tol, scale)
     n = len(family)
     if n <= 1:
         witness = Point(family.coords[0]) if n == 1 else None
         return Verdict(VALID, witness=witness)
+    if beyond:
+        return apart  # what the sweep's sure miss would give
     feas = find_common_point(family, tol=tol, max_iter=max_iter)
     if feas.point is not None and not k:
         return Verdict(VALID, witness=feas.point)
@@ -369,12 +409,12 @@ def is_k_configuration(family: BallFamily, tol: float = DEFAULT_TOL) -> Verdict:
     """
     _check_tol(tol)
     try:
-        return next((v for _, v in _pair_violations(family, tol)), Verdict(VALID))
+        return next((v for _, v, _ in _pair_violations(family, tol)), Verdict(VALID))
     except OverflowError:
         if not family.space._model.flat:
             raise
         scaled, k = _scaled(family)
-        return next((v for _, v in _pair_violations(scaled, tol, k)), Verdict(VALID))
+        return next((v for _, v, _ in _pair_violations(scaled, tol, k)), Verdict(VALID))
 
 
 def is_alpha_configuration(
@@ -450,13 +490,9 @@ def is_tau_satellite_configuration(
         if len(s.anchor.coords) != width:
             _check_point(space, s.anchor, "q")  # raises
     dist = space._model.kernel
-    coords = [a.coords for a in points]
-    anchors = [s.anchor.coords for s in sets]
-    outer = [s.outer_radius for s in sets]
-    diameters = [s.diameter for s in sets]
     # membership of each point in its own set (outer test)
-    for i in range(n):
-        if dist(coords[i], anchors[i]) > outer[i] + tol * (1.0 + outer[i]):
+    for i, (a, s) in enumerate(zip(points, sets)):
+        if not _satellite_member(dist(a.coords, s.anchor.coords), s, tol):
             return Verdict(
                 INVALID,
                 reason="point %d lies outside its set" % i,
@@ -465,37 +501,79 @@ def is_tau_satellite_configuration(
     # order condition: later points avoid earlier inner balls, and
     # diameters do not grow by a factor of tau or more
     for i in range(n):
-        inner, bound = sets[i].inner_radius, tau * diameters[i]
         for j in range(i + 1, n):
-            if dist(coords[j], anchors[i]) <= inner:
-                return Verdict(
-                    INVALID,
-                    reason="point %d lies inside earlier set %d" % (j, i),
-                    witness=("exclusion", i, j),
-                )
-            if not diameters[j] < bound:
-                return Verdict(
-                    INVALID,
-                    reason="set %d is not tau-smaller than earlier set %d" % (j, i),
-                    witness=("diameter-order", i, j),
-                )
+            d = dist(points[j].coords, sets[i].anchor.coords)
+            fault = _satellite_order_fault(d, sets[i], sets[j], tau)
+            if fault is not None:
+                return Verdict(INVALID, reason=_ORDER_REASONS[fault] % (j, i),
+                               witness=(fault, i, j))
     # central set: meets every set, diameter tau-below all of them
-    for i0 in range(n):
-        a0, r0, d0 = anchors[i0], outer[i0], diameters[i0]
-        ok = True
-        for i in range(n):
-            if i == i0:
-                continue
-            reach = r0 + outer[i]
-            if dist(a0, anchors[i]) > reach + tol * (1.0 + reach):
-                ok = False
-                break
-            if not d0 < tau * diameters[i]:
-                ok = False
-                break
-        if ok:
+    for i0, s0 in enumerate(sets):
+        a0 = s0.anchor.coords
+        if all(_satellite_central_to(dist(a0, s.anchor.coords), s0, s, tau, tol)
+               for i, s in enumerate(sets) if i != i0):
             return Verdict(VALID, witness=i0)
     return Verdict(INVALID, reason="no admissible central set", witness=("central", None))
+
+
+# The three tests of a satellite configuration, which the validator runs
+# on every set and pair and satellite_max_search on those a new set adds
+# (_satellite_extended), on the kernel's distance ``d`` from a point to
+# an anchor or between anchors, its arguments in the validator's order.
+
+_ORDER_REASONS = {
+    "exclusion": "point %d lies inside earlier set %d",
+    "diameter-order": "set %d is not tau-smaller than earlier set %d",
+}
+
+
+def _satellite_member(d: float, s: QuasiRoundSet, tol: float) -> bool:
+    """Whether a point ``d`` from the anchor of ``s`` lies in its outer ball."""
+    outer = s.outer_radius
+    return not d > outer + tol * (1.0 + outer)
+
+
+def _satellite_order_fault(d: float, earlier: QuasiRoundSet, later: QuasiRoundSet, tau: float):
+    """What breaks the order condition between ``earlier`` and ``later``,
+    whose point is ``d`` from the anchor of ``earlier``: ``"exclusion"``,
+    ``"diameter-order"`` or None."""
+    if d <= earlier.inner_radius:
+        return "exclusion"
+    if not later.diameter < tau * earlier.diameter:
+        return "diameter-order"
+    return None
+
+
+def _satellite_central_to(d: float, s0: QuasiRoundSet, s: QuasiRoundSet, tau: float,
+                          tol: float) -> bool:
+    """Whether ``s0``, its anchor ``d`` from that of ``s``, may be central
+    with respect to ``s``: their outer balls meet, and the diameter of
+    ``s0`` is tau-below that of ``s``."""
+    reach = s0.outer_radius + s.outer_radius
+    return not d > reach + tol * (1.0 + reach) and s0.diameter < tau * s.diameter
+
+
+def _satellite_extended(dist, sets, central, new: QuasiRoundSet, tau: float, tol: float):
+    """The central flags of ``sets + [new]``, each set's point its anchor,
+    or None where :func:`is_tau_satellite_configuration` would find that
+    configuration invalid, given that ``sets`` is valid with the flags
+    ``central``.  Appending a set adds only its membership, the order
+    pairs ``(i, new)`` and a row and a column of the central test, so
+    those are all it checks, with at most ``2 * len(sets) + 1`` kernel
+    calls: the new row of the central test reads the order pairs'."""
+    a = new.anchor.coords
+    if not _satellite_member(dist(a, a), new, tol):
+        return None
+    row = []
+    for s in sets:
+        d = dist(a, s.anchor.coords)
+        if _satellite_order_fault(d, s, new, tau) is not None:
+            return None
+        row.append(d)
+    flags = [ok and _satellite_central_to(dist(s.anchor.coords, a), s, new, tau, tol)
+             for ok, s in zip(central, sets)]
+    flags.append(all(_satellite_central_to(d, new, s, tau, tol) for d, s in zip(row, sets)))
+    return flags if any(flags) else None
 
 
 # ---------------------------------------------------------------------------

@@ -487,8 +487,11 @@ class _Flat(_Model):
         if not p >= 1.0:
             raise InputError(f"pnorm must be >= 1, got {p!r}")
         self.p, self.width = p, space.dim
-        # an l^p norm is at least an axis gap, and |x| ** p underflows below 2 ** (-1022 / p)
-        self.grid = (min(3, space.dim), 2.0 ** -(1000.0 / p if p < math.inf else 1000.0))
+        # an l^p norm is at least an axis gap, and |x| ** p underflows below
+        # 2 ** (-1022 / p), so a computed distance may be off by up to ``gap``
+        # (beside a few ulps per coordinate)
+        self.gap = 2.0 ** -(1000.0 / p if p < math.inf else 1000.0)
+        self.grid = (min(3, space.dim), self.gap)
         # and for |x|, |y| < huge, |x - y| ** p stays below 2 ** 1002 (covering._scaled)
         self.huge = 2.0 ** (500.0 if p in (1.0, 2.0, math.inf) else 1000.0 / p - 1.0)
         if p == 2.0:

@@ -27,14 +27,16 @@ from typing import NamedTuple, Optional, Sequence
 from ._record import Record
 from .covering import (
     BallFamily,
+    QuasiRoundSet,
+    _beyond_sweep,
+    _satellite_extended,
     find_common_point,
     is_besicovitch_family,
     is_k_configuration,
     is_tau_satellite_configuration,
 )
-from .covering import QuasiRoundSet
 from .errors import DomainError, InputError, InternalError, UnsupportedFeatureError
-from .geometry import Point, Space
+from .geometry import DEFAULT_TOL, Point, Space
 
 __all__ = [
     "SearchConfig",
@@ -214,13 +216,18 @@ def _besicovitch_warm_start(space: Space, rmin: float, rmax: float):
 
 def _added_common_point(space, coords, radii, center, radius):
     """Cheap feasibility gate for adding the ball ``B(center, radius)`` to
-    a valid family: the new common point's coordinates, or None."""
-    kernel = space._model.kernel
+    a valid family: the new common point's coordinates, or None.  The
+    distances of the center check also find a pair that no swept point
+    could reach (``covering._beyond_sweep``), which needs no sweep."""
+    model = space._model
+    kernel = model.kernel
+    trial_radii = (*radii, radius)
+    scale = 1.0 + max(trial_radii)  # find_common_point's
     for c, r in zip(coords, radii):
         d = kernel(center, c)
-        if not (d > r and d > radius):
+        if not (d > r and d > radius) or _beyond_sweep(model, d, r, radius, DEFAULT_TOL, scale):
             return None
-    trial = BallFamily._columns(space, (*coords, center), (*radii, radius))
+    trial = BallFamily._columns(space, (*coords, center), trial_radii)
     point = find_common_point(trial, max_iter=_ADD_SWEEPS * len(trial)).point
     return None if point is None else point.coords
 
@@ -396,6 +403,38 @@ def _pack_valid_add(dist, pts, cand):
     return all(dist(cand, p) >= 2.0 - _PACK_TOL for p in pts)
 
 
+def _pack_feasible(space: Space, pts) -> bool:
+    """Whether ``pts`` center disjoint open unit balls in the radius-5
+    ball, the first at the origin: each within 4 of the origin, and every
+    pair at least ``2 - _PACK_TOL`` apart, measured as ``dist(p_i, p_j)``
+    with ``i < j``.
+
+    Only pairs that no axis separates are measured: sorted on one axis
+    after another, the points split wherever two neighbours differ by
+    ``apart`` or more, and a pair so split is at least that far apart on
+    the axis, so at least ``least`` in the l2 kernel's floats too.  A
+    lattice slice, whose coordinates differ by 0 or by 2 or more, splits
+    into single points."""
+    dist, least = space._model.kernel, 2.0 - _PACK_TOL
+    if any(pts[0]) or not all(_length(p) <= 4.0 for p in pts):
+        return False
+    apart = least * (1.0 + 2.0 ** -50)  # above the two roundings of sqrt(x * x)
+    clusters = [list(range(len(pts)))]
+    for k in range(len(pts[0])):
+        split = []
+        for cluster in clusters:
+            cluster.sort(key=lambda i: pts[i][k])
+            start = 0
+            for a in range(1, len(cluster)):
+                if pts[cluster[a]][k] - pts[cluster[a - 1]][k] >= apart:
+                    split.append(cluster[start:a])
+                    start = a
+            split.append(cluster[start:])
+        clusters = [c for c in split if len(c) > 1]
+    return all(dist(pts[i], pts[j]) >= least
+               for c in clusters for i, j in itertools.combinations(sorted(c), 2))
+
+
 def pack_unit_balls_radius5(dim: int, config: Optional[SearchConfig] = None) -> SearchResult:
     """Pack open unit balls into the radius-5 ball, one pinned at the origin.
 
@@ -447,15 +486,9 @@ def pack_unit_balls_radius5(dim: int, config: Optional[SearchConfig] = None) -> 
     if len(best) > 5 ** dim:
         raise InternalError(f"packing of {len(best)} balls exceeds the volume cap {5 ** dim}")
     fam = BallFamily._columns(space, tuple(best), (1.0,) * len(best))
-    feasible = all(
-        _length(p) <= 4.0 for p in best
-    ) and all(
-        dist(best[i], best[j]) >= 2.0 - _PACK_TOL
-        for i in range(len(best))
-        for j in range(i + 1, len(best))
-    ) and not any(best[0])
     return SearchResult(
-        best=fam, score=len(best), feasible=feasible, trace=tuple(map(len, finals))
+        best=fam, score=len(best), feasible=_pack_feasible(space, best),
+        trace=tuple(map(len, finals)),
     )
 
 
@@ -591,11 +624,19 @@ def satellite_max_search(
 
     Add-only annealing: each proposal appends a new set (anchor placed
     near an existing one, diameter below tau times the current minimum)
-    and keeps it only when the full ordered-configuration validator
-    accepts.  The score is an empirical lower bound for the largest
-    configuration size; ``best`` packs each set's outer ball so the
-    result can be serialized like any family.  ``tau`` must lie in
-    (1, 2] and ``lam`` in [1, inf).
+    and keeps it only when the ordered-configuration validator,
+    :func:`~ballcover.covering.is_tau_satellite_configuration` with each
+    set's anchor as its point, would accept.  The score is an empirical
+    lower bound for the largest configuration size; ``best`` packs each
+    set's outer ball so the result can be serialized like any family.
+    ``tau`` must lie in (1, 2] and ``lam`` in [1, inf).
+
+    A restart's state is always a valid configuration (one set is, and
+    only valid ones are kept), with a flag per set saying whether it can
+    still be the central set, and the running minimum diameter.  A
+    proposal checks only what appending its set adds, with the
+    validator's tests (``covering._satellite_extended``, O(n) kernel
+    calls), and the best configuration is certified by the validator.
     """
     if not 1.0 < tau <= 2.0:
         raise InputError(f"tau must lie in (1, 2], got {tau!r}")
@@ -603,9 +644,10 @@ def satellite_max_search(
         raise InputError(f"lam must be finite and >= 1, got {lam!r}")
     config = config or SearchConfig()
     model = space._model
-    dim = model.width
+    dim, dist = model.width, model.kernel
 
-    def propose(sets, temp, rng):
+    def propose(state, temp, rng):
+        sets = state.sets
         offsets = rng.normal(0.0, 1.0, dim)
         u_dist = rng.uniform()
         u_diam = rng.uniform()
@@ -620,7 +662,7 @@ def satellite_max_search(
             anchor = Point(model.exp(anchor_j, model.project(anchor_j, v)))
         except DomainError:
             return False
-        min_diam = min(qs.diameter for qs in sets)
+        min_diam = state.min_diam
         diam = min_diam * (0.4 + 0.58 * (tau - 1.0 + 1.0) * u_diam)
         diam = min(diam, min_diam * tau * 0.98)
         r_new = diam / (1.0 + (2.0 * lam - 1.0) * u_round)
@@ -628,18 +670,18 @@ def satellite_max_search(
             cand = QuasiRoundSet(anchor, r_new, lam, diam)
         except InputError:
             return False
-        trial = sets + [cand]
-        if not is_tau_satellite_configuration(
-            space, trial, [qs.anchor for qs in trial], tau
-        ).is_valid:
+        central = _satellite_extended(dist, sets, state.central, cand, tau, DEFAULT_TOL)
+        if central is None:
             return False
         sets.append(cand)
+        state.central, state.min_diam = central, min(min_diam, diam)
         return True
 
     def start(restart, rng):
-        return [QuasiRoundSet(space.origin(), 1.0, lam, min(2.0, 2.0 * lam))]
+        first = QuasiRoundSet(space.origin(), 1.0, lam, min(2.0, 2.0 * lam))
+        return SimpleNamespace(sets=[first], central=[True], min_diam=first.diameter)
 
-    finals = _anneal(config, start, propose)
+    finals = [state.sets for state in _anneal(config, start, propose)]
     best_sets = max(finals, key=len)
     verdict = is_tau_satellite_configuration(
         space, best_sets, [qs.anchor for qs in best_sets], tau
